@@ -200,11 +200,13 @@ func AbstractAll(ctx context.Context, v Verifier, pattern *bitvec.Vector, groupB
 	}
 	out = append(out, subs...)
 	// AES diagonal-restricted sub-patterns: the widened bytes of each
-	// diagonal, tested as one model.
+	// diagonal, tested as one model, diagonals in index order so the
+	// model list is the same on every call.
 	if isAES && groupBits == 8 {
-		byDiag := map[int][]int{}
+		var byDiag [4][]int
 		for _, g := range groups {
-			byDiag[aesDiagonalOf(g)] = append(byDiag[aesDiagonalOf(g)], g)
+			d := aesDiagonalOf(g)
+			byDiag[d] = append(byDiag[d], g)
 		}
 		for _, dg := range byDiag {
 			if len(dg) < 2 {
@@ -466,8 +468,8 @@ func Harvest(ctx context.Context, v Verifier, patterns []bitvec.Vector, cfg Harv
 }
 
 // capPerClass keeps at most n models of each class, preferring higher
-// verification statistics, while preserving the original ordering of the
-// survivors.
+// verification statistics and, among equal ones, earlier models, while
+// preserving the original ordering of the survivors.
 func capPerClass(models []Model, n int) []Model {
 	byClass := map[Class][]int{}
 	for i, m := range models {
@@ -479,7 +481,7 @@ func capPerClass(models []Model, n int) []Model {
 			continue
 		}
 		sorted := append([]int(nil), idxs...)
-		sort.Slice(sorted, func(a, b int) bool {
+		sort.SliceStable(sorted, func(a, b int) bool {
 			return models[sorted[a]].T > models[sorted[b]].T
 		})
 		for _, i := range sorted[n:] {

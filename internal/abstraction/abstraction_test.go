@@ -279,6 +279,74 @@ func TestHarvestEndToEndFake(t *testing.T) {
 	}
 }
 
+// diagonalVerifier marks a pattern leaky iff all its bytes lie in one
+// AES diagonal, so a raw pattern spanning two diagonals does not verify
+// as a whole but each diagonal's sub-pattern does.
+type diagonalVerifier struct{ fakeVerifier }
+
+func (d *diagonalVerifier) Evaluate(_ context.Context, p *bitvec.Vector) (float64, error) {
+	groups, _ := Widen(p, 8)
+	for _, g := range groups {
+		if aesDiagonalOf(g) != aesDiagonalOf(groups[0]) {
+			return 1, nil
+		}
+	}
+	return 100, nil
+}
+
+// TestHarvestDeterministic pins that Harvest returns the same model list,
+// in the same order, on every call: one AES pattern touching two bytes of
+// each of two diagonals yields two diagonal sub-models with equal
+// statistics, and their order used to follow map iteration.
+func TestHarvestDeterministic(t *testing.T) {
+	v := &diagonalVerifier{fakeVerifier{bits: 128}}
+	// Bytes 0 and 5 lie on diagonal 0, bytes 1 and 6 on diagonal 1.
+	patterns := []bitvec.Vector{bitvec.FromBits(128, 0, 40, 8, 48)}
+	var first []Model
+	for call := 0; call < 50; call++ {
+		models, err := Harvest(context.Background(), v, patterns, HarvestConfig{GroupBits: 8, IsAES: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diagonals := 0
+		for _, m := range models {
+			if m.Class == DiagonalModel {
+				diagonals++
+			}
+		}
+		if diagonals != 2 {
+			t.Fatalf("harvested %d diagonal models, want 2: %v", diagonals, models)
+		}
+		if call == 0 {
+			first = models
+			continue
+		}
+		if !reflect.DeepEqual(models, first) {
+			t.Fatalf("call %d harvested %v, first call %v", call, models, first)
+		}
+	}
+}
+
+// TestCapPerClassKeepsEarliestTies pins the tie-break of the per-class
+// cap: among models of equal statistics the earliest survive, in order.
+// More than 16 of the 40 models tie at the top statistic.
+func TestCapPerClassKeepsEarliestTies(t *testing.T) {
+	var models, want []Model
+	for g := 0; g < 40; g++ {
+		m := Model{Class: ByteModel, Groups: []int{g}, GroupBits: 8, T: 50}
+		if g%2 == 0 || g%3 == 0 {
+			m.T = 100
+			if len(want) < 16 {
+				want = append(want, m)
+			}
+		}
+		models = append(models, m)
+	}
+	if got := capPerClass(models, 16); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept %v, want the first 16 models of the top statistic %v", got, want)
+	}
+}
+
 func TestHarvestRequiresGroupBits(t *testing.T) {
 	v := &fakeVerifier{bits: 128}
 	if _, err := Harvest(context.Background(), v, nil, HarvestConfig{}); err == nil {

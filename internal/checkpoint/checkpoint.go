@@ -47,26 +47,33 @@ var (
 // Encode serializes payload under the given kind tag into a self-checking
 // envelope.
 func Encode(kind string, payload any) ([]byte, error) {
+	body, err := encodeBody(kind, payload)
+	if err != nil {
+		return nil, err
+	}
+	return append(header(kind, body), body...), nil
+}
+
+// encodeBody gob-encodes the payload of an envelope.
+func encodeBody(kind string, payload any) ([]byte, error) {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding %s payload: %w", kind, err)
 	}
-	sum := sha256.Sum256(body.Bytes())
+	return body.Bytes(), nil
+}
 
-	var out bytes.Buffer
-	out.Write(magic)
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], Version)
-	out.Write(u16[:])
-	binary.BigEndian.PutUint16(u16[:], uint16(len(kind)))
-	out.Write(u16[:])
-	out.WriteString(kind)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(body.Len()))
-	out.Write(u64[:])
-	out.Write(sum[:])
-	out.Write(body.Bytes())
-	return out.Bytes(), nil
+// header returns the envelope fields that precede body: magic, version,
+// kind, payload length and payload checksum.
+func header(kind string, body []byte) []byte {
+	sum := sha256.Sum256(body)
+	h := make([]byte, 0, len(magic)+2+2+len(kind)+8+sha256.Size)
+	h = append(h, magic...)
+	h = binary.BigEndian.AppendUint16(h, Version)
+	h = binary.BigEndian.AppendUint16(h, uint16(len(kind)))
+	h = append(h, kind...)
+	h = binary.BigEndian.AppendUint64(h, uint64(len(body)))
+	return append(h, sum[:]...)
 }
 
 // Decode parses an envelope produced by Encode, verifying magic, version,
@@ -138,9 +145,11 @@ func Decode(data []byte, kind string, out any) (err error) {
 
 // Save atomically writes payload to path: encode, write to a temporary
 // file in the same directory, fsync, rename. A reader (or a crash) never
-// observes a partially written checkpoint.
+// observes a partially written checkpoint. The file holds exactly Encode's
+// bytes, written as header and body so the payload is not copied into a
+// second buffer.
 func Save(path, kind string, payload any) error {
-	data, err := Encode(kind, payload)
+	body, err := encodeBody(kind, payload)
 	if err != nil {
 		return err
 	}
@@ -151,9 +160,11 @@ func Save(path, kind string, payload any) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: writing %s: %w", tmpName, err)
+	for _, part := range [][]byte{header(kind, body), body} {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			return fmt.Errorf("checkpoint: writing %s: %w", tmpName, err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

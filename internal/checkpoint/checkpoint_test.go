@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"os"
@@ -101,6 +102,27 @@ func TestSaveLoad(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("temp files left behind: %v", entries)
+	}
+}
+
+// TestSaveWritesEncodeBytes pins that Save, which writes the envelope
+// header and the gob body separately, leaves exactly Encode's bytes on
+// disk.
+func TestSaveWritesEncodeBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := Save(path, "session", sample()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Encode("session", sample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("saved file (%d bytes) differs from Encode's output (%d bytes)", len(got), len(want))
 	}
 }
 

@@ -19,6 +19,7 @@ package countermeasure
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"encoding/hex"
 	"fmt"
 	"sync/atomic"
@@ -76,7 +77,8 @@ type OracleConfig struct {
 	Samples int
 	// MaxOrder of the ciphertext t-test (default 2).
 	MaxOrder int
-	// GroupBits of the ciphertext grouping (default cipher native).
+	// GroupBits of the ciphertext grouping: 1, 2, 4 or 8 (default cipher
+	// native).
 	GroupBits int
 	// Threshold θ (default 4.5).
 	Threshold float64
@@ -122,6 +124,11 @@ func (c *OracleConfig) setDefaults(cipher ciphers.Cipher) error {
 	}
 	if c.GroupBits == 0 {
 		c.GroupBits = cipher.GroupBits()
+	}
+	switch c.GroupBits {
+	case 1, 2, 4, 8:
+	default:
+		return fmt.Errorf("countermeasure: unsupported group size %d bits", c.GroupBits)
 	}
 	if c.Threshold == 0 {
 		c.Threshold = stats.DefaultThreshold
@@ -275,6 +282,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 	o.LastMutedRate = float64(muted.Load()) / float64(o.cfg.Samples)
 	ref := evaluate.Reference(o.cfg.Samples, o.cfg.GroupBits, groups, o.cfg.MaxOrder, o.cfg.RefSeed)
 	res := accs[0].MaxT(o.cfg.MaxOrder, ref)
+	evaluate.Recycle(accs)
 	sp.SetAttr("t", res.T)
 	sp.SetAttr("leaky", res.T > o.cfg.Threshold)
 	sp.SetAttr("muted_rate", o.LastMutedRate)
@@ -307,13 +315,12 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 func (o *Oracle) collectScalar(inj1, inj2 *fault.Injector, rng *prng.Source, n int, acc *stats.Accumulator) int {
 	prot := NewProtected(o.cipher, rng)
 	bb := o.cipher.BlockBytes()
-	groups := 8 * bb / o.cfg.GroupBits
 	pt := make([]byte, bb)
 	clean := make([]byte, bb)
 	faulty := make([]byte, bb)
 	xor1, and1 := make([]byte, bb), make([]byte, bb)
 	xor2, and2 := make([]byte, bb), make([]byte, bb)
-	row := make([]float64, groups)
+	diffs := newDiffBlock(bb, o.cfg.GroupBits, acc)
 	fault1 := &ciphers.Fault{Round: o.cfg.Round}
 	fault2 := &ciphers.Fault{Round: o.cfg.Round}
 	muted := 0
@@ -330,11 +337,9 @@ func (o *Oracle) collectScalar(inj1, inj2 *fault.Injector, rng *prng.Source, n i
 		if prot.Encrypt(faulty, pt, f1, f2) {
 			muted++
 		}
-		for g := range row {
-			row[g] = groupValue(clean, faulty, g, o.cfg.GroupBits)
-		}
-		acc.Add(row)
+		diffs.add(clean, faulty)
 	}
+	diffs.flush()
 	return muted
 }
 
@@ -348,14 +353,13 @@ func (o *Oracle) collectScalar(inj1, inj2 *fault.Injector, rng *prng.Source, n i
 // accumulator contents are bit-identical to collectScalar.
 func (o *Oracle) collectBatch(kern ciphers.BatchKernel, inj1, inj2 *fault.Injector, rng *prng.Source, n int, acc *stats.Accumulator) int {
 	bb := o.cipher.BlockBytes()
-	groups := 8 * bb / o.cfg.GroupBits
 	pt := make([]byte, bb)
 	clean := make([]byte, bb)
 	faulty := make([]byte, bb)
 	out2 := make([]byte, bb)
 	xor1, and1 := make([]byte, bb), make([]byte, bb)
 	xor2, and2 := make([]byte, bb), make([]byte, bb)
-	row := make([]float64, groups)
+	diffs := newDiffBlock(bb, o.cfg.GroupBits, acc)
 	xors := [][]byte{nil, nil, nil}
 	ands := [][]byte{nil, nil, nil}
 	states := [][]byte{nil, nil, nil}
@@ -373,12 +377,45 @@ func (o *Oracle) collectBatch(kern ciphers.BatchKernel, inj1, inj2 *fault.Inject
 			rng.Fill(faulty)
 			muted++
 		}
-		for g := range row {
-			row[g] = groupValue(clean, faulty, g, o.cfg.GroupBits)
-		}
-		acc.Add(row)
+		diffs.add(clean, faulty)
 	}
+	diffs.flush()
 	return muted
+}
+
+// diffBlock stages the ciphertext differentials of up to stats.BlockRows
+// samples and folds each full block into the shard's accumulator at once.
+type diffBlock struct {
+	bb    int
+	rows  int
+	diffs []byte // rows x bb differentials
+	blk   *stats.Block
+	acc   *stats.Accumulator
+}
+
+func newDiffBlock(bb, groupBits int, acc *stats.Accumulator) *diffBlock {
+	return &diffBlock{
+		bb:    bb,
+		diffs: make([]byte, stats.BlockRows*bb),
+		blk:   stats.NewBlock(8*bb/groupBits, groupBits),
+		acc:   acc,
+	}
+}
+
+// add stages the differential of one sample's clean and released
+// ciphertexts.
+func (d *diffBlock) add(clean, released []byte) {
+	subtle.XORBytes(d.diffs[d.rows*d.bb:(d.rows+1)*d.bb], clean, released)
+	if d.rows++; d.rows == stats.BlockRows {
+		d.flush()
+	}
+}
+
+// flush folds the staged differentials into the accumulator.
+func (d *diffBlock) flush() {
+	d.blk.SetRows(d.diffs, d.bb, d.rows)
+	d.acc.AddBlock(d.blk)
+	d.rows = 0
 }
 
 // drawBranch draws one branch's injection halves into the caller's
@@ -398,18 +435,4 @@ func drawBranch(inj *fault.Injector, xor, and []byte, rng *prng.Source) (xm, am 
 	}
 	inj.Draw(xm, am, rng)
 	return xm, am
-}
-
-// groupValue extracts the differential group g of width groupBits.
-func groupValue(a, b []byte, g, groupBits int) float64 {
-	switch groupBits {
-	case 8:
-		return float64(a[g] ^ b[g])
-	case 4:
-		return float64((a[g/2] ^ b[g/2]) >> (4 * uint(g%2)) & 0xf)
-	case 2:
-		return float64((a[g/4] ^ b[g/4]) >> (2 * uint(g%4)) & 0x3)
-	default:
-		return float64((a[g/8] ^ b[g/8]) >> uint(g%8) & 1)
-	}
 }

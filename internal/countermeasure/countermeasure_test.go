@@ -200,6 +200,24 @@ func TestNewOracleValidatesRound(t *testing.T) {
 	}
 }
 
+// TestNewOracleValidatesGroupBits pins that a ciphertext grouping other
+// than 1, 2, 4 or 8 bits is rejected at construction rather than reaching
+// the collect loops.
+func TestNewOracleValidatesGroupBits(t *testing.T) {
+	rng := prng.New(11)
+	c := newAES(t, rng)
+	for _, gb := range []int{-1, 3, 16} {
+		if _, err := NewOracle(c, OracleConfig{Round: 9, GroupBits: gb}, rng.Split()); err == nil {
+			t.Errorf("accepted group size %d bits", gb)
+		}
+	}
+	for _, gb := range []int{1, 2, 4, 8} {
+		if _, err := NewOracle(c, OracleConfig{Round: 9, GroupBits: gb}, rng.Split()); err != nil {
+			t.Errorf("group size %d bits: %v", gb, err)
+		}
+	}
+}
+
 func TestOracleFlipAllModeWideFaultEvades(t *testing.T) {
 	// With deterministic FlipAll faults, identical wide patterns DO
 	// evade the countermeasure — the ablation contrast to

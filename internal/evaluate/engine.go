@@ -311,6 +311,7 @@ func (e *Engine) assess(ctx context.Context, pattern *bitvec.Vector, round int, 
 			break
 		}
 	}
+	Recycle(accs)
 	out.Leaky = out.T > e.cfg.Threshold
 	sp.SetAttr("t", out.T)
 	sp.SetAttr("leaky", out.Leaky)

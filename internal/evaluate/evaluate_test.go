@@ -206,3 +206,92 @@ func TestEngineStopAtThreshold(t *testing.T) {
 		t.Errorf("StopAtThreshold did not truncate: %d of %d points", len(a.PerPoint), len(pts))
 	}
 }
+
+// TestEngineSIFAWithoutIneffectiveTraces pins the degenerate SIFA
+// campaign: a flip-all XOR fault changes every ciphertext, so no trace is
+// ineffective and every shard's population is empty. The statistic must
+// be 0, not NaN, and the pattern not leaky.
+func TestEngineSIFAWithoutIneffectiveTraces(t *testing.T) {
+	c := giftCipher(t)
+	pattern := nibblePattern(64, 5)
+	e := New(c, Config{Samples: ShardSize + 50, Seed: 8, Oracle: fault.OracleSIFA, Mode: fault.FlipAll})
+	a, err := e.Assess(context.Background(), &pattern, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.T != 0 || math.IsNaN(a.T) || a.Leaky {
+		t.Fatalf("assessment %+v, want T = 0 and not leaky", a)
+	}
+	for _, p := range a.PerPoint {
+		if p.Stat.T != 0 {
+			t.Errorf("point %v: T = %v, want 0", p.Point, p.Stat.T)
+		}
+	}
+}
+
+// TestEngineThresholdIsStrict pins that a statistic exactly equal to the
+// threshold θ is not leaky: leakage needs T > θ.
+func TestEngineThresholdIsStrict(t *testing.T) {
+	c := giftCipher(t)
+	pattern := nibblePattern(64, 5)
+	cfg := Config{Samples: 300, Seed: 4}
+	first, err := New(c, cfg).Assess(context.Background(), &pattern, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.T <= 0 {
+		t.Fatalf("T = %v, want a positive statistic", first.T)
+	}
+	for _, tc := range []struct {
+		threshold float64
+		leaky     bool
+	}{
+		{first.T, false},
+		{math.Nextafter(first.T, 0), true},
+	} {
+		cfg.Threshold = tc.threshold
+		a, err := New(c, cfg).Assess(context.Background(), &pattern, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a.T) != math.Float64bits(first.T) || a.Leaky != tc.leaky {
+			t.Errorf("θ = %v: T = %v leaky %v, want T = %v leaky %v", tc.threshold, a.T, a.Leaky, first.T, tc.leaky)
+		}
+	}
+}
+
+// TestRunShardedRecycle: accumulators handed back through Recycle are
+// reset before reuse, so repeated campaigns of one shape reproduce the
+// first one's sums bit for bit.
+func TestRunShardedRecycle(t *testing.T) {
+	c := giftCipher(t)
+	cp := fault.Campaign{Cipher: c, Pattern: nibblePattern(64, 3), Round: 25, Samples: 2*ShardSize + 10}
+	if err := cp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	run := func() [][]float64 {
+		accs, err := RunSharded(context.Background(), cp.Samples, 2, len(cp.Points), cp.Groups(), 2, 5,
+			func(rng *prng.Source, _, n int, accs []*stats.Accumulator) error {
+				return cp.CollectInto(rng, n, accs)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sums [][]float64
+		for _, a := range accs {
+			if a.N() != cp.Samples {
+				t.Fatalf("N = %d, want %d", a.N(), cp.Samples)
+			}
+			pow, cross := a.RawSums()
+			sums = append(sums, pow, cross)
+		}
+		Recycle(accs)
+		return sums
+	}
+	first := run()
+	for i := 0; i < 3; i++ {
+		if got := run(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d differs from the first", i+2)
+		}
+	}
+}

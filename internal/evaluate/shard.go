@@ -25,8 +25,10 @@ func ShardSeed(campaignSeed uint64, shard int) uint64 {
 // each shard on a pool of workers goroutines (workers <= 1 runs inline),
 // and returns one merged accumulator per observation point. collect is
 // called with the shard's own deterministic PRNG, its index, its sample
-// count, and one fresh accumulator per point; shard results are merged in
+// count, and one empty accumulator per point; shard results are merged in
 // shard-index order, so the output is bit-identical for any worker count.
+// The accumulators of merged shards are reused by later calls of the same
+// shape, and so is the result once the caller passes it to Recycle.
 //
 // Cancellation is checked at shard boundaries: once ctx is done no new
 // shard starts, in-flight shards run to completion (a shard never splits
@@ -49,13 +51,7 @@ func RunSharded(ctx context.Context, samples, workers, points, groups, maxOrder 
 		workers = numShards
 	}
 
-	newAccs := func() []*stats.Accumulator {
-		accs := make([]*stats.Accumulator, points)
-		for i := range accs {
-			accs[i] = stats.NewAccumulator(groups, maxOrder)
-		}
-		return accs
-	}
+	pool := accPool(accShape{points, groups, maxOrder})
 	shardSamples := func(shard int) int {
 		n := ShardSize
 		if last := samples - shard*ShardSize; last < n {
@@ -67,7 +63,7 @@ func RunSharded(ctx context.Context, samples, workers, points, groups, maxOrder 
 	perShard := make([][]*stats.Accumulator, numShards)
 	errs := make([]error, numShards)
 	runShard := func(shard int) {
-		accs := newAccs()
+		accs := pool.Get().(*accSet).accs
 		rng := prng.New(ShardSeed(campaignSeed, shard))
 		errs[shard] = collect(rng, shard, shardSamples(shard), accs)
 		perShard[shard] = accs
@@ -107,11 +103,50 @@ func RunSharded(ctx context.Context, samples, workers, points, groups, maxOrder 
 			return nil, err
 		}
 	}
+	// Shard 0's accumulators become the result; the others are reused.
 	total := perShard[0]
 	for _, accs := range perShard[1:] {
 		for i, a := range accs {
 			total[i].Merge(a)
 		}
+		Recycle(accs)
 	}
 	return total, nil
+}
+
+// Recycle hands a set of accumulators, one per observation point, back
+// for reuse by later RunSharded calls of the same shape. Assessments call
+// it on RunSharded's result once they have read their statistics, so an
+// atlas sweep does not allocate a fresh set per cell and shard. The caller
+// must not use the accumulators afterwards.
+func Recycle(accs []*stats.Accumulator) {
+	if len(accs) == 0 {
+		return
+	}
+	for _, a := range accs {
+		a.Reset()
+	}
+	accPool(accShape{len(accs), accs[0].Groups(), accs[0].MaxOrder()}).Put(&accSet{accs})
+}
+
+// accSet is one shard's accumulators, one per observation point.
+type accSet struct{ accs []*stats.Accumulator }
+
+// accShape keys the pools of accumulator sets.
+type accShape struct{ points, groups, maxOrder int }
+
+var accPools sync.Map // accShape → *sync.Pool of *accSet
+
+func accPool(k accShape) *sync.Pool {
+	if p, ok := accPools.Load(k); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := accPools.LoadOrStore(k, &sync.Pool{New: func() any {
+		set := &accSet{accs: make([]*stats.Accumulator, k.points)}
+		for i := range set.accs {
+			set.accs[i] = stats.NewAccumulator(k.groups, k.maxOrder)
+		}
+		return set
+	}})
+	return p.(*sync.Pool)
 }

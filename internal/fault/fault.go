@@ -8,7 +8,9 @@ package fault
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"fmt"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/ciphers"
@@ -237,8 +239,9 @@ type Result struct {
 
 // batchBlock is the number of traces drawn and encrypted per batch call:
 // the bitsliced GIFT kernel packs exactly this many traces per uint64
-// lane, and it divides evaluate.ShardSize so shards batch evenly.
-const batchBlock = 64
+// lane, and it divides evaluate.ShardSize so shards batch evenly. Each
+// block reaches the accumulators as one stats.Block, which sets its size.
+const batchBlock = stats.BlockRows
 
 // Collect runs the campaign: for each of Samples random plaintexts it
 // encrypts once cleanly and once with a fault drawn from the pattern, and
@@ -253,6 +256,7 @@ func (cp *Campaign) Collect(rng *prng.Source) (*Result, error) {
 		return nil, fmt.Errorf("fault: the SIFA oracle requires accumulator collection (CollectInto)")
 	}
 	groups := cp.Groups()
+	bb := cp.Cipher.BlockBytes()
 	res := &Result{Points: cp.Points, Matrices: make([][][]float64, len(cp.Points))}
 	for i := range res.Matrices {
 		// One flat backing array per point instead of one row per sample.
@@ -262,8 +266,13 @@ func (cp *Campaign) Collect(rng *prng.Source) (*Result, error) {
 			res.Matrices[i][s] = backing[s*groups : (s+1)*groups]
 		}
 	}
-	cp.forEachDiff(context.Background(), rng, cp.Samples, func(s, pi int, diff []byte) {
-		groupValuesInto(res.Matrices[pi][s], diff, cp.GroupBits, groups)
+	pool := collectPool(cp)
+	buf := pool.Get().(*collectBuffers)
+	defer pool.Put(buf)
+	cp.forEachBlock(context.Background(), rng, cp.Samples, buf, func(pi, base, rows int, states []byte, stride int) {
+		for r := 0; r < rows; r++ {
+			groupValuesInto(res.Matrices[pi][base+r], states[r*stride:r*stride+bb], cp.GroupBits, groups)
+		}
 	})
 	return res, nil
 }
@@ -285,69 +294,75 @@ func (cp *Campaign) CollectInto(rng *prng.Source, n int, accs []*stats.Accumulat
 // masks are drawn and encrypted as a unit — so an aborted shard simply
 // discards a whole number of traces and its PRNG substream is never split
 // across resumes.
+//
+// Each block of traces reaches the accumulators as one stats.Block per
+// observation point (Accumulator.AddBlock), which sums orders <= 2 in
+// exact integer arithmetic and reproduces the row-by-row float sums bit
+// for bit.
 func (cp *Campaign) CollectIntoContext(ctx context.Context, rng *prng.Source, n int, accs []*stats.Accumulator) error {
 	if len(accs) != len(cp.Points) {
 		return fmt.Errorf("fault: %d accumulators for %d observation points", len(accs), len(cp.Points))
 	}
-	groups := cp.Groups()
-	row := make([]float64, groups)
-	return cp.forEachDiff(ctx, rng, n, func(s, pi int, diff []byte) {
-		groupValuesInto(row, diff, cp.GroupBits, groups)
-		accs[pi].Add(row)
+	pool := collectPool(cp)
+	buf := pool.Get().(*collectBuffers)
+	defer pool.Put(buf)
+	if buf.blk == nil {
+		buf.blk = stats.NewBlock(cp.Groups(), cp.GroupBits)
+	}
+	return cp.forEachBlock(ctx, rng, n, buf, func(pi, _, rows int, states []byte, stride int) {
+		buf.blk.SetRows(states, stride, rows)
+		accs[pi].AddBlock(buf.blk)
 	})
 }
 
-// forEachDiff runs n paired (clean, faulty) traces and calls emit with
-// the per-point observation of every emitted trace, in (sample, point)
-// order: the raw XOR differential under OracleWelch, or — under
-// OracleSIFA — the raw clean state of only the traces whose fault left
-// the ciphertext unchanged. The campaign must be validated.
+// forEachBlock runs n paired (clean, faulty) traces and calls emit once
+// per block of traces and observation point with that point's
+// observations: rows states of the cipher's block size, row r starting at
+// states[r*stride]. Under OracleWelch the rows are the XOR differentials of
+// the block's traces, sample base+r in row r; under OracleSIFA they are
+// the clean states of only the traces whose fault left the ciphertext
+// unchanged, in sample order. The campaign must be validated.
 //
-// Traces are processed in blocks: each block first draws every
-// plaintext and fault injection pair — in the same per-sample
-// interleaving a trace-at-a-time loop would use, so the PRNG stream is
-// independent of the block size — and then encrypts the whole block
-// through the generalized-injection dispatcher (batch kernel, FaultKernel
-// extension, or the scalar reference path; see ciphers.EncryptForksOps).
-// All engines produce bit-identical observations, and none allocates per
-// sample. Cancellation is checked once per block, before any of the
-// block's PRNG draws.
+// Each block first draws every plaintext and fault injection pair — in
+// the same per-sample interleaving a trace-at-a-time loop would use, so
+// the PRNG stream is independent of the block size — and then encrypts
+// the whole block through the generalized-injection dispatcher (batch
+// kernel, FaultKernel extension, or the scalar reference path; see
+// ciphers.EncryptForksOps). All engines produce bit-identical
+// observations. The observations are formed in place in the block's
+// clean-state buffer, and buf is reused across calls, so nothing is
+// allocated per block. Cancellation is checked once per block, before
+// any of the block's PRNG draws.
 //
 // Ineffective-fault conditioning compares ciphertexts only: every
 // observation point sits at or after the injection round, and the rounds
 // from injection to ciphertext are a bijection, so an unchanged
 // ciphertext implies the fault was the identity on the actual state and
 // every intermediate observation coincides with the clean branch.
-func (cp *Campaign) forEachDiff(ctx context.Context, rng *prng.Source, n int, emit func(s, pi int, diff []byte)) error {
+func (cp *Campaign) forEachBlock(ctx context.Context, rng *prng.Source, n int, buf *collectBuffers,
+	emit func(pi, base, rows int, states []byte, stride int)) error {
 	bb := cp.Cipher.BlockBytes()
 	np := len(cp.Points)
-	block := batchBlock
-	if n < block {
-		block = n
-	}
+	stride := np * bb
 	inj := NewInjector(cp.Pattern, cp.Model, cp.Mode)
-	pts := make([]byte, block*bb)
 	var xorBuf, andBuf []byte
 	if inj.HasXor() {
-		xorBuf = make([]byte, block*bb)
+		xorBuf = buf.xor
 	}
 	if inj.HasAnd() {
-		andBuf = make([]byte, block*bb)
+		andBuf = buf.and
 	}
-	clean := make([]byte, block*np*bb)
-	faulty := make([]byte, block*np*bb)
-	diff := make([]byte, bb)
-	bpts := make([]ciphers.BatchPoint, np)
 	for i, p := range cp.Points {
-		bpts[i] = p.batchPoint()
+		buf.bpts[i] = p.batchPoint()
 	}
+	pts, clean := buf.pts, buf.clean
 	xors := [][]byte{nil, xorBuf}
 	ands := [][]byte{nil, andBuf}
-	states := [][]byte{clean, faulty}
+	states := [][]byte{clean, buf.faulty}
 	cts := [][]byte{nil, nil}
 	sifa := cp.Oracle == OracleSIFA
 	if sifa {
-		cts = [][]byte{make([]byte, block*bb), make([]byte, block*bb)}
+		cts = [][]byte{buf.ct0, buf.ct1}
 	}
 	var kern ciphers.BatchKernel
 	if be, ok := cp.Cipher.(ciphers.BatchEncrypter); ok && !cp.NoBatch {
@@ -370,15 +385,12 @@ func (cp *Campaign) forEachDiff(ctx context.Context, rng *prng.Source, n int, em
 	}
 	ineffective := cp.Metrics.Counter("campaign.ineffective_total")
 	collectTimer := cp.Metrics.Histogram("campaign.collect_seconds", obs.LatencyBuckets).Start()
-	for base := 0; base < n; base += block {
+	for base := 0; base < n; base += batchBlock {
 		if err := ctx.Err(); err != nil {
 			collectTimer.Stop()
 			return err
 		}
-		bn := block
-		if left := n - base; left < bn {
-			bn = left
-		}
+		bn := min(batchBlock, n-base)
 		for i := 0; i < bn; i++ {
 			rng.Fill(pts[i*bb : (i+1)*bb])
 			var xm, am []byte
@@ -390,33 +402,66 @@ func (cp *Campaign) forEachDiff(ctx context.Context, rng *prng.Source, n int, em
 			}
 			inj.Draw(xm, am, rng)
 		}
-		ciphers.EncryptForksOps(cp.Cipher, kern, cp.Round, bpts, bn, pts, xors, ands, states, cts)
+		ciphers.EncryptForksOps(cp.Cipher, kern, cp.Round, buf.bpts, bn, pts, xors, ands, states, cts)
 		traces.Add(uint64(bn))
 		pathBlocks.Inc()
-		for i := 0; i < bn; i++ {
-			if sifa {
-				if !bytes.Equal(cts[0][i*bb:(i+1)*bb], cts[1][i*bb:(i+1)*bb]) {
-					continue
+		rows := bn
+		if sifa {
+			// Compact the ineffective traces' clean states to the front.
+			rows = 0
+			for i := 0; i < bn; i++ {
+				if bytes.Equal(cts[0][i*bb:(i+1)*bb], cts[1][i*bb:(i+1)*bb]) {
+					copy(clean[rows*stride:(rows+1)*stride], clean[i*stride:(i+1)*stride])
+					rows++
 				}
-				ineffective.Inc()
-				for pi := 0; pi < np; pi++ {
-					off := (i*np + pi) * bb
-					emit(base+i, pi, clean[off:off+bb])
-				}
-				continue
 			}
-			for pi := 0; pi < np; pi++ {
-				off := (i*np + pi) * bb
-				a, b := clean[off:off+bb], faulty[off:off+bb]
-				for j := 0; j < bb; j++ {
-					diff[j] = a[j] ^ b[j]
-				}
-				emit(base+i, pi, diff)
-			}
+			ineffective.Add(uint64(rows))
+		} else {
+			subtle.XORBytes(clean[:bn*stride], clean[:bn*stride], buf.faulty[:bn*stride])
+		}
+		for pi := 0; pi < np; pi++ {
+			emit(pi, base, rows, clean[pi*bb:], stride)
 		}
 	}
 	collectTimer.Stop()
 	return nil
+}
+
+// collectBuffers is the scratch of one collection call: the trace block's
+// plaintexts, injection masks, states and ciphertexts, the batch points
+// and the stats.Block that CollectIntoContext stages observations in.
+// Campaign shards are small — a 512-sample assessment is two of them — so
+// allocating these per call would dominate a sweep's garbage; they are
+// pooled per shape instead.
+type collectBuffers struct {
+	pts, xor, and []byte
+	clean, faulty []byte
+	ct0, ct1      []byte
+	bpts          []ciphers.BatchPoint
+	blk           *stats.Block // created on first use by CollectIntoContext
+}
+
+// collectShape keys the buffer pools: it fixes every buffer size.
+type collectShape struct{ blockBytes, points, groupBits int }
+
+var collectPools sync.Map // collectShape → *sync.Pool of *collectBuffers
+
+// collectPool returns the buffer pool for the campaign's shape.
+func collectPool(cp *Campaign) *sync.Pool {
+	k := collectShape{cp.Cipher.BlockBytes(), len(cp.Points), cp.GroupBits}
+	if p, ok := collectPools.Load(k); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := collectPools.LoadOrStore(k, &sync.Pool{New: func() any {
+		bb, states := k.blockBytes, batchBlock*k.points*k.blockBytes
+		return &collectBuffers{
+			pts: make([]byte, batchBlock*bb), xor: make([]byte, batchBlock*bb), and: make([]byte, batchBlock*bb),
+			clean: make([]byte, states), faulty: make([]byte, states),
+			ct0: make([]byte, batchBlock*bb), ct1: make([]byte, batchBlock*bb),
+			bpts: make([]ciphers.BatchPoint, k.points),
+		}
+	}})
+	return p.(*sync.Pool)
 }
 
 // batchPoint maps an observation point onto the ciphers batch API.
@@ -431,14 +476,8 @@ func (p Point) batchPoint() ciphers.BatchPoint {
 	}
 }
 
-// groupValues splits state bytes into groupBits-wide integer values.
-func groupValues(state []byte, groupBits, groups int) []float64 {
-	out := make([]float64, groups)
-	groupValuesInto(out, state, groupBits, groups)
-	return out
-}
-
-// groupValuesInto is groupValues into a caller-owned buffer.
+// groupValuesInto splits state bytes into groupBits-wide integer values,
+// the float rows of Collect's matrices.
 func groupValuesInto(out []float64, state []byte, groupBits, groups int) {
 	switch groupBits {
 	case 8:

@@ -105,6 +105,13 @@ func (a *Accumulator) Add(row []float64) {
 	a.n++
 }
 
+// Reset empties the accumulator for reuse, keeping its shape.
+func (a *Accumulator) Reset() {
+	a.n = 0
+	clear(a.pow)
+	clear(a.cross)
+}
+
 // Merge combines another accumulator (same shape) into a. Merging shard
 // accumulators in a fixed order reproduces the serial accumulation
 // deterministically.

@@ -78,3 +78,86 @@ func requireEqual(t *testing.T, label string, want, got *Accumulator) {
 		}
 	}
 }
+
+// FuzzAccumulatorBlock checks that AddBlock is a drop-in replacement for
+// Add: rows of any group width (1, 2, 4 or 8 bits) and order (1..3), cut
+// into blocks of every size from empty to full and split at an arbitrary
+// point into two merged accumulators, must leave N and the raw sums
+// bit-identical to the same rows fed one by one through Add. Rows are
+// decoded for Add by a bit reader independent of Block.SetRows, so the
+// unpacking is checked too.
+func FuzzAccumulatorBlock(f *testing.F) {
+	// The largest value of every width in full blocks, where the packed
+	// lanes of the order-2 kernels come closest to overflowing.
+	for widthSel := byte(0); widthSel < 4; widthSel++ {
+		f.Add(widthSel, byte(1), byte(15), byte(200), byte(64), []byte{0xff})
+	}
+	f.Add(byte(2), byte(1), byte(15), byte(200), byte(3), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0xff})
+	f.Add(byte(3), byte(2), byte(7), byte(255), byte(200), []byte{0xff, 0x00, 0x80, 0x7f, 0x01})
+	f.Add(byte(0), byte(0), byte(12), byte(100), byte(9), []byte{0xa5, 0x3c})
+	f.Add(byte(1), byte(2), byte(5), byte(1), byte(0), []byte{0xe4})
+	f.Fuzz(func(t *testing.T, widthSel, orderSel, groupsSel, rowsSel, splitSel byte, data []byte) {
+		if len(data) == 0 {
+			t.Skip("no row data")
+		}
+		width := []int{1, 2, 4, 8}[widthSel%4]
+		maxOrder := 1 + int(orderSel)%3
+		groups := 1 + int(groupsSel)%16
+		rows := int(rowsSel)
+		rowBytes := (groups*width + 7) / 8
+		packed := make([]byte, rows*rowBytes)
+		for i := range packed {
+			packed[i] = data[i%len(data)]
+		}
+		split := int(splitSel) * rows / 256
+
+		addRows := func(a *Accumulator, from, to int) {
+			for r := from; r < to; r++ {
+				a.Add(unpackRow(packed[r*rowBytes:(r+1)*rowBytes], groups, width))
+			}
+		}
+		blk := NewBlock(groups, width)
+		// Block sizes cycle through 0..64 from a split-dependent start,
+		// so every run mixes empty, partial and full blocks.
+		k := int(splitSel)
+		addBlocks := func(a *Accumulator, from, to int) {
+			for r := from; r < to; {
+				size := min(k%(BlockRows+1), to-r)
+				k += 29
+				blk.SetRows(packed[r*rowBytes:], rowBytes, size)
+				a.AddBlock(blk)
+				r += size
+			}
+		}
+
+		wantAll, gotAll := NewAccumulator(groups, maxOrder), NewAccumulator(groups, maxOrder)
+		addRows(wantAll, 0, rows)
+		addBlocks(gotAll, 0, rows)
+		requireEqual(t, "all rows", wantAll, gotAll)
+
+		wantL, wantR := NewAccumulator(groups, maxOrder), NewAccumulator(groups, maxOrder)
+		gotL, gotR := NewAccumulator(groups, maxOrder), NewAccumulator(groups, maxOrder)
+		addRows(wantL, 0, split)
+		addRows(wantR, split, rows)
+		addBlocks(gotL, 0, split)
+		addBlocks(gotR, split, rows)
+		wantL.Merge(wantR)
+		gotL.Merge(gotR)
+		requireEqual(t, "merged split", wantL, gotL)
+	})
+}
+
+// unpackRow decodes one packed row bit by bit: value j is bits
+// j*width..(j+1)*width-1 of the row, least significant bit first.
+func unpackRow(row []byte, groups, width int) []float64 {
+	out := make([]float64, groups)
+	for j := range out {
+		v := 0
+		for b := 0; b < width; b++ {
+			bit := j*width + b
+			v |= int(row[bit/8]>>(bit%8)&1) << b
+		}
+		out[j] = float64(v)
+	}
+	return out
+}

@@ -267,3 +267,33 @@ func TestJobRunnerValidate(t *testing.T) {
 		t.Fatalf("assess result = %s (%v)", got.Result, err)
 	}
 }
+
+// TestProtectedAssessJobBadGroupBitsFails pins that a protected assess job
+// with an unsupported group size ends failed with an error instead of
+// taking the daemon down, and that the worker goes on to run the next job.
+func TestProtectedAssessJobBadGroupBitsFails(t *testing.T) {
+	s, err := NewJobServer(JobServerConfig{DataDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, gb := range []int{3, 16} {
+		j, err := s.Submit(JobSpec{Type: "assess", Config: json.RawMessage(fmt.Sprintf(
+			`{"cipher":"aes128","round":9,"protected":true,"bits":[1,129],"group_bits":%d,"samples":64,"seed":1}`, gb))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := waitJobState(t, s, j.ID, func(j *JobRecord) bool { return j.State.Terminal() })
+		if got.State != server.StateFailed || got.Error == "" {
+			t.Fatalf("group_bits %d: job state = %s (%q), want failed with an error", gb, got.State, got.Error)
+		}
+	}
+	j, err := s.Submit(JobSpec{Type: "assess", Config: json.RawMessage(
+		`{"cipher":"aes128","round":9,"protected":true,"bits":[1,129],"samples":64,"seed":1}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitJobState(t, s, j.ID, func(j *JobRecord) bool { return j.State.Terminal() }); got.State != server.StateDone {
+		t.Fatalf("follow-up job state = %s (%s)", got.State, got.Error)
+	}
+}
