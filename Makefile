@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAccumulatorBlock$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultApply$$' -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzMLPKernels$$' -fuzztime $(FUZZTIME) ./internal/nn
 
 # Kill-and-resume smoke: SIGINT a checkpointing discovery run mid-training,
 # verify the event log survived intact, resume, and compare against an

@@ -106,7 +106,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		srv.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Fprintf(stdout, "explorefaultd listening on http://%s (data %s, %d workers)\n",
 		ln.Addr(), *dataDir, *workers)
 
@@ -133,4 +133,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "explorefaultd: stopped")
 	return nil
+}
+
+// newHTTPServer serves the job API with connection timeouts: a client that
+// has not sent its request headers within ReadHeaderTimeout, or leaves a
+// keep-alive connection idle for IdleTimeout, is disconnected. There is
+// deliberately no WriteTimeout: it would cut the /jobs/{id}/events SSE
+// streams, which stay open for as long as a job runs.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

@@ -221,3 +221,22 @@ func (w *lineWriter) Write(p []byte) (int, error) {
 		w.buf = w.buf[i+1:]
 	}
 }
+
+// TestNewHTTPServerTimeouts: a client that never finishes its headers or
+// idles on a keep-alive connection must not hold it forever, and no write
+// deadline may cut an SSE event stream.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.Handler == nil {
+		t.Error("server has no handler")
+	}
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 so SSE streams stay open", srv.WriteTimeout)
+	}
+}

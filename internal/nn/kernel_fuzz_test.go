@@ -1,0 +1,181 @@
+package nn
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/prng"
+)
+
+// refForward and refBackward are the scalar dense-layer loops that the
+// blocked and sparse kernels replace. They stay as the reference the fast
+// paths must match bit for bit.
+func refForward(l *Linear, x, y []float64) {
+	for o := 0; o < l.Out; o++ {
+		s := l.B.Val[o]
+		row := l.W.Val[o*l.In : (o+1)*l.In]
+		for i, xv := range x {
+			s += row[i] * xv
+		}
+		y[o] = s
+	}
+}
+
+func refBackward(l *Linear, x, gy, gx []float64) {
+	for o := 0; o < l.Out; o++ {
+		g := gy[o]
+		l.B.Grad[o] += g
+		row := l.W.Grad[o*l.In : (o+1)*l.In]
+		wrow := l.W.Val[o*l.In : (o+1)*l.In]
+		for i, xv := range x {
+			row[i] += g * xv
+			if gx != nil {
+				gx[i] += g * wrow[i]
+			}
+		}
+	}
+}
+
+// refMLP drives the reference kernels over an MLP's layers. Its Backward
+// re-runs the forward pass, as the MLP did before it kept its activations.
+type refMLP struct {
+	*MLP
+}
+
+func (r refMLP) Forward(x []float64) []float64 {
+	in := x
+	for k, l := range r.layers {
+		refForward(l, in, r.outs[k])
+		if k < len(r.layers)-1 {
+			for i := range r.outs[k] {
+				r.outs[k][i] = r.act.apply(r.outs[k][i])
+			}
+		}
+		in = r.outs[k]
+	}
+	return r.outs[len(r.outs)-1]
+}
+
+func (r refMLP) Backward(x, gradOut []float64) {
+	r.Forward(x)
+	gy := gradOut
+	for k := len(r.layers) - 1; k >= 0; k-- {
+		in := x
+		if k > 0 {
+			in = r.outs[k-1]
+		}
+		var gx []float64
+		if k > 0 {
+			gx = r.grads[k]
+			for i := range gx {
+				gx[i] = 0
+			}
+		}
+		refBackward(r.layers[k], in, gy, gx)
+		if k > 0 {
+			for i := range gx {
+				gx[i] *= r.act.derivFromOut(r.outs[k-1][i])
+			}
+			gy = gx
+		}
+	}
+}
+
+// kernelInput fills x with one of the input kinds the network must handle
+// exactly: sparse binary, real-valued, all zero, or a mix containing −0.
+func kernelInput(x []float64, kind int, rng *prng.Source) {
+	negZero := math.Copysign(0, -1)
+	for i := range x {
+		switch kind {
+		case 0: // discovery's 0/1 bit-selection vectors, about 3% ones
+			x[i] = 0
+			if rng.Float64() < 0.03 {
+				x[i] = 1
+			}
+		case 1:
+			x[i] = rng.NormFloat64()
+		case 2:
+			x[i] = 0
+		default:
+			switch rng.Intn(4) {
+			case 0:
+				x[i] = negZero
+			case 1:
+				x[i] = 0
+			case 2:
+				x[i] = 1
+			default:
+				x[i] = rng.NormFloat64()
+			}
+		}
+	}
+}
+
+// requireSameBits fails unless want and got are identical float64 bit
+// patterns, which also tells +0 from −0.
+func requireSameBits(t *testing.T, what string, want, got []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// FuzzMLPKernels checks that the blocked dense kernels, the sparse first
+// layer and BackwardLast reproduce the scalar reference bit for bit: the
+// outputs of every Forward, and the gradients accumulated over several
+// Backward and BackwardLast calls between Adam steps. Layer widths are
+// not restricted to multiples of the row block.
+func FuzzMLPKernels(f *testing.F) {
+	f.Add(uint64(1), byte(128), byte(64), byte(128), byte(3), byte(0), byte(0), byte(8))
+	f.Add(uint64(2), byte(7), byte(5), byte(3), byte(2), byte(1), byte(1), byte(3))
+	f.Add(uint64(3), byte(13), byte(6), byte(1), byte(3), byte(2), byte(0), byte(5))
+	f.Add(uint64(4), byte(1), byte(1), byte(1), byte(1), byte(3), byte(1), byte(2))
+	f.Fuzz(func(t *testing.T, seed uint64, inSel, hiddenSel, outSel, depthSel, kindSel, actSel, callsSel byte) {
+		sizes := []int{1 + int(inSel)%130}
+		for k := 1; k < 1+int(depthSel)%3; k++ {
+			sizes = append(sizes, 1+int(hiddenSel+byte(k))%67)
+		}
+		sizes = append(sizes, 1+int(outSel)%131)
+		act := Activation(actSel % 2)
+		calls := 1 + int(callsSel)%8
+
+		m := NewMLP(sizes, act, prng.New(seed))
+		ref := refMLP{NewMLP(sizes, act, prng.New(seed))}
+		mOpt := NewAdam(m.Params(), 1e-2)
+		refOpt := NewAdam(ref.Params(), 1e-2)
+		rng := prng.New(seed ^ 0x5eed)
+		x := make([]float64, m.InSize())
+		g := make([]float64, m.OutSize())
+
+		for step := 0; step < 3; step++ {
+			ZeroGrad(m.Params())
+			ZeroGrad(ref.Params())
+			for c := 0; c < calls; c++ {
+				kernelInput(x, (int(kindSel)+c)%4, rng)
+				for i := range g {
+					g[i] = rng.NormFloat64()
+					if rng.Intn(8) == 0 {
+						g[i] = 0
+					}
+				}
+				requireSameBits(t, "output", ref.Forward(x), m.Forward(x))
+				if c%2 == 0 {
+					m.BackwardLast(g)
+				} else {
+					m.Backward(x, g)
+				}
+				ref.Backward(x, g)
+				for pi, p := range ref.Params() {
+					requireSameBits(t, "grad", p.Grad, m.Params()[pi].Grad)
+				}
+			}
+			ClipGradNorm(m.Params(), 0.5)
+			ClipGradNorm(ref.Params(), 0.5)
+			mOpt.Step()
+			refOpt.Step()
+		}
+	})
+}

@@ -1,9 +1,20 @@
 // Package nn is a minimal neural-network library sufficient for the PPO
 // agent: dense layers with manual backpropagation, tanh/ReLU activations,
 // softmax utilities for categorical policies, Xavier initialization, and
-// the Adam optimizer. Everything is float64 and allocation-conscious; the
-// networks involved are small (a few hundred units), so clarity wins over
-// vectorization tricks.
+// the Adam optimizer. Everything is float64 and allocation-conscious.
+//
+// The dense kernels are fast paths that return the same bits as the
+// textbook scalar loops. Each layer computes four output rows per pass:
+// every row's sum still adds its terms in input order, but the four sums
+// are independent dependency chains, and the input gradient folds four
+// rows per pass in output order. The first layer is sparse: policy
+// observations are 0/1 bit-selection vectors, mostly zeros, so Forward
+// collects the nonzero inputs once and the first layer's forward pass and
+// weight gradient visit only those. A skipped term is w·0 = ±0, which
+// leaves every sum here unchanged because no sum is ever −0 (DESIGN.md,
+// "Exact fast paths in the policy network"). Forward keeps what the
+// backward pass needs, so BackwardLast backpropagates without a second
+// forward pass.
 package nn
 
 import (
@@ -82,10 +93,34 @@ func (l *Linear) ScaleWeights(f float64) {
 	}
 }
 
+// rowBlock is the number of output rows the dense kernels compute per
+// pass over the input.
+const rowBlock = 4
+
+// forward writes y = W x + b. Each output's sum starts at its bias and
+// adds W[o][i]·x[i] in input order.
 func (l *Linear) forward(x, y []float64) {
-	for o := 0; o < l.Out; o++ {
+	in := l.In
+	x = x[:in]
+	w := l.W.Val
+	o := 0
+	for ; o+rowBlock <= l.Out; o += rowBlock {
+		r0 := w[o*in:][:in]
+		r1 := w[(o+1)*in:][:in]
+		r2 := w[(o+2)*in:][:in]
+		r3 := w[(o+3)*in:][:in]
+		s0, s1, s2, s3 := l.B.Val[o], l.B.Val[o+1], l.B.Val[o+2], l.B.Val[o+3]
+		for i, xv := range x {
+			s0 += r0[i] * xv
+			s1 += r1[i] * xv
+			s2 += r2[i] * xv
+			s3 += r3[i] * xv
+		}
+		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+	}
+	for ; o < l.Out; o++ {
+		row := w[o*in:][:in]
 		s := l.B.Val[o]
-		row := l.W.Val[o*l.In : (o+1)*l.In]
 		for i, xv := range x {
 			s += row[i] * xv
 		}
@@ -93,20 +128,90 @@ func (l *Linear) forward(x, y []float64) {
 	}
 }
 
+// forwardSparse is forward for an input whose nonzero entries are
+// x[idx[j]] = val[j], in ascending index order. It adds the same nonzero
+// terms in the same order as forward and skips the ±0 ones, which cannot
+// change a sum that starts at a bias (see the package comment).
+func (l *Linear) forwardSparse(idx []int, val, y []float64) {
+	in := l.In
+	val = val[:len(idx)]
+	w := l.W.Val
+	o := 0
+	for ; o+rowBlock <= l.Out; o += rowBlock {
+		r0 := w[o*in:][:in]
+		r1 := w[(o+1)*in:][:in]
+		r2 := w[(o+2)*in:][:in]
+		r3 := w[(o+3)*in:][:in]
+		s0, s1, s2, s3 := l.B.Val[o], l.B.Val[o+1], l.B.Val[o+2], l.B.Val[o+3]
+		for j, i := range idx {
+			xv := val[j]
+			s0 += r0[i] * xv
+			s1 += r1[i] * xv
+			s2 += r2[i] * xv
+			s3 += r3[i] * xv
+		}
+		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+	}
+	for ; o < l.Out; o++ {
+		row := w[o*in:][:in]
+		s := l.B.Val[o]
+		for j, i := range idx {
+			s += row[i] * val[j]
+		}
+		y[o] = s
+	}
+}
+
 // backward accumulates parameter gradients given the layer input x and the
-// upstream gradient gy, and writes the input gradient into gx (if gx is
-// non-nil).
+// upstream gradient gy, and adds the input gradient into gx. gx[i] gains
+// gy[o]·W[o][i] in output order.
 func (l *Linear) backward(x, gy, gx []float64) {
-	for o := 0; o < l.Out; o++ {
-		g := gy[o]
+	in := l.In
+	x = x[:in]
+	for o, g := range gy {
 		l.B.Grad[o] += g
-		row := l.W.Grad[o*l.In : (o+1)*l.In]
-		wrow := l.W.Val[o*l.In : (o+1)*l.In]
+		row := l.W.Grad[o*in:][:in]
 		for i, xv := range x {
 			row[i] += g * xv
-			if gx != nil {
-				gx[i] += g * wrow[i]
-			}
+		}
+	}
+	w := l.W.Val
+	gx = gx[:in]
+	o := 0
+	for ; o+rowBlock <= l.Out; o += rowBlock {
+		r0 := w[o*in:][:in]
+		r1 := w[(o+1)*in:][:in]
+		r2 := w[(o+2)*in:][:in]
+		r3 := w[(o+3)*in:][:in]
+		g0, g1, g2, g3 := gy[o], gy[o+1], gy[o+2], gy[o+3]
+		for i, s := range gx {
+			s += g0 * r0[i]
+			s += g1 * r1[i]
+			s += g2 * r2[i]
+			s += g3 * r3[i]
+			gx[i] = s
+		}
+	}
+	for ; o < l.Out; o++ {
+		row := w[o*in:][:in]
+		g := gy[o]
+		for i := range gx {
+			gx[i] += g * row[i]
+		}
+	}
+}
+
+// backwardSparse accumulates the parameter gradients of a layer whose
+// input is the sparse vector (idx, val) of forwardSparse. It computes no
+// input gradient: it serves the first layer only.
+func (l *Linear) backwardSparse(idx []int, val, gy []float64) {
+	in := l.In
+	val = val[:len(idx)]
+	for o, g := range gy {
+		l.B.Grad[o] += g
+		row := l.W.Grad[o*in:][:in]
+		for j, i := range idx {
+			row[i] += g * val[j]
 		}
 	}
 }
@@ -116,6 +221,10 @@ func (l *Linear) backward(x, gy, gx []float64) {
 type MLP struct {
 	layers []*Linear
 	act    Activation
+	// The last Forward's input as a sparse vector: x[nzIdx[j]] = nzVal[j]
+	// for its nonzero entries, in index order.
+	nzIdx []int
+	nzVal []float64
 	// scratch buffers sized per layer, reused across calls.
 	outs  [][]float64 // outs[k] = post-activation output of layer k (pre-activation for last)
 	grads [][]float64
@@ -132,6 +241,8 @@ func NewMLP(sizes []int, act Activation, rng *prng.Source) *MLP {
 	for i := 0; i+1 < len(sizes); i++ {
 		m.layers = append(m.layers, NewLinear(sizes[i], sizes[i+1], rng))
 	}
+	m.nzIdx = make([]int, 0, sizes[0])
+	m.nzVal = make([]float64, 0, sizes[0])
 	m.outs = make([][]float64, len(m.layers))
 	m.grads = make([][]float64, len(m.layers))
 	for i, l := range m.layers {
@@ -151,55 +262,60 @@ func (m *MLP) InSize() int { return m.layers[0].In }
 func (m *MLP) OutSize() int { return m.layers[len(m.layers)-1].Out }
 
 // Forward evaluates the network and returns its output slice, which is
-// owned by the MLP and overwritten by the next call.
+// owned by the MLP and overwritten by the next call. The MLP keeps what
+// BackwardLast needs: the input's nonzero entries (copied, so the caller
+// may reuse x) and every layer's output.
 func (m *MLP) Forward(x []float64) []float64 {
 	if len(x) != m.InSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InSize()))
 	}
-	in := x
+	m.nzIdx, m.nzVal = m.nzIdx[:0], m.nzVal[:0]
+	for i, v := range x {
+		if v != 0 {
+			m.nzIdx = append(m.nzIdx, i)
+			m.nzVal = append(m.nzVal, v)
+		}
+	}
+	m.layers[0].forwardSparse(m.nzIdx, m.nzVal, m.outs[0])
 	for k, l := range m.layers {
-		l.forward(in, m.outs[k])
+		if k > 0 {
+			l.forward(m.outs[k-1], m.outs[k])
+		}
 		if k < len(m.layers)-1 {
-			for i := range m.outs[k] {
-				m.outs[k][i] = m.act.apply(m.outs[k][i])
+			for i, v := range m.outs[k] {
+				m.outs[k][i] = m.act.apply(v)
 			}
 		}
-		in = m.outs[k]
 	}
 	return m.outs[len(m.outs)-1]
 }
 
 // Backward accumulates parameter gradients for input x and upstream output
-// gradient gradOut. It re-runs the forward pass internally to populate the
-// activation caches, so it does not require a preceding Forward call with
-// the same x.
+// gradient gradOut. It runs Forward(x) first, so it does not require a
+// preceding Forward call with the same x.
 func (m *MLP) Backward(x, gradOut []float64) {
 	m.Forward(x)
-	n := len(m.layers)
+	m.BackwardLast(gradOut)
+}
+
+// BackwardLast accumulates parameter gradients for upstream output
+// gradient gradOut at the input of the most recent Forward call. The
+// weights must not have changed since that call.
+func (m *MLP) BackwardLast(gradOut []float64) {
 	gy := gradOut
-	for k := n - 1; k >= 0; k-- {
-		var in []float64
-		if k == 0 {
-			in = x
-		} else {
-			in = m.outs[k-1]
+	for k := len(m.layers) - 1; k > 0; k-- {
+		gx := m.grads[k]
+		for i := range gx {
+			gx[i] = 0
 		}
-		var gx []float64
-		if k > 0 {
-			gx = m.grads[k]
-			for i := range gx {
-				gx[i] = 0
-			}
+		m.layers[k].backward(m.outs[k-1], gy, gx)
+		// Chain through the activation of the previous layer.
+		for i, y := range m.outs[k-1] {
+			gx[i] *= m.act.derivFromOut(y)
 		}
-		m.layers[k].backward(in, gy, gx)
-		if k > 0 {
-			// Chain through the activation of the previous layer.
-			for i := range gx {
-				gx[i] *= m.act.derivFromOut(m.outs[k-1][i])
-			}
-			gy = gx
-		}
+		gy = gx
 	}
+	m.layers[0].backwardSparse(m.nzIdx, m.nzVal, gy)
 }
 
 // Params returns all trainable parameters.

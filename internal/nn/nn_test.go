@@ -264,9 +264,20 @@ func TestForwardPanicsOnWrongInput(t *testing.T) {
 	m.Forward([]float64{1, 2})
 }
 
+// benchInput is a 128-wide 0/1 bit-selection vector with 4 ones (about
+// 3%), the density discovery's policy sees. An all-zero input would let
+// the sparse first layer skip all of it and overstate its gain.
+func benchInput() []float64 {
+	x := make([]float64, 128)
+	for _, i := range []int{5, 37, 70, 101} {
+		x[i] = 1
+	}
+	return x
+}
+
 func BenchmarkForward128x128(b *testing.B) {
 	m := NewMLP([]int{128, 128, 128, 129}, Tanh, prng.New(1))
-	x := make([]float64, 128)
+	x := benchInput()
 	for i := 0; i < b.N; i++ {
 		m.Forward(x)
 	}
@@ -274,7 +285,7 @@ func BenchmarkForward128x128(b *testing.B) {
 
 func BenchmarkBackward128x128(b *testing.B) {
 	m := NewMLP([]int{128, 128, 128, 129}, Tanh, prng.New(1))
-	x := make([]float64, 128)
+	x := benchInput()
 	g := make([]float64, 129)
 	for i := 0; i < b.N; i++ {
 		m.Backward(x, g)

@@ -20,8 +20,8 @@ import (
 // network kernels and of Update itself, so an optimization that changes
 // a single bit of training fails here even when every run still agrees
 // with every other run. The hash holds for amd64, where Go never fuses a
-// multiply and an add; arm64, ppc64le and s390x fuse them into FMA
-// instructions and round differently.
+// multiply and an add; on arm64 and the other architectures where it
+// does, FMA instructions round differently.
 const goldenUpdate = "8a0588615aa2ed49ade2f7eb3a4213ff5ca72c223b6fade576fb925a784f4c7f"
 
 // hashFloats feeds each value's IEEE-754 bits, little-endian, into h.

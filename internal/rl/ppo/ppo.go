@@ -238,6 +238,8 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 	pParams := a.policy.Params()
 	vParams := a.value.Params()
 	gradOut := make([]float64, a.policy.OutSize())
+	logProbs := make([]float64, a.policy.OutSize()) // log max(π_j, 1e-12)
+	vGrad := make([]float64, 1)
 
 	for epoch := 0; epoch < a.cfg.Epochs; epoch++ {
 		order := rl.Shuffle(n, a.rng)
@@ -260,7 +262,19 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 				oldLogp := b.LogProbs[i]
 
 				a.dist(obs)
-				logp := nn.LogProb(a.probs, act)
+				// One log per action serves the ratio, the entropy and
+				// its gradient; each equals what nn.LogProb and
+				// nn.Entropy compute.
+				var ent, dot float64
+				for j, p := range a.probs {
+					lp := math.Log(math.Max(p, 1e-12))
+					logProbs[j] = lp
+					if p > 1e-12 {
+						ent -= p * lp
+					}
+					dot += a.raw[j] * (lp + 1)
+				}
+				logp := logProbs[act]
 				ratio := math.Exp(logp - oldLogp)
 
 				// Clipped surrogate: L = -min(r*A, clip(r)*A).
@@ -275,7 +289,6 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 					clipped++
 				}
 				policyLoss += -math.Min(unclipped, clippedObj)
-				ent := nn.Entropy(a.probs)
 				entropy += ent
 
 				// Gradient wrt logits through the mixture
@@ -300,23 +313,18 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 						gradOut[j] += coef * (ind - a.raw[j])
 					}
 				}
-				var dot float64
-				for j := range a.raw {
-					lp := math.Log(math.Max(a.probs[j], 1e-12))
-					dot += a.raw[j] * (lp + 1)
-				}
-				for j := range gradOut {
-					lp := math.Log(math.Max(a.probs[j], 1e-12))
+				for j, lp := range logProbs {
 					dH := -oneMinusEps * a.raw[j] * ((lp + 1) - dot)
 					gradOut[j] -= a.cfg.EntropyCoef * dH / mbN
 				}
-				a.policy.Backward(obs, gradOut)
+				a.policy.BackwardLast(gradOut)
 
 				// Value loss: 0.5 * (V - R)^2.
 				v := a.value.Forward(obs)[0]
 				dv := v - b.Returns[i]
 				valueLoss += 0.5 * dv * dv
-				a.value.Backward(obs, []float64{a.cfg.ValueCoef * dv / mbN})
+				vGrad[0] = a.cfg.ValueCoef * dv / mbN
+				a.value.BackwardLast(vGrad)
 			}
 
 			gn := nn.ClipGradNorm(pParams, a.cfg.MaxGradNorm)

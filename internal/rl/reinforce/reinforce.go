@@ -115,12 +115,12 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 			lp := math.Log(math.Max(a.probs[j], 1e-12))
 			gradOut[j] -= a.cfg.EntropyCoef * (-a.probs[j] * (lp + ent)) / fn
 		}
-		a.policy.Backward(obs, gradOut)
+		a.policy.BackwardLast(gradOut)
 
 		v := a.value.Forward(obs)[0]
 		dv := v - b.Returns[i]
 		stats.ValueLoss += 0.5 * dv * dv
-		a.value.Backward(obs, []float64{dv / fn})
+		a.value.BackwardLast([]float64{dv / fn})
 	}
 	stats.GradNorm = nn.ClipGradNorm(pParams, a.cfg.MaxGradNorm)
 	nn.ClipGradNorm(vParams, a.cfg.MaxGradNorm)
