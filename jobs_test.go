@@ -3,9 +3,14 @@ package explorefault
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -296,4 +301,246 @@ func TestProtectedAssessJobBadGroupBitsFails(t *testing.T) {
 	if got := waitJobState(t, s, j.ID, func(j *JobRecord) bool { return j.State.Terminal() }); got.State != server.StateDone {
 		t.Fatalf("follow-up job state = %s (%s)", got.State, got.Error)
 	}
+}
+
+// jobKeys is the config schema of each job type: every key a job
+// document accepts, with a valid non-default value.
+var jobKeys = map[string]map[string]string{
+	server.TypeDiscover: {
+		"cipher": `"aes128"`, "key": `"000102030405060708090a0b0c0d0e0f"`, "round": `9`,
+		"protected": `true`, "fault_models": `["stuck-at-0","xor"]`, "oracle": `"sifa"`,
+		"episodes": `16`, "num_envs": `2`, "samples": `64`, "seed": `9`,
+		"linear_reward": `true`, "reward_at_each_step": `true`, "episode_len": `4`,
+		"workers": `1`, "no_batch": `true`, "no_oracle_cache": `true`,
+		"cache_capacity": `16`, "max_harvest": `3`, "checkpoint_every": `4`,
+	},
+	server.TypeAssess: {
+		"cipher": `"gift64"`, "key": `"000102030405060708090a0b0c0d0e0f"`, "round": `25`,
+		"bits": `[1,2]`, "groups": `[3]`, "protected": `true`, "samples": `64`,
+		"max_order": `3`, "fixed_order": `1`, "threshold": `4`, "group_bits": `8`,
+		"fault_model": `"stuck-at-1"`, "oracle": `"sifa"`, "workers": `1`,
+		"no_batch": `true`, "seed": `9`,
+	},
+	server.TypeSweep: {
+		"cipher": `"gift64"`, "key": `"000102030405060708090a0b0c0d0e0f"`, "rounds": `[23]`,
+		"gran_bits": `1`, "models": `["stuck-at-0","xor"]`, "oracle": `"sifa"`,
+		"samples": `64`, "max_order": `1`, "group_bits": `8`, "threshold": `4`,
+		"lag": `1`, "window": `5`, "order2": `true`, "order2_cap": `2`,
+		"workers": `1`, "no_batch": `true`, "seed": `9`,
+	},
+}
+
+// jobBase is the smallest valid document of each job type.
+var jobBase = map[string]map[string]string{
+	server.TypeDiscover: {"cipher": `"aes128"`, "round": `9`},
+	server.TypeAssess:   {"cipher": `"gift64"`, "round": `25`, "bits": `[1]`},
+	server.TypeSweep:    {"cipher": `"gift64"`},
+}
+
+// jobDoc renders base plus the given key/value pairs as a config document.
+func jobDoc(base map[string]string, kv ...string) json.RawMessage {
+	doc := map[string]json.RawMessage{}
+	for k, v := range base {
+		doc[k] = json.RawMessage(v)
+	}
+	for i := 0; i < len(kv); i += 2 {
+		doc[kv[i]] = json.RawMessage(kv[i+1])
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
+// TestJobSchema pins the key set of every job document: each schema key
+// is accepted, and library-only knobs and the other job types' keys are
+// rejected at submission.
+func TestJobSchema(t *testing.T) {
+	rejected := map[string]string{
+		"checkpoint": `"ck"`, "resume": `true`, "progress": `null`, "agent": `{}`,
+		"skip_harvest": `true`, "mode": `"flip-all"`, "shard_lo": `1`, "shard_hi": `2`,
+		"metrics": `null`, "events": `null`, "points": `[]`, "ref_seed": `7`,
+		"stop_at_threshold": `true`,
+	}
+	for typ, keys := range jobKeys {
+		for k, v := range keys {
+			spec := JobSpec{Type: typ, Config: jobDoc(jobBase[typ], k, v)}
+			if err := (jobRunner{}).Validate(spec); err != nil {
+				t.Errorf("%s: key %q rejected: %v", typ, k, err)
+			}
+		}
+		reject := map[string]string{}
+		for k, v := range rejected {
+			reject[k] = v
+		}
+		for other, otherKeys := range jobKeys {
+			for k, v := range otherKeys {
+				if _, ok := keys[k]; !ok && other != typ {
+					reject[k] = v
+				}
+			}
+		}
+		for k, v := range reject {
+			spec := JobSpec{Type: typ, Config: jobDoc(jobBase[typ], k, v)}
+			if err := (jobRunner{}).Validate(spec); err == nil {
+				t.Errorf("%s: key %q accepted", typ, k)
+			}
+		}
+	}
+}
+
+// TestJobDocumentMatchesLibrary pins that a job document means the
+// library config with the same values: tiny jobs that set every accepted
+// key to a non-default value return the result document of the direct
+// library call.
+func TestJobDocumentMatchesLibrary(t *testing.T) {
+	key := make([]byte, 16)
+	for i := range key {
+		key[i] = byte(i)
+	}
+	dk := jobKeys[server.TypeDiscover]
+	discover := DiscoverConfig{
+		Cipher: "aes128", Key: key, Round: 9, FaultModels: []FaultModel{StuckAtZero, XorFlip},
+		Oracle: OracleSIFA, Episodes: 16, NumEnvs: 2, Samples: 64, Seed: 9,
+		LinearReward: true, RewardAtEachStep: true, EpisodeLen: 4, Workers: 1, NoBatch: true,
+		NoOracleCache: true, CacheCapacity: 16, MaxHarvest: 3, CheckpointEvery: 4,
+	}
+	protected := discover
+	protected.Protected, protected.Oracle = true, OracleWelch
+
+	ak := jobKeys[server.TypeAssess]
+	assess := AssessConfig{
+		Cipher: "gift64", Key: key, Round: 25, Samples: 64, MaxOrder: 3, FixedOrder: 1,
+		Threshold: 4, GroupBits: 8, FaultModel: StuckAtOne, Oracle: OracleSIFA, Workers: 1,
+		NoBatch: true, Seed: 9,
+	}
+	assessProt := assess
+	assessProt.FaultModel, assessProt.Oracle, assessProt.GroupBits, assessProt.MaxOrder = RandomNibble, OracleWelch, 2, 1
+
+	sk := jobKeys[server.TypeSweep]
+	sweepCfg := SweepConfig{
+		Cipher: "gift64", Key: key, Rounds: []int{23}, GranBits: 1,
+		Models: []FaultModel{StuckAtZero, XorFlip}, Oracle: OracleSIFA, Samples: 64,
+		MaxOrder: 1, GroupBits: 8, Threshold: 4, Lag: 1, Window: 5, Order2: true,
+		Order2Cap: 2, ShardLo: 0, ShardHi: 1, Workers: 1, NoBatch: true, Seed: 9,
+	}
+
+	cases := []struct {
+		name string
+		spec JobSpec
+		want func() (map[string]any, error)
+	}{
+		{"discover", JobSpec{Type: server.TypeDiscover, Config: jobDoc(dk, "protected", `false`)},
+			func() (map[string]any, error) { return discoverResultDoc(discover) }},
+		{"discover-protected", JobSpec{Type: server.TypeDiscover, Config: jobDoc(dk, "oracle", `"welch"`)},
+			func() (map[string]any, error) { return discoverResultDoc(protected) }},
+		{"assess", JobSpec{Type: server.TypeAssess, Config: jobDoc(ak, "protected", `false`)},
+			func() (map[string]any, error) {
+				return assessResultDoc(assess, PatternFromBits(64, 1, 2), AssessContext)
+			}},
+		{"assess-protected", JobSpec{Type: server.TypeAssess, Config: jobDoc(ak, "bits", `[]`,
+			"groups", `[1,17]`, "fault_model", `"random-nibble"`, "oracle", `"welch"`, "group_bits", `2`,
+			"max_order", `1`)},
+			func() (map[string]any, error) {
+				return assessResultDoc(assessProt, PatternFromGroups(128, 4, 1, 17), AssessProtectedContext)
+			}},
+		{"sweep", JobSpec{Type: server.TypeSweep, ShardRange: [2]int{0, 1}, Config: jobDoc(sk)},
+			func() (map[string]any, error) { return sweepResultDoc(sweepCfg, "atlas.json") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := (jobRunner{}).Validate(tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			files := server.Files{
+				Checkpoint: filepath.Join(dir, "ckpt"),
+				Output:     filepath.Join(dir, "atlas.json"),
+			}
+			raw, err := (jobRunner{}).Run(context.Background(), tc.spec, files, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got map[string]any
+			if err := json.Unmarshal(raw, &got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.want()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("job result differs from the library call:\n  job:     %v\n  library: %v", got, want)
+			}
+		})
+	}
+}
+
+// normalizeDoc returns v as decoding its JSON yields it.
+func normalizeDoc(v any) (map[string]any, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	var doc map[string]any
+	err = json.Unmarshal(raw, &doc)
+	return doc, err
+}
+
+// discoverResultDoc runs cfg through DiscoverContext and shapes the
+// result as a discover job's result document.
+func discoverResultDoc(cfg DiscoverConfig) (map[string]any, error) {
+	res, err := DiscoverContext(context.Background(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	models := []any{}
+	for _, m := range res.Models {
+		doc := map[string]any{"class": m.Class.String(), "fault": m.Fault, "bits": m.Pattern.Bits(), "t": m.T}
+		if len(m.Groups) > 0 {
+			doc["groups"] = m.Groups
+		}
+		if m.GroupBits != 0 {
+			doc["group_bits"] = m.GroupBits
+		}
+		models = append(models, doc)
+	}
+	return normalizeDoc(map[string]any{
+		"cipher": cfg.Cipher, "round": cfg.Round, "bits": res.Converged.Bits(),
+		"t": res.ConvergedT, "leaky": res.ConvergedLeaky, "fault": res.ConvergedModel,
+		"episodes": res.Episodes, "models": models,
+	})
+}
+
+// assessResultDoc runs one assessment and shapes it as an assess job's
+// result document.
+func assessResultDoc(cfg AssessConfig, p Pattern, assess func(context.Context, Pattern, AssessConfig) (Assessment, error)) (map[string]any, error) {
+	a, err := assess(context.Background(), p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return normalizeDoc(map[string]any{
+		"cipher": cfg.Cipher, "round": cfg.Round, "t": a.T, "leaky": a.Leaky,
+		"threshold": a.Threshold, "order": a.Order, "point": a.Point,
+	})
+}
+
+// sweepResultDoc runs cfg through Sweep and shapes the atlas as a sweep
+// job's result document.
+func sweepResultDoc(cfg SweepConfig, atlasFile string) (map[string]any, error) {
+	atlas, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	canon, err := atlas.MarshalCanonical()
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(canon)
+	return normalizeDoc(map[string]any{
+		"cipher": cfg.Cipher, "cells": atlas.Summary.Cells, "exploitable": atlas.Summary.Exploitable,
+		"max_t": atlas.Summary.MaxT, "shard_range": [2]int{cfg.ShardLo, cfg.ShardHi},
+		"sha256": hex.EncodeToString(sum[:]), "atlas": atlasFile,
+	})
 }
