@@ -1,10 +1,11 @@
 GO ?= go
+GOFMT ?= gofmt
 BENCH_OUT ?= BENCH_pr10.json
 BENCH_BASE ?= BENCH_pr9.json
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race bench bench-all bench-compare fuzz smoke-resume smoke-trace smoke-atlas smoke-server fmt
+.PHONY: all build test check fmt-check vet race bench bench-all bench-compare fuzz smoke-resume smoke-trace smoke-atlas smoke-server fmt
 
 all: build
 
@@ -15,11 +16,18 @@ build:
 test:
 	$(GO) test ./...
 
-# Fast pre-commit gate: vet + race-enabled short tests.
+# Fast pre-commit gate: gofmt + vet + race-enabled short tests.
 # Long training runs (determinism table test, full discovery sessions)
 # skip themselves under -short; the race detector still covers the
 # sharded campaign workers, the shared reference table, and the cache.
-check: vet race
+check: fmt-check vet race
+
+# Fails when a tracked Go file is not gofmt-clean, listing the files.
+fmt-check:
+	@unformatted=$$(git ls-files '*.go' | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

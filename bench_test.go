@@ -27,7 +27,6 @@ import (
 	"repro/internal/explore"
 	"repro/internal/fault"
 	"repro/internal/harness"
-	"repro/internal/leakage"
 	"repro/internal/prng"
 	"repro/internal/stats"
 )
@@ -552,11 +551,15 @@ func BenchmarkOracleEvaluate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a := leakage.NewAssessor(c, leakage.Config{
+		e, err := evaluate.New(c, evaluate.Config{
 			Samples: 2048,
 			Workers: workers,
-		}, rng.Split())
-		return &explore.AssessorOracle{Assessor: a, Round: 25}
+			Seed:    rng.Split().Uint64(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return &explore.AssessorOracle{Engine: e, Round: 25}
 	}
 
 	b.Run("serial-cold", func(b *testing.B) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/abstraction"
 	"repro/internal/bitvec"
 	"repro/internal/countermeasure"
+	"repro/internal/evaluate"
 	"repro/internal/explore"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -21,100 +22,103 @@ import (
 )
 
 // DiscoverConfig tunes a discovery session. Zero values select paper
-// defaults scaled to a single-machine budget.
+// defaults scaled to a single-machine budget. Its JSON form, plus a hex
+// key, is a discover job's config document (see NewJobServer); fields
+// tagged "-" are library-only.
 type DiscoverConfig struct {
-	// Cipher names the target ("aes128", "gift64", "gift128",
-	// "present80").
-	Cipher string
+	// Cipher names the target: one of Ciphers() ("aes128", "gift64",
+	// "gift128", "present80", "simon32", "simon64", "speck32",
+	// "speck64").
+	Cipher string `json:"cipher"`
 	// Key is the cipher key; nil draws a random key from Seed.
-	Key []byte
+	Key []byte `json:"-"`
 	// Round is the fault-injection round (1-based). The paper explores
 	// the last three rounds of AES (most interesting: 8) and round 25
 	// of GIFT-64.
-	Round int
+	Round int `json:"round"`
 	// Protected evaluates the duplication countermeasure of §IV-C: the
 	// action space doubles (bits of both redundant branches) and the
 	// t-test runs on released ciphertexts only.
-	Protected bool
+	Protected bool `json:"protected,omitempty"`
 	// FaultModels is the set of typed fault models the agent may choose
 	// from. Empty means {XorFlip}: the paper's bit-flip encoding, with
 	// the pre-zoo action space and checkpoint format. With more than one
 	// entry the action space gains one model-select action per entry and
 	// every discovered model records the injection type it leaks under.
-	FaultModels []FaultModel
+	FaultModels []FaultModel `json:"fault_models,omitempty"`
 	// Oracle selects the leakage statistic (default OracleWelch;
 	// OracleSIFA conditions on traces where the fault was ineffective).
 	// Protected discovery supports OracleWelch only.
-	Oracle OracleKind
+	Oracle OracleKind `json:"oracle,omitempty"`
 	// Episodes is the total training budget (default 5000, Fig. 4's
 	// span; the tests and examples use far less).
-	Episodes int
+	Episodes int `json:"episodes,omitempty"`
 	// NumEnvs is the number of vectorized environments (default 8).
-	NumEnvs int
+	NumEnvs int `json:"num_envs,omitempty"`
 	// Samples is the t-test sample count per reward evaluation
 	// (default 512 during training; offline verification always uses
 	// 2048).
-	Samples int
+	Samples int `json:"samples,omitempty"`
 	// Seed drives every random choice; identical configs with the same
 	// seed reproduce the same run.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// LinearReward selects Equation (1)'s reward n instead of e^n
 	// (the Fig. 3 ablation).
-	LinearReward bool
+	LinearReward bool `json:"linear_reward,omitempty"`
 	// RewardAtEachStep evaluates the t-test at every step instead of
 	// once per episode (the Table II ablation; ~T times slower).
-	RewardAtEachStep bool
+	RewardAtEachStep bool `json:"reward_at_each_step,omitempty"`
 	// EpisodeLen overrides T (0 = number of state bits, the paper's
 	// choice).
-	EpisodeLen int
+	EpisodeLen int `json:"episode_len,omitempty"`
 	// Agent overrides PPO hyperparameters (zero fields keep defaults:
 	// lr 1e-3, 4 epochs, entropy 1e-3, bootstrap spike, exploration
 	// floor 1/T).
-	Agent ppo.Config
+	Agent ppo.Config `json:"-"`
 	// Workers is the fault-campaign worker-pool size per oracle; 0 uses
 	// GOMAXPROCS. Results are bit-identical for every value.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// NoBatch forces the scalar reference path even for ciphers with a
 	// batch kernel (bit-identical; for equivalence tests and benchmarks).
-	NoBatch bool
+	NoBatch bool `json:"no_batch,omitempty"`
 	// NoOracleCache disables oracle memoization (every episode pays the
 	// full simulation cost, as in the paper's timing runs).
-	NoOracleCache bool
+	NoOracleCache bool `json:"no_oracle_cache,omitempty"`
 	// CacheCapacity bounds the per-oracle memo table
 	// (default explore.DefaultCacheCapacity).
-	CacheCapacity int
+	CacheCapacity int `json:"cache_capacity,omitempty"`
 	// SkipHarvest skips the abstraction/extension pipeline (used by
 	// benches that only need training-rate numbers).
-	SkipHarvest bool
+	SkipHarvest bool `json:"-"`
 	// Checkpoint, when non-empty, is a file path the session snapshots
 	// its training state to (atomically) at PPO-update boundaries and on
 	// cancellation, so an interrupted run can be resumed bit-identically.
-	Checkpoint string
+	Checkpoint string `json:"-"`
 	// CheckpointEvery is the periodic-write cadence in episodes
 	// (default explore.DefaultCheckpointEvery). Snapshots only land on
 	// update boundaries, so the effective cadence rounds up to a multiple
 	// of NumEnvs.
-	CheckpointEvery int
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Resume restores training state from Checkpoint before running. A
 	// missing checkpoint file starts fresh; a checkpoint from a different
 	// configuration (seed, cipher, round, ...) is an error. Episodes may
 	// be raised between runs to extend a finished session.
-	Resume bool
+	Resume bool `json:"-"`
 	// MaxHarvest bounds how many raw log patterns are abstracted
 	// (default 24).
-	MaxHarvest int
+	MaxHarvest int `json:"max_harvest,omitempty"`
 	// Progress, if non-nil, receives training summaries.
-	Progress func(Progress)
+	Progress func(Progress) `json:"-"`
 	// Metrics, if non-nil, receives run-time instrumentation across the
 	// whole stack: campaign and oracle throughput, cache hit/miss
 	// latencies, episode and PPO-update rates (see internal/obs).
 	// Training results are bit-identical with metrics on or off.
-	Metrics *Metrics
+	Metrics *Metrics `json:"-"`
 	// Events, if non-nil, receives structured JSONL run events:
 	// session started/finished, per-episode and per-PPO-update records,
 	// per-oracle-evaluation records with cache verdicts, and
 	// model_abstracted/model_verified events from the harvest pipeline.
-	Events *EventEmitter
+	Events *EventEmitter `json:"-"`
 }
 
 // Progress re-exports the session progress record.
@@ -196,6 +200,9 @@ func DiscoverContext(ctx context.Context, cfg DiscoverConfig) (*DiscoveryResult,
 	if cfg.MaxHarvest == 0 {
 		cfg.MaxHarvest = 24
 	}
+	if cfg.NumEnvs < 0 {
+		return nil, fmt.Errorf("explorefault: NumEnvs %d out of range (want 0 for the default, or more)", cfg.NumEnvs)
+	}
 	info, err := LookupCipher(cfg.Cipher)
 	if err != nil {
 		return nil, err
@@ -210,29 +217,6 @@ func DiscoverContext(ctx context.Context, cfg DiscoverConfig) (*DiscoveryResult,
 	_, key, err := newKeyedCipher(cfg.Cipher, cfg.Key, keyRng)
 	if err != nil {
 		return nil, err
-	}
-
-	var factory explore.OracleFactory
-	if cfg.Protected {
-		if cfg.Oracle != OracleWelch {
-			return nil, fmt.Errorf("explorefault: oracle %s not supported with Protected (Welch only)", cfg.Oracle)
-		}
-		factory = func(rng *prng.Source) (explore.Oracle, error) {
-			c, _, err := newKeyedCipher(cfg.Cipher, key, rng)
-			if err != nil {
-				return nil, err
-			}
-			return countermeasure.NewOracle(c, countermeasure.OracleConfig{
-				Round:   cfg.Round,
-				Samples: cfg.Samples,
-				Oracle:  cfg.Oracle,
-				Workers: cfg.Workers,
-				NoBatch: cfg.NoBatch,
-				Metrics: cfg.Metrics,
-			}, rng.Split())
-		}
-	} else {
-		factory = assessorOracleFactory(cfg.Cipher, key, cfg.Round, cfg.Samples, cfg.Workers, cfg.NoBatch, cfg.Oracle, cfg.Metrics)
 	}
 
 	agentCfg := cfg.Agent
@@ -261,7 +245,7 @@ func DiscoverContext(ctx context.Context, cfg DiscoverConfig) (*DiscoveryResult,
 	label := fmt.Sprintf("%s|r%d|p=%v|s=%d|m=%s|o=%s|key=%x",
 		cfg.Cipher, cfg.Round, cfg.Protected, cfg.Samples,
 		faultModelsLabel(cfg.FaultModels), cfg.Oracle, key)
-	sess, err := explore.NewSession(factory, explore.SessionConfig{
+	sess, err := explore.NewSession(cfg.oracleFactory(key, cfg.Samples), explore.SessionConfig{
 		NumEnvs:  cfg.NumEnvs,
 		Episodes: cfg.Episodes,
 		Env:      envCfg,
@@ -356,6 +340,37 @@ func DiscoverContext(ctx context.Context, cfg DiscoverConfig) (*DiscoveryResult,
 	return res, err
 }
 
+// oracleFactory builds the session's oracles with the given per-evaluation
+// sample count: Discover's reward oracles and its harvest verifier. Each
+// oracle gets its own keyed cipher and an engine seeded from rng; the
+// protected target wraps the engine in the countermeasure oracle. The
+// fault model is not bound here: the explore layer passes one per
+// Evaluate call (the agent chooses it).
+func (cfg *DiscoverConfig) oracleFactory(key []byte, samples int) explore.OracleFactory {
+	return func(rng *prng.Source) (explore.Oracle, error) {
+		c, _, err := newKeyedCipher(cfg.Cipher, key, rng)
+		if err != nil {
+			return nil, err
+		}
+		e, err := evaluate.New(c, evaluate.Config{
+			Samples:         samples,
+			StopAtThreshold: true,
+			Oracle:          cfg.Oracle,
+			Workers:         cfg.Workers,
+			NoBatch:         cfg.NoBatch,
+			Metrics:         cfg.Metrics,
+			Seed:            rng.Split().Uint64(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		if cfg.Protected {
+			return countermeasure.NewOracle(e, cfg.Round)
+		}
+		return &explore.AssessorOracle{Engine: e, Round: cfg.Round}, nil
+	}
+}
+
 // diagonalContained reports whether the bytes touched by a 128-bit
 // pattern all lie on one AES diagonal (and there are at least two bits).
 func diagonalContained(p Pattern) bool {
@@ -411,8 +426,7 @@ func (v modelVerifier) StateBits() int { return v.oracle.StateBits() }
 // episode that produced them and each group is verified under its own
 // model; a single-model run reproduces the historical pipeline exactly.
 func harvestModels(ctx context.Context, cfg DiscoverConfig, key []byte, out *explore.Outcome) ([]Model, error) {
-	verifierFactory := assessorOracleFactory(cfg.Cipher, key, cfg.Round, 2048, cfg.Workers, cfg.NoBatch, cfg.Oracle, cfg.Metrics)
-	verifier, err := verifierFactory(prng.New(cfg.Seed ^ 0xfeed))
+	verifier, err := cfg.oracleFactory(key, 2048)(prng.New(cfg.Seed ^ 0xfeed))
 	if err != nil {
 		return nil, err
 	}

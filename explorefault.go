@@ -3,7 +3,7 @@
 // with Reinforcement Learning" (DAC 2023).
 //
 // The package wires together the internal substrates — trace-level cipher
-// implementations (AES-128, GIFT-64/128, PRESENT-80), the fault-simulation
+// implementations (AES-128, GIFT-64/128, PRESENT-80, SIMON, SPECK), the fault-simulation
 // engine, the higher-order Welch t-test leakage oracle, a from-scratch PPO
 // agent, the fault-model abstraction pipeline, the duplication
 // countermeasure, and the ExpFault-style key-recovery verifier — behind
@@ -33,9 +33,9 @@ import (
 	"repro/internal/ciphers"
 	_ "repro/internal/ciphers/all" // register every cipher implementation
 	"repro/internal/countermeasure"
+	"repro/internal/evaluate"
 	"repro/internal/explore"
 	"repro/internal/fault"
-	"repro/internal/leakage"
 	"repro/internal/obs"
 	"repro/internal/prng"
 	"repro/internal/sweep"
@@ -189,52 +189,77 @@ type Assessment struct {
 	Point string
 }
 
-// AssessConfig tunes Assess. Zero values select paper defaults.
+// AssessConfig tunes Assess. Zero values select paper defaults. Its JSON
+// form, plus a hex key and the pattern, is an assess job's config
+// document (see NewJobServer); fields tagged "-" are library-only.
 type AssessConfig struct {
-	// Cipher names the target ("aes128", "gift64", "gift128",
-	// "present80").
-	Cipher string
+	// Cipher names the target: one of Ciphers() ("aes128", "gift64",
+	// "gift128", "present80", "simon32", "simon64", "speck32",
+	// "speck64").
+	Cipher string `json:"cipher"`
 	// Key is the cipher key; nil draws a random key from Seed.
-	Key []byte
+	Key []byte `json:"-"`
 	// Round is the fault-injection round (1-based).
-	Round int
+	Round int `json:"round"`
 	// Samples is the number of plaintexts (default 2048).
-	Samples int
+	Samples int `json:"samples,omitempty"`
 	// MaxOrder is the highest t-test order G (default 2).
-	MaxOrder int
+	MaxOrder int `json:"max_order,omitempty"`
 	// FixedOrder, if non-zero, runs only that order (Table I contrasts
 	// order 1 against order 2).
-	FixedOrder int
+	FixedOrder int `json:"fixed_order,omitempty"`
 	// Threshold overrides the leakage classification threshold θ
 	// (default 4.5).
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// GroupBits overrides the differential grouping granularity
 	// (default: the cipher's native substitution width).
-	GroupBits int
+	GroupBits int `json:"group_bits,omitempty"`
 	// FaultModel selects the typed injection model (default XorFlip,
 	// the paper's bit-flip campaign).
-	FaultModel FaultModel
+	FaultModel FaultModel `json:"fault_model,omitempty"`
 	// Oracle selects the leakage statistic (default OracleWelch;
 	// OracleSIFA conditions on ineffective faults). AssessProtected
 	// supports OracleWelch only: muting already erases the
 	// effective/ineffective distinction SIFA needs.
-	Oracle OracleKind
+	Oracle OracleKind `json:"oracle,omitempty"`
 	// Workers is the fault-campaign worker-pool size; 0 uses GOMAXPROCS.
 	// Results are bit-identical for every value.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// NoBatch forces the scalar reference path even for ciphers with a
 	// batch kernel (bit-identical; for equivalence tests and benchmarks).
-	NoBatch bool
+	NoBatch bool `json:"no_batch,omitempty"`
 	// Metrics, if non-nil, receives engine and campaign instrumentation
 	// (counters, gauges, latency histograms; see internal/obs). Nil
 	// keeps the clock- and allocation-free fast path, and results are
 	// bit-identical either way.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `json:"-"`
 	// Events, if non-nil, receives campaign_started/campaign_finished
 	// structured run events for the assessment.
-	Events *obs.Emitter
+	Events *obs.Emitter `json:"-"`
 	// Seed drives all randomness.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
+}
+
+// engine builds the keyed cipher and the oracle engine of an assessment.
+func (cfg *AssessConfig) engine() (*evaluate.Engine, error) {
+	rng := prng.New(cfg.Seed)
+	c, _, err := newKeyedCipher(cfg.Cipher, cfg.Key, rng)
+	if err != nil {
+		return nil, err
+	}
+	return evaluate.New(c, evaluate.Config{
+		Samples:   cfg.Samples,
+		MaxOrder:  cfg.MaxOrder,
+		GroupBits: cfg.GroupBits,
+		Threshold: cfg.Threshold,
+		Model:     cfg.FaultModel,
+		Oracle:    cfg.Oracle,
+		Workers:   cfg.Workers,
+		NoBatch:   cfg.NoBatch,
+		Metrics:   cfg.Metrics,
+		Events:    cfg.Events,
+		Seed:      rng.Split().Uint64(),
+	})
 }
 
 // Assess measures the information leakage of a fault pattern: the
@@ -247,28 +272,15 @@ func Assess(pattern Pattern, cfg AssessConfig) (Assessment, error) {
 // AssessContext is Assess with cancellation: ctx aborts the underlying
 // fault campaign at the next shard boundary and returns ctx.Err().
 func AssessContext(ctx context.Context, pattern Pattern, cfg AssessConfig) (Assessment, error) {
-	rng := prng.New(cfg.Seed)
-	c, _, err := newKeyedCipher(cfg.Cipher, cfg.Key, rng)
+	e, err := cfg.engine()
 	if err != nil {
 		return Assessment{}, err
 	}
-	a := leakage.NewAssessor(c, leakage.Config{
-		Samples:   cfg.Samples,
-		MaxOrder:  cfg.MaxOrder,
-		GroupBits: cfg.GroupBits,
-		Threshold: cfg.Threshold,
-		Model:     cfg.FaultModel,
-		Oracle:    cfg.Oracle,
-		Workers:   cfg.Workers,
-		NoBatch:   cfg.NoBatch,
-		Metrics:   cfg.Metrics,
-		Events:    cfg.Events,
-	}, rng.Split())
-	var res leakage.Assessment
+	var res evaluate.Assessment
 	if cfg.FixedOrder > 0 {
-		res, err = a.AssessOrder(ctx, &pattern, cfg.Round, cfg.FixedOrder)
+		res, err = e.AssessOrder(ctx, &pattern, cfg.Round, cfg.FixedOrder)
 	} else {
-		res, err = a.Assess(ctx, &pattern, cfg.Round)
+		res, err = e.Assess(ctx, &pattern, cfg.Round)
 	}
 	if err != nil {
 		return Assessment{}, err
@@ -276,7 +288,7 @@ func AssessContext(ctx context.Context, pattern Pattern, cfg AssessConfig) (Asse
 	return Assessment{
 		T:         res.T,
 		Leaky:     res.Leaky,
-		Threshold: a.Threshold(),
+		Threshold: e.Threshold(),
 		Order:     res.Best.Stat.Order,
 		Point:     res.Best.Point.String(),
 	}, nil
@@ -294,24 +306,11 @@ func AssessProtected(pattern Pattern, cfg AssessConfig) (Assessment, error) {
 // AssessProtectedContext is AssessProtected with cancellation: ctx aborts
 // the underlying fault campaign at the next shard boundary.
 func AssessProtectedContext(ctx context.Context, pattern Pattern, cfg AssessConfig) (Assessment, error) {
-	rng := prng.New(cfg.Seed)
-	c, _, err := newKeyedCipher(cfg.Cipher, cfg.Key, rng)
+	e, err := cfg.engine()
 	if err != nil {
 		return Assessment{}, err
 	}
-	oracle, err := countermeasure.NewOracle(c, countermeasure.OracleConfig{
-		Round:     cfg.Round,
-		Samples:   cfg.Samples,
-		MaxOrder:  cfg.MaxOrder,
-		GroupBits: cfg.GroupBits,
-		Threshold: cfg.Threshold,
-		Model:     cfg.FaultModel,
-		Oracle:    cfg.Oracle,
-		Workers:   cfg.Workers,
-		NoBatch:   cfg.NoBatch,
-		Metrics:   cfg.Metrics,
-		Events:    cfg.Events,
-	}, rng.Split())
+	oracle, err := countermeasure.NewOracle(e, cfg.Round)
 	if err != nil {
 		return Assessment{}, err
 	}
@@ -410,24 +409,3 @@ func OpenEventLog(path string) (*EventEmitter, error) { return obs.OpenEmitter(p
 // and process runtime telemetry (goroutines, heap, GC pauses) is
 // sampled at scrape time. Close the returned server to stop it.
 func ServeMetrics(addr string, m *Metrics) (*obs.Server, error) { return obs.Serve(addr, m) }
-
-// assessorOracleFactory builds the unprotected oracle factory shared by
-// Discover and the bench harness. The fault model is not bound here: the
-// explore layer passes one per Evaluate call (the agent chooses it).
-func assessorOracleFactory(cipherName string, key []byte, round, samples, workers int, noBatch bool, oracle OracleKind, metrics *obs.Registry) explore.OracleFactory {
-	return func(rng *prng.Source) (explore.Oracle, error) {
-		c, _, err := newKeyedCipher(cipherName, key, rng)
-		if err != nil {
-			return nil, err
-		}
-		a := leakage.NewAssessor(c, leakage.Config{
-			Samples:         samples,
-			StopAtThreshold: true,
-			Oracle:          oracle,
-			Workers:         workers,
-			NoBatch:         noBatch,
-			Metrics:         metrics,
-		}, rng.Split())
-		return &explore.AssessorOracle{Assessor: a, Round: round}, nil
-	}
-}

@@ -9,9 +9,9 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/ciphers"
 	_ "repro/internal/ciphers/aes"
+	"repro/internal/evaluate"
 	"repro/internal/explore"
 	"repro/internal/fault"
-	"repro/internal/leakage"
 	"repro/internal/prng"
 )
 
@@ -365,8 +365,11 @@ func TestAESDiagonalExtensionIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assessor := leakage.NewAssessor(c, leakage.Config{Samples: 1024}, rng.Split())
-	oracle := xorVerifier{o: &explore.AssessorOracle{Assessor: assessor, Round: 8}}
+	e, err := evaluate.New(c, evaluate.Config{Samples: 1024, Seed: rng.Split().Uint64()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := xorVerifier{o: &explore.AssessorOracle{Engine: e, Round: 8}}
 
 	raw := bitvec.FromBits(128, 17, 22, 59, 60, 68, 106) // bits in bytes 2,7,8,13
 	m, err := Abstract(context.Background(), oracle, &raw, 8, true)

@@ -35,142 +35,41 @@ import (
 	"repro/internal/stats"
 )
 
-// Protected wraps a keyed cipher with the duplication countermeasure.
-type Protected struct {
-	cipher ciphers.Cipher
-	rng    *prng.Source
-	out1   []byte
-	out2   []byte
-}
-
-// NewProtected builds the protected implementation around one keyed
-// cipher instance (both branches compute the same function, so a single
-// deterministic instance serves as both). rng supplies mute strings.
-func NewProtected(c ciphers.Cipher, rng *prng.Source) *Protected {
-	n := c.BlockBytes()
-	return &Protected{cipher: c, rng: rng, out1: make([]byte, n), out2: make([]byte, n)}
-}
-
-// Cipher returns the underlying keyed cipher.
-func (p *Protected) Cipher() ciphers.Cipher { return p.cipher }
-
-// Encrypt runs both branches with their respective faults (either may be
-// nil) and writes the released output into dst. It reports whether the
-// countermeasure muted the output.
-func (p *Protected) Encrypt(dst, src []byte, branch1, branch2 *ciphers.Fault) (muted bool) {
-	p.cipher.Encrypt(p.out1, src, branch1, nil)
-	p.cipher.Encrypt(p.out2, src, branch2, nil)
-	if !bytes.Equal(p.out1, p.out2) {
-		p.rng.Fill(dst)
-		return true
-	}
-	copy(dst, p.out1)
-	return false
-}
-
-// OracleConfig tunes the protected leakage oracle. Zero values select the
-// same defaults as the unprotected assessor.
-type OracleConfig struct {
-	// Round is the fault-injection round in both branches (required).
-	Round int
-	// Samples per assessment (default 2048).
-	Samples int
-	// MaxOrder of the ciphertext t-test (default 2).
-	MaxOrder int
-	// GroupBits of the ciphertext grouping: 1, 2, 4 or 8 (default cipher
-	// native).
-	GroupBits int
-	// Threshold θ (default 4.5).
-	Threshold float64
-	// Mode selects the per-branch fault-value model (default RandomMask:
-	// each branch's fault value is drawn independently, so only
-	// single-bit selections are reliably equal across branches).
-	Mode fault.Mode
-	// Model is the typed fault model applied per branch (default
-	// fault.XorFlip). Evaluate's model argument overrides it per call.
-	Model fault.Model
-	// Oracle must be fault.OracleWelch: the protected target releases
-	// only (possibly muted) ciphertexts, and muting already erases the
-	// effective/ineffective distinction SIFA would condition on, so the
-	// SIFA oracle is rejected at construction.
-	Oracle fault.OracleKind
-	// Workers is the campaign worker-pool size; 0 uses GOMAXPROCS.
-	// Results are bit-identical for every value.
-	Workers int
-	// NoBatch forces the scalar reference path even for ciphers with a
-	// batch kernel (bit-identical; for equivalence tests and benchmarks).
-	NoBatch bool
-	// Metrics, if non-nil, receives oracle instrumentation: evaluation
-	// counts and latencies, per-shard wall times, and mute-rate
-	// counters. Results are bit-identical with metrics on or off.
-	Metrics *obs.Registry
-	// Events, if non-nil, receives campaign_started/campaign_finished
-	// run events per evaluation.
-	Events *obs.Emitter
-	// RefSeed overrides the uniform-reference stream (0 shares the
-	// canonical process-wide reference table entry).
-	RefSeed uint64
-}
-
-func (c *OracleConfig) setDefaults(cipher ciphers.Cipher) error {
-	if c.Round < 1 || c.Round > cipher.Rounds() {
-		return fmt.Errorf("countermeasure: round %d out of range 1..%d", c.Round, cipher.Rounds())
-	}
-	if c.Samples == 0 {
-		c.Samples = 2048
-	}
-	if c.MaxOrder == 0 {
-		c.MaxOrder = 2
-	}
-	if c.GroupBits == 0 {
-		c.GroupBits = cipher.GroupBits()
-	}
-	switch c.GroupBits {
-	case 1, 2, 4, 8:
-	default:
-		return fmt.Errorf("countermeasure: unsupported group size %d bits", c.GroupBits)
-	}
-	if c.Threshold == 0 {
-		c.Threshold = stats.DefaultThreshold
-	}
-	if c.RefSeed == 0 {
-		c.RefSeed = evaluate.CanonicalRefSeed
-	}
-	if c.Oracle != fault.OracleWelch {
-		return fmt.Errorf("countermeasure: oracle %s not supported for the protected target (Welch only)", c.Oracle)
-	}
-	return nil
-}
-
 // Oracle measures information leakage of a two-branch fault pattern
 // against the protected implementation, looking only at released
 // ciphertexts (the adversary's view). It implements explore.Oracle.
-// Campaigns run through evaluate.RunSharded: each shard gets its own
-// Protected instance fed by a deterministic PRNG substream, so results
-// are bit-identical for every worker count.
+// Campaigns run through evaluate.RunSharded, each shard on a
+// deterministic PRNG substream, so results are bit-identical for every
+// worker count.
 type Oracle struct {
 	cipher    ciphers.Cipher
-	cfg       OracleConfig
-	seed      uint64
+	cfg       evaluate.Config
+	round     int
 	stateBits int
 	// LastMutedRate reports, after each Evaluate, the fraction of
 	// samples the countermeasure muted (diagnostic).
 	LastMutedRate float64
 }
 
-// NewOracle builds the protected oracle. rng fixes the oracle's base
-// seed; plaintexts, fault values and mute strings are drawn from
-// substreams derived from it per assessment.
-func NewOracle(c ciphers.Cipher, cfg OracleConfig, rng *prng.Source) (*Oracle, error) {
-	if err := cfg.setDefaults(c); err != nil {
-		return nil, err
+// NewOracle builds the protected oracle around an engine's keyed cipher
+// and configuration, with faults injected at round in both branches. It
+// uses the engine's Samples, MaxOrder, GroupBits, Threshold, Mode,
+// Workers, NoBatch, Metrics, Events and RefSeed, and its Seed as the
+// base seed from which each assessment derives its plaintexts, fault
+// values and mute strings. Observation points, Lag, Window and
+// StopAtThreshold do not apply: the adversary sees released ciphertexts
+// only, all of them. The engine's Oracle must be fault.OracleWelch:
+// muting already erases the effective/ineffective distinction SIFA
+// would condition on.
+func NewOracle(e *evaluate.Engine, round int) (*Oracle, error) {
+	c, cfg := e.Cipher(), e.Config()
+	if round < 1 || round > c.Rounds() {
+		return nil, fmt.Errorf("countermeasure: round %d out of range 1..%d", round, c.Rounds())
 	}
-	return &Oracle{
-		cipher:    c,
-		cfg:       cfg,
-		seed:      rng.Uint64(),
-		stateBits: 8 * c.BlockBytes(),
-	}, nil
+	if cfg.Oracle != fault.OracleWelch {
+		return nil, fmt.Errorf("countermeasure: oracle %s not supported for the protected target (Welch only)", cfg.Oracle)
+	}
+	return &Oracle{cipher: c, cfg: cfg, round: round, stateBits: e.StateBits()}, nil
 }
 
 // StateBits implements explore.Oracle: the action space covers both
@@ -183,7 +82,7 @@ func (o *Oracle) Threshold() float64 { return o.cfg.Threshold }
 
 // InjectionRound reports the fault-injection round (used as part of
 // memoization keys by explore.CachedOracle).
-func (o *Oracle) InjectionRound() int { return o.cfg.Round }
+func (o *Oracle) InjectionRound() int { return o.round }
 
 // SplitPattern divides a doubled pattern into its per-branch halves.
 func (o *Oracle) SplitPattern(pattern *bitvec.Vector) (b1, b2 bitvec.Vector) {
@@ -225,7 +124,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 	}
 	bb := o.cipher.BlockBytes()
 	groups := 8 * bb / o.cfg.GroupBits
-	seed := evaluate.PatternSeed(o.seed, pattern, o.cfg.Round)
+	seed := evaluate.PatternSeed(o.cfg.Seed, pattern, o.round)
 
 	be, batch := o.cipher.(ciphers.BatchEncrypter)
 	batch = batch && !o.cfg.NoBatch
@@ -233,7 +132,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 	sp, ctx := trace.StartSpan(ctx, trace.SpanAssess)
 	defer sp.End()
 	sp.SetAttr("cipher", o.cipher.Name())
-	sp.SetAttr("round", o.cfg.Round)
+	sp.SetAttr("round", o.round)
 	sp.SetAttr("protected", true)
 	sp.SetAttr("fault_model", model.String())
 
@@ -244,7 +143,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 		m.Counter("countermeasure.evaluations_total").Inc()
 		events.Emit(obs.EventCampaignStarted, map[string]any{
 			"cipher":      o.cipher.Name(),
-			"round":       o.cfg.Round,
+			"round":       o.round,
 			"pattern":     hex.EncodeToString(pattern.Bytes()),
 			"bits":        pattern.Count(),
 			"samples":     o.cfg.Samples,
@@ -265,12 +164,11 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 			ssp.SetAttr("samples", n)
 			ssp.OwnLane()
 			st := shardHist.Start()
-			var shardMuted int
+			var kern ciphers.BatchKernel
 			if batch {
-				shardMuted = o.collectBatch(be.NewBatchKernel(), inj1, inj2, rng, n, shardAccs[0])
-			} else {
-				shardMuted = o.collectScalar(inj1, inj2, rng, n, shardAccs[0])
+				kern = be.NewBatchKernel()
 			}
+			shardMuted := o.collect(kern, inj1, inj2, rng, n, shardAccs[0])
 			st.Stop()
 			muted.Add(int64(shardMuted))
 			ssp.End()
@@ -294,7 +192,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 		m.Gauge("countermeasure.last_muted_rate").Set(o.LastMutedRate)
 		events.Emit(obs.EventCampaignFinished, map[string]any{
 			"cipher":      o.cipher.Name(),
-			"round":       o.cfg.Round,
+			"round":       o.round,
 			"pattern":     hex.EncodeToString(pattern.Bytes()),
 			"t":           res.T,
 			"leaky":       res.T > o.cfg.Threshold,
@@ -309,49 +207,17 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 	return res.T, nil
 }
 
-// collectScalar runs one shard through the reference path: one Encrypt
-// per (sample, branch), with every buffer and the branch Fault structs
-// reused across samples.
-func (o *Oracle) collectScalar(inj1, inj2 *fault.Injector, rng *prng.Source, n int, acc *stats.Accumulator) int {
-	prot := NewProtected(o.cipher, rng)
-	bb := o.cipher.BlockBytes()
-	pt := make([]byte, bb)
-	clean := make([]byte, bb)
-	faulty := make([]byte, bb)
-	xor1, and1 := make([]byte, bb), make([]byte, bb)
-	xor2, and2 := make([]byte, bb), make([]byte, bb)
-	diffs := newDiffBlock(bb, o.cfg.GroupBits, acc)
-	fault1 := &ciphers.Fault{Round: o.cfg.Round}
-	fault2 := &ciphers.Fault{Round: o.cfg.Round}
-	muted := 0
-	for s := 0; s < n; s++ {
-		rng.Fill(pt)
-		o.cipher.Encrypt(clean, pt, nil, nil)
-		var f1, f2 *ciphers.Fault
-		if fault1.Mask, fault1.And = drawBranch(inj1, xor1, and1, rng); fault1.Mask != nil || fault1.And != nil {
-			f1 = fault1
-		}
-		if fault2.Mask, fault2.And = drawBranch(inj2, xor2, and2, rng); fault2.Mask != nil || fault2.And != nil {
-			f2 = fault2
-		}
-		if prot.Encrypt(faulty, pt, f1, f2) {
-			muted++
-		}
-		diffs.add(clean, faulty)
-	}
-	diffs.flush()
-	return muted
-}
-
-// collectBatch runs one shard through the cipher's batch kernel: a single
-// three-fork EncryptForks call per sample computes the clean ciphertext
-// and both computational branches, sharing the rounds before the
-// injection point across all three. Forking stays per-sample rather than
-// across the shard because the mute strings drawn on detection interleave
-// with the fault draws of later samples — batching samples would reorder
-// the PRNG stream. The released outputs, the muted count and the
-// accumulator contents are bit-identical to collectScalar.
-func (o *Oracle) collectBatch(kern ciphers.BatchKernel, inj1, inj2 *fault.Injector, rng *prng.Source, n int, acc *stats.Accumulator) int {
+// collect runs one shard: a single three-fork EncryptForksOps call per
+// sample computes the clean ciphertext and both computational branches,
+// sharing the rounds before the injection point across all three. Each
+// sample draws its plaintext, branch 1's fault, branch 2's fault and, when
+// the branches disagree, the mute string that replaces the release.
+// Forking stays per-sample rather than across the shard because the mute
+// strings interleave with the fault draws of later samples — batching
+// samples would reorder the PRNG stream. A nil kern runs the scalar
+// reference path (ciphers.ScalarForksOps), which every batch kernel is
+// verified against, so both paths release the same bytes.
+func (o *Oracle) collect(kern ciphers.BatchKernel, inj1, inj2 *fault.Injector, rng *prng.Source, n int, acc *stats.Accumulator) int {
 	bb := o.cipher.BlockBytes()
 	pt := make([]byte, bb)
 	clean := make([]byte, bb)
@@ -364,15 +230,14 @@ func (o *Oracle) collectBatch(kern ciphers.BatchKernel, inj1, inj2 *fault.Inject
 	ands := [][]byte{nil, nil, nil}
 	states := [][]byte{nil, nil, nil}
 	// Branch 1's ciphertext lands directly in faulty: on a match it is
-	// the released output, on a mismatch the mute string overwrites it —
-	// the same releases Protected.Encrypt produces.
+	// the released output, on a mismatch the mute string overwrites it.
 	cts := [][]byte{clean, faulty, out2}
 	muted := 0
 	for s := 0; s < n; s++ {
 		rng.Fill(pt)
 		xors[1], ands[1] = drawBranch(inj1, xor1, and1, rng)
 		xors[2], ands[2] = drawBranch(inj2, xor2, and2, rng)
-		ciphers.EncryptForksOps(o.cipher, kern, o.cfg.Round, nil, 1, pt, xors, ands, states, cts)
+		ciphers.EncryptForksOps(o.cipher, kern, o.round, nil, 1, pt, xors, ands, states, cts)
 		if !bytes.Equal(faulty, out2) {
 			rng.Fill(faulty)
 			muted++

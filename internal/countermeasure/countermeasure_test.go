@@ -1,7 +1,6 @@
 package countermeasure
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/ciphers"
 	_ "repro/internal/ciphers/aes"
 	_ "repro/internal/ciphers/gift"
+	"repro/internal/evaluate"
 	"repro/internal/fault"
 	"repro/internal/prng"
 )
@@ -24,70 +24,22 @@ func newAES(t *testing.T, rng *prng.Source) ciphers.Cipher {
 	return c
 }
 
-func TestProtectedNoFaultPassesThrough(t *testing.T) {
-	rng := prng.New(1)
-	c := newAES(t, rng)
-	p := NewProtected(c, rng.Split())
-	pt := make([]byte, 16)
-	rng.Fill(pt)
-	want := make([]byte, 16)
-	c.Encrypt(want, pt, nil, nil)
-	got := make([]byte, 16)
-	if muted := p.Encrypt(got, pt, nil, nil); muted {
-		t.Fatal("fault-free encryption was muted")
+// buildOracle builds the protected oracle over c from an engine config,
+// returning the engine's or the oracle's construction error.
+func buildOracle(c ciphers.Cipher, round int, cfg evaluate.Config) (*Oracle, error) {
+	e, err := evaluate.New(c, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(got, want) {
-		t.Error("protected output differs from plain ciphertext")
-	}
+	return NewOracle(e, round)
 }
 
-func TestProtectedIdenticalFaultsEvade(t *testing.T) {
-	rng := prng.New(2)
-	c := newAES(t, rng)
-	p := NewProtected(c, rng.Split())
-	pt := make([]byte, 16)
-	rng.Fill(pt)
-	mask := make([]byte, 16)
-	mask[9] = 0x10 // single bit 76 (byte 9, bit 4): the Table IV fault
-	f1 := &ciphers.Fault{Round: 9, Mask: mask}
-	f2 := &ciphers.Fault{Round: 9, Mask: mask}
-	out := make([]byte, 16)
-	if muted := p.Encrypt(out, pt, f1, f2); muted {
-		t.Fatal("identical branch faults were detected")
-	}
-	clean := make([]byte, 16)
-	c.Encrypt(clean, pt, nil, nil)
-	if bytes.Equal(out, clean) {
-		t.Error("faulty output equals clean ciphertext")
-	}
-}
-
-func TestProtectedMismatchedFaultsMute(t *testing.T) {
-	rng := prng.New(3)
-	c := newAES(t, rng)
-	p := NewProtected(c, rng.Split())
-	pt := make([]byte, 16)
-	rng.Fill(pt)
-	mask := make([]byte, 16)
-	mask[9] = 0x10
-	f1 := &ciphers.Fault{Round: 9, Mask: mask}
-	out1 := make([]byte, 16)
-	if muted := p.Encrypt(out1, pt, f1, nil); !muted {
-		t.Fatal("single-branch fault was not detected")
-	}
-	// Mute strings are fresh randomness: two mutings differ.
-	out2 := make([]byte, 16)
-	p.Encrypt(out2, pt, f1, nil)
-	if bytes.Equal(out1, out2) {
-		t.Error("mute strings repeat")
-	}
-}
-
-func newOracle(t *testing.T, seed uint64, cfg OracleConfig) *Oracle {
+func newOracle(t *testing.T, seed uint64, round int, cfg evaluate.Config) *Oracle {
 	t.Helper()
 	rng := prng.New(seed)
 	c := newAES(t, rng)
-	o, err := NewOracle(c, cfg, rng.Split())
+	cfg.Seed = rng.Split().Uint64()
+	o, err := buildOracle(c, round, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +47,14 @@ func newOracle(t *testing.T, seed uint64, cfg OracleConfig) *Oracle {
 }
 
 func TestOracleStateBitsDoubled(t *testing.T) {
-	o := newOracle(t, 4, OracleConfig{Round: 9, Samples: 64})
+	o := newOracle(t, 4, 9, evaluate.Config{Samples: 64})
 	if o.StateBits() != 256 {
 		t.Errorf("StateBits = %d, want 256 (Table IV episode length)", o.StateBits())
 	}
 }
 
 func TestOracleSameBitBothBranchesLeaks(t *testing.T) {
-	o := newOracle(t, 5, OracleConfig{Round: 9, Samples: 1024})
+	o := newOracle(t, 5, 9, evaluate.Config{Samples: 1024})
 	pattern := bitvec.FromBits(256, 76, 128+76) // bit 76 in both branches
 	l, err := o.Evaluate(context.Background(), &pattern, fault.XorFlip)
 	if err != nil {
@@ -117,7 +69,7 @@ func TestOracleSameBitBothBranchesLeaks(t *testing.T) {
 }
 
 func TestOracleSingleBranchFaultMuted(t *testing.T) {
-	o := newOracle(t, 6, OracleConfig{Round: 9, Samples: 1024})
+	o := newOracle(t, 6, 9, evaluate.Config{Samples: 1024})
 	pattern := bitvec.FromBits(256, 76) // branch 1 only
 	l, err := o.Evaluate(context.Background(), &pattern, fault.XorFlip)
 	if err != nil {
@@ -132,7 +84,7 @@ func TestOracleSingleBranchFaultMuted(t *testing.T) {
 }
 
 func TestOracleMismatchedBitsMuted(t *testing.T) {
-	o := newOracle(t, 7, OracleConfig{Round: 9, Samples: 1024})
+	o := newOracle(t, 7, 9, evaluate.Config{Samples: 1024})
 	pattern := bitvec.FromBits(256, 76, 128+77) // different bit per branch
 	l, err := o.Evaluate(context.Background(), &pattern, fault.XorFlip)
 	if err != nil {
@@ -147,7 +99,7 @@ func TestOracleWideSamePatternMostlyMuted(t *testing.T) {
 	// The same full byte in both branches draws independent random
 	// values, so the branches almost never match: the countermeasure
 	// wins against imprecise multi-bit injections.
-	o := newOracle(t, 8, OracleConfig{Round: 9, Samples: 1024})
+	o := newOracle(t, 8, 9, evaluate.Config{Samples: 1024})
 	var bits []int
 	for j := 0; j < 8; j++ {
 		bits = append(bits, 72+j, 128+72+j)
@@ -166,7 +118,7 @@ func TestOracleWideSamePatternMostlyMuted(t *testing.T) {
 }
 
 func TestSplitPattern(t *testing.T) {
-	o := newOracle(t, 9, OracleConfig{Round: 9, Samples: 64})
+	o := newOracle(t, 9, 9, evaluate.Config{Samples: 64})
 	pattern := bitvec.FromBits(256, 3, 76, 128, 128+76, 255)
 	b1, b2 := o.SplitPattern(&pattern)
 	if got := b1.Bits(); len(got) != 2 || got[0] != 3 || got[1] != 76 {
@@ -178,7 +130,7 @@ func TestSplitPattern(t *testing.T) {
 }
 
 func TestOracleRejectsBadPatterns(t *testing.T) {
-	o := newOracle(t, 10, OracleConfig{Round: 9, Samples: 64})
+	o := newOracle(t, 10, 9, evaluate.Config{Samples: 64})
 	short := bitvec.FromBits(128, 1)
 	if _, err := o.Evaluate(context.Background(), &short, fault.XorFlip); err == nil {
 		t.Error("accepted wrong-width pattern")
@@ -192,10 +144,10 @@ func TestOracleRejectsBadPatterns(t *testing.T) {
 func TestNewOracleValidatesRound(t *testing.T) {
 	rng := prng.New(11)
 	c := newAES(t, rng)
-	if _, err := NewOracle(c, OracleConfig{Round: 0}, rng.Split()); err == nil {
+	if _, err := buildOracle(c, 0, evaluate.Config{Seed: rng.Split().Uint64()}); err == nil {
 		t.Error("accepted round 0")
 	}
-	if _, err := NewOracle(c, OracleConfig{Round: 11}, rng.Split()); err == nil {
+	if _, err := buildOracle(c, 11, evaluate.Config{Seed: rng.Split().Uint64()}); err == nil {
 		t.Error("accepted round 11 for AES")
 	}
 }
@@ -207,14 +159,23 @@ func TestNewOracleValidatesGroupBits(t *testing.T) {
 	rng := prng.New(11)
 	c := newAES(t, rng)
 	for _, gb := range []int{-1, 3, 16} {
-		if _, err := NewOracle(c, OracleConfig{Round: 9, GroupBits: gb}, rng.Split()); err == nil {
+		if _, err := buildOracle(c, 9, evaluate.Config{GroupBits: gb, Seed: rng.Split().Uint64()}); err == nil {
 			t.Errorf("accepted group size %d bits", gb)
 		}
 	}
 	for _, gb := range []int{1, 2, 4, 8} {
-		if _, err := NewOracle(c, OracleConfig{Round: 9, GroupBits: gb}, rng.Split()); err != nil {
+		if _, err := buildOracle(c, 9, evaluate.Config{GroupBits: gb, Seed: rng.Split().Uint64()}); err != nil {
 			t.Errorf("group size %d bits: %v", gb, err)
 		}
+	}
+}
+
+// TestNewOracleRejectsSIFA pins the Welch-only check: muting erases the
+// effective/ineffective split the SIFA oracle conditions on.
+func TestNewOracleRejectsSIFA(t *testing.T) {
+	c := newAES(t, prng.New(11))
+	if _, err := buildOracle(c, 9, evaluate.Config{Oracle: fault.OracleSIFA}); err == nil {
+		t.Error("accepted the SIFA oracle")
 	}
 }
 
@@ -222,7 +183,7 @@ func TestOracleFlipAllModeWideFaultEvades(t *testing.T) {
 	// With deterministic FlipAll faults, identical wide patterns DO
 	// evade the countermeasure — the ablation contrast to
 	// TestOracleWideSamePatternMostlyMuted.
-	o := newOracle(t, 12, OracleConfig{Round: 9, Samples: 1024, Mode: fault.FlipAll})
+	o := newOracle(t, 12, 9, evaluate.Config{Samples: 1024, Mode: fault.FlipAll})
 	var bits []int
 	for j := 0; j < 8; j++ {
 		bits = append(bits, 72+j, 128+72+j)
@@ -245,7 +206,7 @@ func BenchmarkProtectedOracleEvaluate(b *testing.B) {
 	key := make([]byte, 16)
 	rng.Fill(key)
 	c, _ := ciphers.New("aes128", key)
-	o, err := NewOracle(c, OracleConfig{Round: 9, Samples: 512}, rng.Split())
+	o, err := buildOracle(c, 9, evaluate.Config{Samples: 512, Seed: rng.Split().Uint64()})
 	if err != nil {
 		b.Fatal(err)
 	}

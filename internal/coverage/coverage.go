@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/ciphers"
-	"repro/internal/leakage"
+	"repro/internal/evaluate"
 	"repro/internal/prng"
 )
 
@@ -160,10 +160,14 @@ func Scan(c ciphers.Cipher, cfg Config, rng *prng.Source) (*Report, error) {
 		if round < 1 || round > c.Rounds() {
 			return nil, fmt.Errorf("coverage: round %d out of range 1..%d", round, c.Rounds())
 		}
-		assessor := leakage.NewAssessor(c, leakage.Config{
+		assessor, err := evaluate.New(c, evaluate.Config{
 			Samples:         cfg.Samples,
 			StopAtThreshold: true,
-		}, rng.Split())
+			Seed:            rng.Split().Uint64(),
+		})
+		if err != nil {
+			return nil, err
+		}
 		rr := RoundReport{Round: round}
 
 		if cfg.ExhaustiveBits {

@@ -1,4 +1,4 @@
-package leakage
+package evaluate
 
 import (
 	"context"
@@ -23,17 +23,7 @@ func bytePattern(stateBytes int, bytes ...int) bitvec.Vector {
 	return v
 }
 
-func nibblePattern(stateBytes int, nibbles ...int) bitvec.Vector {
-	v := bitvec.New(stateBytes * 8)
-	for _, n := range nibbles {
-		for j := 0; j < 4; j++ {
-			v.Set(4*n + j)
-		}
-	}
-	return v
-}
-
-func newAESAssessor(t *testing.T, samples int) *Assessor {
+func newAESEngine(t *testing.T, samples int) *Engine {
 	t.Helper()
 	rng := prng.New(12345)
 	key := make([]byte, 16)
@@ -42,10 +32,10 @@ func newAESAssessor(t *testing.T, samples int) *Assessor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewAssessor(c, Config{Samples: samples}, rng.Split())
+	return newEngine(t, c, Config{Samples: samples, Seed: rng.Split().Uint64()})
 }
 
-func newGIFTAssessor(t *testing.T, samples int) *Assessor {
+func newGIFTEngine(t *testing.T, samples int) *Engine {
 	t.Helper()
 	rng := prng.New(54321)
 	key := make([]byte, 16)
@@ -54,14 +44,14 @@ func newGIFTAssessor(t *testing.T, samples int) *Assessor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewAssessor(c, Config{Samples: samples}, rng.Split())
+	return newEngine(t, c, Config{Samples: samples, Seed: rng.Split().Uint64()})
 }
 
 // TestTableIShape reproduces the core of Table I: byte and diagonal faults
 // at AES round 8 are invisible to the first-order t-test but clearly
 // exposed by the second-order test.
 func TestTableIShape(t *testing.T) {
-	a := newAESAssessor(t, 2048)
+	a := newAESEngine(t, 2048)
 	for _, tc := range []struct {
 		name    string
 		pattern bitvec.Vector
@@ -89,7 +79,7 @@ func TestTableIShape(t *testing.T) {
 func TestDiagonalBoundary(t *testing.T) {
 	// Patterns confined to one diagonal leak; spanning two diagonals or
 	// adding even one off-diagonal byte destroys the structure.
-	a := newAESAssessor(t, 2048)
+	a := newAESEngine(t, 2048)
 	leaky := []bitvec.Vector{
 		bytePattern(16, 2),                    // single byte
 		bytePattern(16, 2, 7),                 // two bytes, one diagonal
@@ -125,7 +115,7 @@ func TestDiagonalBoundary(t *testing.T) {
 }
 
 func TestLateRoundFaultsLeakViaCiphertext(t *testing.T) {
-	a := newAESAssessor(t, 1024)
+	a := newAESEngine(t, 1024)
 	for _, round := range []int{9, 10} {
 		p := bytePattern(16, 0)
 		res, err := a.Assess(context.Background(), &p, round)
@@ -149,7 +139,7 @@ func TestEarlyRoundFaultNotExploitable(t *testing.T) {
 	// A fault in round 1 is fully diffused by the observable window
 	// (last 3 rounds), matching the restriction in the paper's §III-C
 	// footnote: only the last few rounds are reachable by an attacker.
-	a := newAESAssessor(t, 1024)
+	a := newAESEngine(t, 1024)
 	p := bytePattern(16, 0)
 	res, err := a.Assess(context.Background(), &p, 1)
 	if err != nil {
@@ -161,14 +151,14 @@ func TestEarlyRoundFaultNotExploitable(t *testing.T) {
 }
 
 func TestGIFTNibbleModels(t *testing.T) {
-	a := newGIFTAssessor(t, 2048)
+	a := newGIFTEngine(t, 2048)
 	leaky := [][]int{
 		{0},                    // single nibble (prior work)
 		{8, 9, 10, 11, 12, 14}, // the paper's newly discovered model
 		{10, 11},               // Table V 2-nibble model
 	}
 	for _, nibs := range leaky {
-		p := nibblePattern(8, nibs...)
+		p := nibblePattern(64, nibs...)
 		res, err := a.Assess(context.Background(), &p, 25)
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +167,7 @@ func TestGIFTNibbleModels(t *testing.T) {
 			t.Errorf("GIFT nibbles %v should be exploitable at round 25, t = %.2f", nibs, res.T)
 		}
 	}
-	full := nibblePattern(8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+	full := nibblePattern(64, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
 	res, err := a.Assess(context.Background(), &full, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +196,8 @@ func TestStopAtThresholdTruncates(t *testing.T) {
 	key := make([]byte, 16)
 	rng.Fill(key)
 	c, _ := ciphers.New("gift64", key)
-	a := NewAssessor(c, Config{Samples: 512, StopAtThreshold: true}, rng.Split())
-	p := nibblePattern(8, 0)
+	a := newEngine(t, c, Config{Samples: 512, StopAtThreshold: true, Seed: rng.Split().Uint64()})
+	p := nibblePattern(64, 0)
 	res, err := a.Assess(context.Background(), &p, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -223,15 +213,15 @@ func TestStopAtThresholdTruncates(t *testing.T) {
 }
 
 func TestAssessRejectsEmptyPattern(t *testing.T) {
-	a := newAESAssessor(t, 256)
+	a := newAESEngine(t, 256)
 	p := bitvec.New(128)
 	if _, err := a.Assess(context.Background(), &p, 8); err == nil {
 		t.Error("Assess accepted empty pattern")
 	}
 }
 
-func TestAssessorAccessors(t *testing.T) {
-	a := newAESAssessor(t, 256)
+func TestEngineAccessors(t *testing.T) {
+	a := newAESEngine(t, 256)
 	if a.StateBits() != 128 {
 		t.Errorf("StateBits = %d", a.StateBits())
 	}
@@ -250,7 +240,7 @@ func TestBitGroupingOverride(t *testing.T) {
 	key := make([]byte, 16)
 	rng.Fill(key)
 	c, _ := ciphers.New("aes128", key)
-	a := NewAssessor(c, Config{Samples: 1024, GroupBits: 1}, rng.Split())
+	a := newEngine(t, c, Config{Samples: 1024, GroupBits: 1, Seed: rng.Split().Uint64()})
 	p := bytePattern(16, 0)
 	res, err := a.Assess(context.Background(), &p, 9)
 	if err != nil {
@@ -264,7 +254,7 @@ func TestBitGroupingOverride(t *testing.T) {
 func TestDiagonalHelperAgreesWithLeakage(t *testing.T) {
 	// Every one of the four AES diagonals must be exploitable at round 8
 	// (the symmetry-extension step of §III-F relies on this).
-	a := newAESAssessor(t, 1024)
+	a := newAESEngine(t, 1024)
 	for d := 0; d < 4; d++ {
 		diag := aes.Diagonal(d)
 		p := bytePattern(16, diag[:]...)
@@ -283,7 +273,7 @@ func BenchmarkAssessDiagonal(b *testing.B) {
 	key := make([]byte, 16)
 	rng.Fill(key)
 	c, _ := ciphers.New("aes128", key)
-	a := NewAssessor(c, Config{Samples: 1024}, rng.Split())
+	a := newEngine(b, c, Config{Samples: 1024, Seed: rng.Split().Uint64()})
 	p := bytePattern(16, 2, 7, 8, 13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -298,8 +288,8 @@ func BenchmarkAssessStopAtThreshold(b *testing.B) {
 	key := make([]byte, 16)
 	rng.Fill(key)
 	c, _ := ciphers.New("gift64", key)
-	a := NewAssessor(c, Config{Samples: 1024, StopAtThreshold: true}, rng.Split())
-	p := nibblePattern(8, 8, 9, 10, 11, 12, 14)
+	a := newEngine(b, c, Config{Samples: 1024, StopAtThreshold: true, Seed: rng.Split().Uint64()})
+	p := nibblePattern(64, 8, 9, 10, 11, 12, 14)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Assess(context.Background(), &p, 25); err != nil {

@@ -100,12 +100,17 @@ type Config struct {
 	RefSeed uint64
 }
 
-func (cfg *Config) setDefaults() {
+// resolve replaces zero values with their defaults and rejects the
+// values no campaign can run with.
+func (cfg *Config) resolve(c ciphers.Cipher) error {
 	if cfg.Samples == 0 {
 		cfg.Samples = 2048
 	}
 	if cfg.MaxOrder == 0 {
 		cfg.MaxOrder = 2
+	}
+	if cfg.GroupBits == 0 {
+		cfg.GroupBits = c.GroupBits()
 	}
 	if cfg.Threshold == 0 {
 		cfg.Threshold = stats.DefaultThreshold
@@ -119,6 +124,18 @@ func (cfg *Config) setDefaults() {
 	if cfg.RefSeed == 0 {
 		cfg.RefSeed = CanonicalRefSeed
 	}
+	if cfg.Samples < 2 {
+		return fmt.Errorf("evaluate: samples %d out of range (want 2 or more)", cfg.Samples)
+	}
+	if cfg.MaxOrder < 1 {
+		return fmt.Errorf("evaluate: max order %d out of range (want 1 or more)", cfg.MaxOrder)
+	}
+	switch cfg.GroupBits {
+	case 1, 2, 4, 8:
+	default:
+		return fmt.Errorf("evaluate: group size %d bits unsupported (want 1, 2, 4 or 8)", cfg.GroupBits)
+	}
+	return nil
 }
 
 // PointResult is the best statistic observed at one point.
@@ -149,13 +166,14 @@ type Engine struct {
 	cfg    Config
 }
 
-// New creates an engine for the given keyed cipher.
-func New(c ciphers.Cipher, cfg Config) *Engine {
-	cfg.setDefaults()
-	if cfg.GroupBits == 0 {
-		cfg.GroupBits = c.GroupBits()
+// New creates an engine for the given keyed cipher. It fails when a
+// knob is out of range: fewer than 2 samples, a maximum order below 1, or
+// a group size other than 1, 2, 4 or 8 bits.
+func New(c ciphers.Cipher, cfg Config) (*Engine, error) {
+	if err := cfg.resolve(c); err != nil {
+		return nil, err
 	}
-	return &Engine{cipher: c, cfg: cfg}
+	return &Engine{cipher: c, cfg: cfg}, nil
 }
 
 // Cipher returns the underlying keyed cipher.

@@ -25,6 +25,16 @@ func giftCipher(t *testing.T) ciphers.Cipher {
 	return c
 }
 
+// newEngine builds an engine, failing the test on a rejected config.
+func newEngine(tb testing.TB, c ciphers.Cipher, cfg Config) *Engine {
+	tb.Helper()
+	e, err := New(c, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 func nibblePattern(stateBits int, groups ...int) bitvec.Vector {
 	v := bitvec.New(stateBits)
 	for _, g := range groups {
@@ -43,7 +53,7 @@ func TestEngineWorkerDeterminism(t *testing.T) {
 	pattern := nibblePattern(64, 5)
 	var got []Assessment
 	for _, workers := range []int{1, 4, 7} {
-		e := New(c, Config{Samples: ShardSize*2 + 100, Seed: 99, Workers: workers})
+		e := newEngine(t, c, Config{Samples: ShardSize*2 + 100, Seed: 99, Workers: workers})
 		a, err := e.Assess(context.Background(), &pattern, 25)
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +75,7 @@ func TestEngineWorkerDeterminism(t *testing.T) {
 func TestEngineIsPure(t *testing.T) {
 	c := giftCipher(t)
 	pattern := nibblePattern(64, 3)
-	e := New(c, Config{Samples: 300, Seed: 7})
+	e := newEngine(t, c, Config{Samples: 300, Seed: 7})
 	a1, err := e.Assess(context.Background(), &pattern, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +100,7 @@ func TestEngineMatchesMatrixPath(t *testing.T) {
 	const samples = ShardSize + 150 // ragged second shard
 	const seed = 1234
 	cfg := Config{Samples: samples, Seed: seed, MaxOrder: 2}
-	e := New(c, cfg)
+	e := newEngine(t, c, cfg)
 	got, err := e.Assess(context.Background(), &pattern, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +203,7 @@ func TestEngineStopAtThreshold(t *testing.T) {
 	// exploitable model; its differential is still localized at the first
 	// observation point, so the sweep stops there.
 	pattern := nibblePattern(64, 5)
-	e := New(c, Config{Samples: 1024, Seed: 3, StopAtThreshold: true})
+	e := newEngine(t, c, Config{Samples: 1024, Seed: 3, StopAtThreshold: true})
 	a, err := e.Assess(context.Background(), &pattern, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +224,7 @@ func TestEngineStopAtThreshold(t *testing.T) {
 func TestEngineSIFAWithoutIneffectiveTraces(t *testing.T) {
 	c := giftCipher(t)
 	pattern := nibblePattern(64, 5)
-	e := New(c, Config{Samples: ShardSize + 50, Seed: 8, Oracle: fault.OracleSIFA, Mode: fault.FlipAll})
+	e := newEngine(t, c, Config{Samples: ShardSize + 50, Seed: 8, Oracle: fault.OracleSIFA, Mode: fault.FlipAll})
 	a, err := e.Assess(context.Background(), &pattern, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +245,7 @@ func TestEngineThresholdIsStrict(t *testing.T) {
 	c := giftCipher(t)
 	pattern := nibblePattern(64, 5)
 	cfg := Config{Samples: 300, Seed: 4}
-	first, err := New(c, cfg).Assess(context.Background(), &pattern, 25)
+	first, err := newEngine(t, c, cfg).Assess(context.Background(), &pattern, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +260,7 @@ func TestEngineThresholdIsStrict(t *testing.T) {
 		{math.Nextafter(first.T, 0), true},
 	} {
 		cfg.Threshold = tc.threshold
-		a, err := New(c, cfg).Assess(context.Background(), &pattern, 25)
+		a, err := newEngine(t, c, cfg).Assess(context.Background(), &pattern, 25)
 		if err != nil {
 			t.Fatal(err)
 		}

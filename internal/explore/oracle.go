@@ -22,8 +22,8 @@ import (
 	"context"
 
 	"repro/internal/bitvec"
+	"repro/internal/evaluate"
 	"repro/internal/fault"
-	"repro/internal/leakage"
 )
 
 // Oracle decides the information leakage of a fault pattern under a typed
@@ -43,18 +43,18 @@ type Oracle interface {
 	Threshold() float64
 }
 
-// AssessorOracle adapts a leakage.Assessor with a fixed injection round to
+// AssessorOracle adapts an evaluate.Engine with a fixed injection round to
 // the Oracle interface.
 type AssessorOracle struct {
-	Assessor *leakage.Assessor
-	Round    int
+	Engine *evaluate.Engine
+	Round  int
 }
 
 var _ Oracle = (*AssessorOracle)(nil)
 
 // Evaluate implements Oracle.
 func (o *AssessorOracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fault.Model) (float64, error) {
-	res, err := o.Assessor.AssessModel(ctx, pattern, o.Round, model)
+	res, err := o.Engine.AssessModel(ctx, pattern, o.Round, model)
 	if err != nil {
 		return 0, err
 	}
@@ -62,10 +62,10 @@ func (o *AssessorOracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, m
 }
 
 // StateBits implements Oracle.
-func (o *AssessorOracle) StateBits() int { return o.Assessor.StateBits() }
+func (o *AssessorOracle) StateBits() int { return o.Engine.StateBits() }
 
 // InjectionRound implements Rounder for memoization keys.
 func (o *AssessorOracle) InjectionRound() int { return o.Round }
 
 // Threshold implements Oracle.
-func (o *AssessorOracle) Threshold() float64 { return o.Assessor.Threshold() }
+func (o *AssessorOracle) Threshold() float64 { return o.Engine.Threshold() }

@@ -7,8 +7,8 @@ import (
 	explorefault "repro"
 	"repro/internal/bitvec"
 	"repro/internal/ciphers"
+	"repro/internal/evaluate"
 	"repro/internal/explore"
-	"repro/internal/leakage"
 	"repro/internal/prng"
 	"repro/internal/report"
 	"repro/internal/rl"
@@ -45,7 +45,10 @@ func AblationGrouping(opt Options) (*AblationGroupingResult, error) {
 	}
 	aesPattern := explorefault.PatternFromGroups(128, 8, 0)
 	for _, gb := range []int{1, 4, 8} {
-		a := leakage.NewAssessor(aesCipher, leakage.Config{Samples: samples, GroupBits: gb}, rng.Split())
+		a, err := evaluate.New(aesCipher, evaluate.Config{Samples: samples, GroupBits: gb, Seed: rng.Split().Uint64()})
+		if err != nil {
+			return nil, err
+		}
 		r, err := a.Assess(context.Background(), &aesPattern, 8)
 		if err != nil {
 			return nil, err
@@ -61,7 +64,10 @@ func AblationGrouping(opt Options) (*AblationGroupingResult, error) {
 	}
 	giftPattern := explorefault.PatternFromGroups(64, 4, 5)
 	for _, gb := range []int{1, 4} {
-		a := leakage.NewAssessor(giftCipher, leakage.Config{Samples: samples, GroupBits: gb}, rng.Split())
+		a, err := evaluate.New(giftCipher, evaluate.Config{Samples: samples, GroupBits: gb, Seed: rng.Split().Uint64()})
+		if err != nil {
+			return nil, err
+		}
 		r, err := a.Assess(context.Background(), &giftPattern, 25)
 		if err != nil {
 			return nil, err
@@ -110,10 +116,13 @@ func AblationAgent(opt Options) (*AblationAgentResult, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			assessor := leakage.NewAssessor(c, leakage.Config{
-				Samples: samples, StopAtThreshold: true,
-			}, root.Split())
-			env := explore.NewEnv(&explore.AssessorOracle{Assessor: assessor, Round: 25},
+			e, err := evaluate.New(c, evaluate.Config{
+				Samples: samples, StopAtThreshold: true, Seed: root.Split().Uint64(),
+			})
+			if err != nil {
+				return 0, 0, err
+			}
+			env := explore.NewEnv(&explore.AssessorOracle{Engine: e, Round: 25},
 				explore.EnvConfig{})
 			envs = append(envs, env)
 			raw = append(raw, env)
@@ -205,7 +214,10 @@ func AblationObservation(opt Options) (*AblationObservationResult, error) {
 		TwoDiagonals: map[int]bool{},
 	}
 	assess := func(p *bitvec.Vector, lag int) (bool, error) {
-		a := leakage.NewAssessor(c, leakage.Config{Samples: samples, Lag: lag}, rng.Split())
+		a, err := evaluate.New(c, evaluate.Config{Samples: samples, Lag: lag, Seed: rng.Split().Uint64()})
+		if err != nil {
+			return false, err
+		}
 		r, err := a.Assess(context.Background(), p, 8)
 		if err != nil {
 			return false, err

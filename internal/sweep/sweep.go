@@ -58,47 +58,50 @@ const DefaultSamples = 512
 // bounded mode is for.
 const DefaultOrder2Cap = 256
 
-// Config tunes one exhaustive sweep. Zero values select defaults.
+// Config tunes one exhaustive sweep. Zero values select defaults. Its
+// JSON form, plus a hex key, is a sweep job's config document (the job
+// spec carries the shard range); fields tagged "-" are library-only.
 type Config struct {
 	// Cipher names the registered target.
-	Cipher string
+	Cipher string `json:"cipher"`
 	// Key is the cipher key; nil derives one from Seed exactly like
 	// Discover (prng.New(Seed ^ 0x5eed)), so a sweep and a discovery run
 	// with equal seeds attack the same keyed instance.
-	Key []byte
+	Key []byte `json:"-"`
 	// Rounds lists the injection rounds to enumerate; empty sweeps every
 	// round 1..Rounds of the cipher. Duplicates are removed, order is
 	// normalized ascending.
-	Rounds []int
+	Rounds []int `json:"rounds,omitempty"`
 	// GranBits is the position granularity in bits (a "position" is one
 	// aligned GranBits-wide field of the state); 0 uses the cipher's
 	// native substitution width.
-	GranBits int
+	GranBits int `json:"gran_bits,omitempty"`
 	// Models lists the typed fault models to enumerate; empty sweeps
 	// only fault.XorFlip.
-	Models []fault.Model
+	Models []fault.Model `json:"models,omitempty"`
 	// Oracle selects the statistical oracle (default fault.OracleWelch).
-	Oracle fault.OracleKind
+	Oracle fault.OracleKind `json:"oracle,omitempty"`
 	// Mode selects the fault-value model (default fault.RandomMask).
-	Mode fault.Mode
+	Mode fault.Mode `json:"-"`
 	// Samples is the per-cell trace budget (default DefaultSamples).
-	Samples int
+	Samples int `json:"samples,omitempty"`
 	// MaxOrder is the highest t-test order (default 2).
-	MaxOrder int
+	MaxOrder int `json:"max_order,omitempty"`
 	// GroupBits is the oracle's differential grouping granularity; 0
 	// uses the cipher's native width. Independent of GranBits.
-	GroupBits int
+	GroupBits int `json:"group_bits,omitempty"`
 	// Threshold is the exploitability threshold θ (default 4.5).
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// Lag and Window position the observation window (defaults
 	// fault.DefaultLag / fault.DefaultWindow).
-	Lag, Window int
+	Lag    int `json:"lag,omitempty"`
+	Window int `json:"window,omitempty"`
 	// Order2 additionally enumerates two-position cells (pairs of
 	// distinct positions faulted together), bounded by Order2Cap.
-	Order2 bool
+	Order2 bool `json:"order2,omitempty"`
 	// Order2Cap caps the pairs per (round, model) (default
 	// DefaultOrder2Cap); ignored unless Order2.
-	Order2Cap int
+	Order2Cap int `json:"order2_cap,omitempty"`
 	// ShardLo and ShardHi restrict the run to checkpoint shards
 	// [ShardLo, ShardHi) of the canonical cell enumeration (ShardCells
 	// cells per shard). Both zero sweeps everything. A restricted run
@@ -107,26 +110,27 @@ type Config struct {
 	// run; Merge reassembles contiguous partial atlases into the full
 	// document byte for byte. Shard indices are global, so partial runs
 	// may share a Checkpoint file with each other and with a full run.
-	ShardLo, ShardHi int
+	ShardLo int `json:"-"`
+	ShardHi int `json:"-"`
 	// Workers is the cell-shard worker count; 0 uses GOMAXPROCS.
 	// Results are bit-identical for every value.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// NoBatch forces the scalar cipher path (bit-identical, slower).
-	NoBatch bool
+	NoBatch bool `json:"no_batch,omitempty"`
 	// Seed drives all randomness; the atlas is a pure function of the
 	// config including it.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Metrics/Events receive sweep instrumentation; nil disables.
-	Metrics *obs.Registry
-	Events  *obs.Emitter
+	Metrics *obs.Registry `json:"-"`
+	Events  *obs.Emitter  `json:"-"`
 	// Checkpoint, if non-empty, persists finished shards to this file;
 	// rerunning with an identical config resumes after the last finished
 	// shard.
-	Checkpoint string
+	Checkpoint string `json:"-"`
 	// Progress, if non-nil, is called after every accounted cell
 	// (assessed or restored from checkpoint) with the running count and
 	// the total. Tests use it to cancel at a precise cell index.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 }
 
 func (cfg *Config) setDefaults(info ciphers.Info) {
@@ -289,7 +293,7 @@ func Run(ctx context.Context, cfg Config) (*Atlas, error) {
 	// worker (cell-level parallelism, not trace-level). Events are left
 	// nil — per-cell campaign events at atlas scale would drown the run
 	// log; the sweep emits one sweep_cell event per cell instead.
-	engine := evaluate.New(cipher, evaluate.Config{
+	engine, err := evaluate.New(cipher, evaluate.Config{
 		Samples:   cfg.Samples,
 		MaxOrder:  cfg.MaxOrder,
 		GroupBits: cfg.GroupBits,
@@ -303,6 +307,9 @@ func Run(ctx context.Context, cfg Config) (*Atlas, error) {
 		Metrics:   cfg.Metrics,
 		Seed:      cfg.Seed,
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	sp, ctx := trace.StartSpan(ctx, trace.SpanSweep)
 	sp.SetAttr("cipher", cfg.Cipher)

@@ -93,152 +93,117 @@ func NewJobServer(cfg JobServerConfig) (*JobServer, error) {
 // config.
 func MergeAtlases(parts ...*Atlas) (*Atlas, error) { return sweep.Merge(parts...) }
 
-// discoverJob is the config document of a "discover" job: the JSON
-// projection of DiscoverConfig (keys in hex, fault models and oracles by
-// CLI name). Checkpointing and resume are managed by the server.
+// hexKey is the cipher key of a job document, in hex; empty draws the key
+// from the seed, as a nil key does in the library configs.
+type hexKey []byte
+
+func (k *hexKey) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*k = nil
+		return nil
+	}
+	key, err := hex.DecodeString(string(text))
+	if err != nil {
+		return fmt.Errorf("bad key hex: %v", err)
+	}
+	*k = key
+	return nil
+}
+
+// discoverJob is the config document of a "discover" job: the JSON form
+// of DiscoverConfig with a hex key. Checkpointing and resume are managed
+// by the server.
 type discoverJob struct {
-	Cipher           string       `json:"cipher"`
-	Key              string       `json:"key,omitempty"`
-	Round            int          `json:"round"`
-	Protected        bool         `json:"protected,omitempty"`
-	FaultModels      []FaultModel `json:"fault_models,omitempty"`
-	Oracle           OracleKind   `json:"oracle,omitempty"`
-	Episodes         int          `json:"episodes,omitempty"`
-	NumEnvs          int          `json:"num_envs,omitempty"`
-	Samples          int          `json:"samples,omitempty"`
-	Seed             uint64       `json:"seed,omitempty"`
-	LinearReward     bool         `json:"linear_reward,omitempty"`
-	RewardAtEachStep bool         `json:"reward_at_each_step,omitempty"`
-	EpisodeLen       int          `json:"episode_len,omitempty"`
-	Workers          int          `json:"workers,omitempty"`
-	NoBatch          bool         `json:"no_batch,omitempty"`
-	NoOracleCache    bool         `json:"no_oracle_cache,omitempty"`
-	CacheCapacity    int          `json:"cache_capacity,omitempty"`
-	MaxHarvest       int          `json:"max_harvest,omitempty"`
-	CheckpointEvery  int          `json:"checkpoint_every,omitempty"`
+	DiscoverConfig
+	Key hexKey `json:"key,omitempty"`
 }
 
-// assessJob is the config document of an "assess" job. The pattern is
-// given as explicit bit indices or group indices (nibbles/bytes at the
-// cipher's native width), exactly like the -bits / -groups CLI flags.
+// assessJob is the config document of an "assess" job: the JSON form of
+// AssessConfig with a hex key, the target, and the pattern, given as
+// explicit bit indices or group indices (nibbles/bytes at the cipher's
+// native width), exactly like the -bits / -groups CLI flags.
 type assessJob struct {
-	Cipher     string     `json:"cipher"`
-	Key        string     `json:"key,omitempty"`
-	Round      int        `json:"round"`
-	Bits       []int      `json:"bits,omitempty"`
-	Groups     []int      `json:"groups,omitempty"`
-	Protected  bool       `json:"protected,omitempty"`
-	Samples    int        `json:"samples,omitempty"`
-	MaxOrder   int        `json:"max_order,omitempty"`
-	FixedOrder int        `json:"fixed_order,omitempty"`
-	Threshold  float64    `json:"threshold,omitempty"`
-	GroupBits  int        `json:"group_bits,omitempty"`
-	FaultModel FaultModel `json:"fault_model,omitempty"`
-	Oracle     OracleKind `json:"oracle,omitempty"`
-	Workers    int        `json:"workers,omitempty"`
-	NoBatch    bool       `json:"no_batch,omitempty"`
-	Seed       uint64     `json:"seed,omitempty"`
+	AssessConfig
+	Key       hexKey `json:"key,omitempty"`
+	Bits      []int  `json:"bits,omitempty"`
+	Groups    []int  `json:"groups,omitempty"`
+	Protected bool   `json:"protected,omitempty"`
 }
 
-// sweepJob is the config document of a "sweep" job: the JSON projection
-// of SweepConfig. The shard range comes from JobSpec.ShardRange, not the
-// config, so fan-out across daemons is a spec-level change.
+// sweepJob is the config document of a "sweep" job: the JSON form of
+// SweepConfig with a hex key. The shard range comes from
+// JobSpec.ShardRange, not the config, so fan-out across daemons is a
+// spec-level change.
 type sweepJob struct {
-	Cipher    string       `json:"cipher"`
-	Key       string       `json:"key,omitempty"`
-	Rounds    []int        `json:"rounds,omitempty"`
-	GranBits  int          `json:"gran_bits,omitempty"`
-	Models    []FaultModel `json:"models,omitempty"`
-	Oracle    OracleKind   `json:"oracle,omitempty"`
-	Samples   int          `json:"samples,omitempty"`
-	MaxOrder  int          `json:"max_order,omitempty"`
-	GroupBits int          `json:"group_bits,omitempty"`
-	Threshold float64      `json:"threshold,omitempty"`
-	Lag       int          `json:"lag,omitempty"`
-	Window    int          `json:"window,omitempty"`
-	Order2    bool         `json:"order2,omitempty"`
-	Order2Cap int          `json:"order2_cap,omitempty"`
-	Workers   int          `json:"workers,omitempty"`
-	NoBatch   bool         `json:"no_batch,omitempty"`
-	Seed      uint64       `json:"seed,omitempty"`
+	SweepConfig
+	Key hexKey `json:"key,omitempty"`
 }
 
 // jobRunner adapts the engines to the scheduler's Runner interface.
 type jobRunner struct{}
+
+// job is a decoded config document that can run.
+type job interface {
+	run(ctx context.Context, files server.Files, metrics *obs.Registry, events *obs.Emitter) (json.RawMessage, error)
+}
 
 // decodeStrict decodes a config document rejecting unknown fields, so a
 // typo in a job spec is a 400 at submission, not a silently-default run.
 func decodeStrict(raw json.RawMessage, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	return dec.Decode(v)
+}
+
+// checkRound reports whether round is an injection round of the cipher.
+func checkRound(cipher string, round int) error {
+	info, err := LookupCipher(cipher)
+	if err != nil {
 		return err
+	}
+	if round < 1 || round > info.Rounds {
+		return fmt.Errorf("round %d out of range 1..%d for %s", round, info.Rounds, cipher)
 	}
 	return nil
 }
 
-func parseKeyHex(s string) ([]byte, error) {
-	if s == "" {
-		return nil, nil
+// decodeJob decodes and sanity-checks a job spec's config document.
+func decodeJob(spec JobSpec) (job, error) {
+	switch spec.Type {
+	case server.TypeDiscover:
+		d := &discoverJob{}
+		if err := decodeStrict(spec.Config, d); err != nil {
+			return nil, err
+		}
+		return d, checkRound(d.Cipher, d.Round)
+	case server.TypeAssess:
+		a := &assessJob{}
+		if err := decodeStrict(spec.Config, a); err != nil {
+			return nil, err
+		}
+		if err := checkRound(a.Cipher, a.Round); err != nil {
+			return nil, err
+		}
+		if len(a.Bits) == 0 && len(a.Groups) == 0 {
+			return nil, fmt.Errorf("assess job needs bits or groups")
+		}
+		return a, nil
+	case server.TypeSweep:
+		s := &sweepJob{}
+		if err := decodeStrict(spec.Config, s); err != nil {
+			return nil, err
+		}
+		s.ShardLo, s.ShardHi = spec.ShardRange[0], spec.ShardRange[1]
+		_, err := LookupCipher(s.Cipher)
+		return s, err
 	}
-	key, err := hex.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("bad key hex: %v", err)
-	}
-	return key, nil
+	return nil, fmt.Errorf("unknown job type %q", spec.Type)
 }
 
 // Validate decodes and sanity-checks a job spec without running anything.
 func (jobRunner) Validate(spec JobSpec) error {
-	switch spec.Type {
-	case server.TypeDiscover:
-		var d discoverJob
-		if err := decodeStrict(spec.Config, &d); err != nil {
-			return err
-		}
-		if _, err := parseKeyHex(d.Key); err != nil {
-			return err
-		}
-		info, err := LookupCipher(d.Cipher)
-		if err != nil {
-			return err
-		}
-		if d.Round < 1 || d.Round > info.Rounds {
-			return fmt.Errorf("round %d out of range 1..%d for %s", d.Round, info.Rounds, d.Cipher)
-		}
-		return nil
-	case server.TypeAssess:
-		var a assessJob
-		if err := decodeStrict(spec.Config, &a); err != nil {
-			return err
-		}
-		if _, err := parseKeyHex(a.Key); err != nil {
-			return err
-		}
-		info, err := LookupCipher(a.Cipher)
-		if err != nil {
-			return err
-		}
-		if a.Round < 1 || a.Round > info.Rounds {
-			return fmt.Errorf("round %d out of range 1..%d for %s", a.Round, info.Rounds, a.Cipher)
-		}
-		if len(a.Bits) == 0 && len(a.Groups) == 0 {
-			return fmt.Errorf("assess job needs bits or groups")
-		}
-		return nil
-	case server.TypeSweep:
-		var s sweepJob
-		if err := decodeStrict(spec.Config, &s); err != nil {
-			return err
-		}
-		if _, err := parseKeyHex(s.Key); err != nil {
-			return err
-		}
-		_, err := LookupCipher(s.Cipher)
-		return err
-	default:
-		return fmt.Errorf("unknown job type %q", spec.Type)
-	}
+	_, err := decodeJob(spec)
+	return err
 }
 
 // Run executes a job. Every result document is deterministic — a pure
@@ -246,51 +211,20 @@ func (jobRunner) Validate(spec JobSpec) error {
 // so an interrupted-and-resumed job finishes with bytes identical to an
 // uninterrupted run.
 func (jobRunner) Run(ctx context.Context, spec JobSpec, files server.Files, metrics *obs.Registry, events *obs.Emitter) (json.RawMessage, error) {
-	switch spec.Type {
-	case server.TypeDiscover:
-		return runDiscoverJob(ctx, spec, files, metrics, events)
-	case server.TypeAssess:
-		return runAssessJob(ctx, spec, metrics, events)
-	case server.TypeSweep:
-		return runSweepJob(ctx, spec, files, metrics, events)
-	}
-	return nil, fmt.Errorf("unknown job type %q", spec.Type)
-}
-
-func runDiscoverJob(ctx context.Context, spec JobSpec, files server.Files, metrics *obs.Registry, events *obs.Emitter) (json.RawMessage, error) {
-	var d discoverJob
-	if err := decodeStrict(spec.Config, &d); err != nil {
-		return nil, err
-	}
-	key, err := parseKeyHex(d.Key)
+	j, err := decodeJob(spec)
 	if err != nil {
 		return nil, err
 	}
-	res, err := DiscoverContext(ctx, DiscoverConfig{
-		Cipher:           d.Cipher,
-		Key:              key,
-		Round:            d.Round,
-		Protected:        d.Protected,
-		FaultModels:      d.FaultModels,
-		Oracle:           d.Oracle,
-		Episodes:         d.Episodes,
-		NumEnvs:          d.NumEnvs,
-		Samples:          d.Samples,
-		Seed:             d.Seed,
-		LinearReward:     d.LinearReward,
-		RewardAtEachStep: d.RewardAtEachStep,
-		EpisodeLen:       d.EpisodeLen,
-		Workers:          d.Workers,
-		NoBatch:          d.NoBatch,
-		NoOracleCache:    d.NoOracleCache,
-		CacheCapacity:    d.CacheCapacity,
-		MaxHarvest:       d.MaxHarvest,
-		CheckpointEvery:  d.CheckpointEvery,
-		Checkpoint:       files.Checkpoint,
-		Resume:           true, // missing checkpoint starts fresh; present resumes
-		Metrics:          metrics,
-		Events:           events,
-	})
+	return j.run(ctx, files, metrics, events)
+}
+
+func (d *discoverJob) run(ctx context.Context, files server.Files, metrics *obs.Registry, events *obs.Emitter) (json.RawMessage, error) {
+	cfg := d.DiscoverConfig
+	cfg.Key = d.Key
+	cfg.Checkpoint = files.Checkpoint
+	cfg.Resume = true // missing checkpoint starts fresh; present resumes
+	cfg.Metrics, cfg.Events = metrics, events
+	res, err := DiscoverContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -317,8 +251,8 @@ func runDiscoverJob(ctx context.Context, spec JobSpec, files server.Files, metri
 	// absent: they are wall-clock, and the result must be bit-identical
 	// across daemon restarts.
 	return json.Marshal(map[string]any{
-		"cipher":   d.Cipher,
-		"round":    d.Round,
+		"cipher":   cfg.Cipher,
+		"round":    cfg.Round,
 		"bits":     res.Converged.Bits(),
 		"t":        res.ConvergedT,
 		"leaky":    res.ConvergedLeaky,
@@ -328,58 +262,51 @@ func runDiscoverJob(ctx context.Context, spec JobSpec, files server.Files, metri
 	})
 }
 
-func runAssessJob(ctx context.Context, spec JobSpec, metrics *obs.Registry, events *obs.Emitter) (json.RawMessage, error) {
-	var a assessJob
-	if err := decodeStrict(spec.Config, &a); err != nil {
-		return nil, err
+// pattern builds the job's fault pattern over stateBits: from bit indices,
+// or else from groups of groupBits bits.
+func (a *assessJob) pattern(stateBits, groupBits int) (Pattern, error) {
+	if len(a.Bits) > 0 {
+		for _, b := range a.Bits {
+			if b < 0 || b >= stateBits {
+				return Pattern{}, fmt.Errorf("bit %d out of range 0..%d", b, stateBits-1)
+			}
+		}
+		return PatternFromBits(stateBits, a.Bits...), nil
 	}
-	key, err := parseKeyHex(a.Key)
-	if err != nil {
-		return nil, err
+	groups := stateBits / groupBits
+	for _, g := range a.Groups {
+		if g < 0 || g >= groups {
+			return Pattern{}, fmt.Errorf("group %d out of range 0..%d", g, groups-1)
+		}
 	}
+	return PatternFromGroups(stateBits, groupBits, a.Groups...), nil
+}
+
+func (a *assessJob) run(ctx context.Context, _ server.Files, metrics *obs.Registry, events *obs.Emitter) (json.RawMessage, error) {
 	info, err := LookupCipher(a.Cipher)
 	if err != nil {
 		return nil, err
 	}
 	stateBits := info.BlockBytes * 8
+	assess := AssessContext
 	if a.Protected {
 		stateBits *= 2
+		assess = AssessProtectedContext
 	}
-	var pattern Pattern
-	if len(a.Bits) > 0 {
-		pattern = PatternFromBits(stateBits, a.Bits...)
-	} else {
-		pattern = PatternFromGroups(stateBits, info.GroupBits, a.Groups...)
+	pattern, err := a.pattern(stateBits, info.GroupBits)
+	if err != nil {
+		return nil, err
 	}
-	cfg := AssessConfig{
-		Cipher:     a.Cipher,
-		Key:        key,
-		Round:      a.Round,
-		Samples:    a.Samples,
-		MaxOrder:   a.MaxOrder,
-		FixedOrder: a.FixedOrder,
-		Threshold:  a.Threshold,
-		GroupBits:  a.GroupBits,
-		FaultModel: a.FaultModel,
-		Oracle:     a.Oracle,
-		Workers:    a.Workers,
-		NoBatch:    a.NoBatch,
-		Seed:       a.Seed,
-		Metrics:    metrics,
-		Events:     events,
-	}
-	var res Assessment
-	if a.Protected {
-		res, err = AssessProtectedContext(ctx, pattern, cfg)
-	} else {
-		res, err = AssessContext(ctx, pattern, cfg)
-	}
+	cfg := a.AssessConfig
+	cfg.Key = a.Key
+	cfg.Metrics, cfg.Events = metrics, events
+	res, err := assess(ctx, pattern, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(map[string]any{
-		"cipher":    a.Cipher,
-		"round":     a.Round,
+		"cipher":    cfg.Cipher,
+		"round":     cfg.Round,
 		"t":         res.T,
 		"leaky":     res.Leaky,
 		"threshold": res.Threshold,
@@ -388,39 +315,12 @@ func runAssessJob(ctx context.Context, spec JobSpec, metrics *obs.Registry, even
 	})
 }
 
-func runSweepJob(ctx context.Context, spec JobSpec, files server.Files, metrics *obs.Registry, events *obs.Emitter) (json.RawMessage, error) {
-	var s sweepJob
-	if err := decodeStrict(spec.Config, &s); err != nil {
-		return nil, err
-	}
-	key, err := parseKeyHex(s.Key)
-	if err != nil {
-		return nil, err
-	}
-	atlas, err := Sweep(ctx, SweepConfig{
-		Cipher:     s.Cipher,
-		Key:        key,
-		Rounds:     s.Rounds,
-		GranBits:   s.GranBits,
-		Models:     s.Models,
-		Oracle:     s.Oracle,
-		Samples:    s.Samples,
-		MaxOrder:   s.MaxOrder,
-		GroupBits:  s.GroupBits,
-		Threshold:  s.Threshold,
-		Lag:        s.Lag,
-		Window:     s.Window,
-		Order2:     s.Order2,
-		Order2Cap:  s.Order2Cap,
-		ShardLo:    spec.ShardRange[0],
-		ShardHi:    spec.ShardRange[1],
-		Workers:    s.Workers,
-		NoBatch:    s.NoBatch,
-		Seed:       s.Seed,
-		Checkpoint: files.Checkpoint,
-		Metrics:    metrics,
-		Events:     events,
-	})
+func (s *sweepJob) run(ctx context.Context, files server.Files, metrics *obs.Registry, events *obs.Emitter) (json.RawMessage, error) {
+	cfg := s.SweepConfig
+	cfg.Key = s.Key
+	cfg.Checkpoint = files.Checkpoint
+	cfg.Metrics, cfg.Events = metrics, events
+	atlas, err := Sweep(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -433,11 +333,11 @@ func runSweepJob(ctx context.Context, spec JobSpec, files server.Files, metrics 
 	}
 	sum := sha256.Sum256(canon)
 	return json.Marshal(map[string]any{
-		"cipher":      s.Cipher,
+		"cipher":      cfg.Cipher,
 		"cells":       atlas.Summary.Cells,
 		"exploitable": atlas.Summary.Exploitable,
 		"max_t":       atlas.Summary.MaxT,
-		"shard_range": spec.ShardRange,
+		"shard_range": [2]int{cfg.ShardLo, cfg.ShardHi},
 		"sha256":      hex.EncodeToString(sum[:]),
 		"atlas":       filepath.Base(files.Output),
 	})

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -543,4 +544,114 @@ func sweepResultDoc(cfg SweepConfig, atlasFile string) (map[string]any, error) {
 		"max_t": atlas.Summary.MaxT, "shard_range": [2]int{cfg.ShardLo, cfg.ShardHi},
 		"sha256": hex.EncodeToString(sum[:]), "atlas": atlasFile,
 	})
+}
+
+// TestBadJobValuesFail pins that job values no engine can run with end
+// the job failed, with an error naming the value, instead of panicking
+// in a worker and taking the daemon down; the worker then runs the next
+// job.
+func TestBadJobValuesFail(t *testing.T) {
+	s, err := NewJobServer(JobServerConfig{DataDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range []struct{ typ, config, want string }{
+		{"assess", `{"cipher":"gift64","round":25,"bits":[64]}`, "bit 64 "},
+		{"assess", `{"cipher":"gift64","round":25,"bits":[-1]}`, "bit -1 "},
+		{"assess", `{"cipher":"gift64","round":25,"groups":[16]}`, "group 16 "},
+		{"assess", `{"cipher":"gift64","round":25,"groups":[-1]}`, "group -1 "},
+		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[128]}`, "bit 128 "},
+		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":-1}`, "max order -1 "},
+		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"max_order":-1}`, "max order -1 "},
+		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":1}`, "samples 1 "},
+		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":-3}`, "samples -3 "},
+		{"sweep", `{"cipher":"gift64","rounds":[25],"max_order":-1}`, "max order -1 "},
+		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"num_envs":-1}`, "NumEnvs -1 "},
+		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":1}`, "samples 1 "},
+		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":-4}`, "samples -4 "},
+	} {
+		j, err := s.Submit(JobSpec{Type: tc.typ, Config: json.RawMessage(tc.config)})
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.typ, tc.config, err)
+		}
+		got := waitJobState(t, s, j.ID, func(j *JobRecord) bool { return j.State.Terminal() })
+		if got.State != server.StateFailed || !strings.Contains(got.Error, tc.want) {
+			t.Errorf("%s %s: state %s (%q), want failed naming %q", tc.typ, tc.config, got.State, got.Error, tc.want)
+		}
+	}
+	j, err := s.Submit(JobSpec{Type: "assess", Config: json.RawMessage(
+		`{"cipher":"gift64","round":25,"bits":[1],"samples":64}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitJobState(t, s, j.ID, func(j *JobRecord) bool { return j.State.Terminal() }); got.State != server.StateDone {
+		t.Fatalf("follow-up job state = %s (%s)", got.State, got.Error)
+	}
+}
+
+// TestEntryPointsRejectBadValues pins the library side of
+// TestBadJobValuesFail: the entry points return errors for the same
+// values.
+func TestEntryPointsRejectBadValues(t *testing.T) {
+	ctx := context.Background()
+	one := PatternFromBits(64, 1)
+	both := PatternFromBits(128, 1, 65)
+	assess := AssessConfig{Cipher: "gift64", Round: 25, Samples: 64}
+	discover := DiscoverConfig{Cipher: "gift64", Round: 25, Episodes: 8}
+	for _, tc := range []struct {
+		name string
+		err  func() error
+	}{
+		{"assess max order -1", func() error {
+			cfg := assess
+			cfg.MaxOrder = -1
+			_, err := AssessContext(ctx, one, cfg)
+			return err
+		}},
+		{"protected max order -1", func() error {
+			cfg := assess
+			cfg.MaxOrder = -1
+			_, err := AssessProtectedContext(ctx, both, cfg)
+			return err
+		}},
+		{"protected samples 1", func() error {
+			cfg := assess
+			cfg.Samples = 1
+			_, err := AssessProtectedContext(ctx, both, cfg)
+			return err
+		}},
+		{"protected samples -3", func() error {
+			cfg := assess
+			cfg.Samples = -3
+			_, err := AssessProtectedContext(ctx, both, cfg)
+			return err
+		}},
+		{"discover num envs -1", func() error {
+			cfg := discover
+			cfg.NumEnvs = -1
+			_, err := DiscoverContext(ctx, cfg)
+			return err
+		}},
+		{"discover samples 1", func() error {
+			cfg := discover
+			cfg.Samples = 1
+			_, err := DiscoverContext(ctx, cfg)
+			return err
+		}},
+		{"discover samples -4", func() error {
+			cfg := discover
+			cfg.Samples = -4
+			_, err := DiscoverContext(ctx, cfg)
+			return err
+		}},
+		{"sweep max order -1", func() error {
+			_, err := Sweep(ctx, SweepConfig{Cipher: "gift64", Rounds: []int{25}, MaxOrder: -1})
+			return err
+		}},
+	} {
+		if tc.err() == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+	}
 }
