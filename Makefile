@@ -1,5 +1,4 @@
 GO ?= go
-GOFMT ?= gofmt
 BENCH_OUT ?= BENCH_pr10.json
 BENCH_BASE ?= BENCH_pr9.json
 BENCH_LABEL ?= after
@@ -24,7 +23,7 @@ check: fmt-check vet race
 
 # Fails when a tracked Go file is not gofmt-clean, listing the files.
 fmt-check:
-	@unformatted=$$(git ls-files '*.go' | xargs $(GOFMT) -l); \
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
 	fi

@@ -3,11 +3,11 @@
 // with Reinforcement Learning" (DAC 2023).
 //
 // The package wires together the internal substrates — trace-level cipher
-// implementations (AES-128, GIFT-64/128, PRESENT-80, SIMON, SPECK), the fault-simulation
-// engine, the higher-order Welch t-test leakage oracle, a from-scratch PPO
-// agent, the fault-model abstraction pipeline, the duplication
-// countermeasure, and the ExpFault-style key-recovery verifier — behind
-// three entry points:
+// implementations (AES-128, GIFT-64/128, PRESENT-80, SIMON, SPECK), the
+// fault-simulation engine, the higher-order Welch t-test leakage oracle, a
+// from-scratch PPO agent, the fault-model abstraction pipeline, the
+// duplication countermeasure, and the ExpFault-style key-recovery
+// verifier — behind three entry points:
 //
 //   - Discover runs a full RL discovery session against a cipher
 //     (protected or unprotected) and returns the converged fault pattern

@@ -1,7 +1,9 @@
 // Package evaluate is the unified evaluation engine behind every
 // exploitability measurement in the repository: the unprotected leakage
-// oracle, the duplication-countermeasure oracle, Discover/Assess, the
-// bench harness and the CLIs all route their fault campaigns through it.
+// oracle, Discover/Assess, the sweep, the bench harness and the CLIs all
+// route their fault campaigns through it, and an Engine is the one oracle
+// configuration below the public API — the duplication-countermeasure
+// oracle is built from one and shards its campaigns with RunSharded.
 //
 // The engine combines three mechanisms:
 //

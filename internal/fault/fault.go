@@ -2,7 +2,7 @@
 // (correct, faulty) encryptions over random plaintexts, injecting faults
 // drawn from a bit pattern into a chosen round, and collects the state
 // differentials at configurable observation points as grouped trace
-// matrices ready for the t-test machinery in internal/leakage.
+// matrices ready for the t-test machinery in internal/evaluate.
 package fault
 
 import (

@@ -595,63 +595,30 @@ func TestBadJobValuesFail(t *testing.T) {
 // values.
 func TestEntryPointsRejectBadValues(t *testing.T) {
 	ctx := context.Background()
-	one := PatternFromBits(64, 1)
-	both := PatternFromBits(128, 1, 65)
-	assess := AssessConfig{Cipher: "gift64", Round: 25, Samples: 64}
-	discover := DiscoverConfig{Cipher: "gift64", Round: 25, Episodes: 8}
-	for _, tc := range []struct {
-		name string
-		err  func() error
-	}{
-		{"assess max order -1", func() error {
-			cfg := assess
-			cfg.MaxOrder = -1
-			_, err := AssessContext(ctx, one, cfg)
-			return err
-		}},
-		{"protected max order -1", func() error {
-			cfg := assess
-			cfg.MaxOrder = -1
-			_, err := AssessProtectedContext(ctx, both, cfg)
-			return err
-		}},
-		{"protected samples 1", func() error {
-			cfg := assess
-			cfg.Samples = 1
-			_, err := AssessProtectedContext(ctx, both, cfg)
-			return err
-		}},
-		{"protected samples -3", func() error {
-			cfg := assess
-			cfg.Samples = -3
-			_, err := AssessProtectedContext(ctx, both, cfg)
-			return err
-		}},
-		{"discover num envs -1", func() error {
-			cfg := discover
-			cfg.NumEnvs = -1
-			_, err := DiscoverContext(ctx, cfg)
-			return err
-		}},
-		{"discover samples 1", func() error {
-			cfg := discover
-			cfg.Samples = 1
-			_, err := DiscoverContext(ctx, cfg)
-			return err
-		}},
-		{"discover samples -4", func() error {
-			cfg := discover
-			cfg.Samples = -4
-			_, err := DiscoverContext(ctx, cfg)
-			return err
-		}},
-		{"sweep max order -1", func() error {
-			_, err := Sweep(ctx, SweepConfig{Cipher: "gift64", Rounds: []int{25}, MaxOrder: -1})
-			return err
-		}},
+	assess := func(f func(context.Context, Pattern, AssessConfig) (Assessment, error), p Pattern, cfg AssessConfig) error {
+		cfg.Cipher, cfg.Round = "gift64", 25
+		_, err := f(ctx, p, cfg)
+		return err
+	}
+	discover := func(cfg DiscoverConfig) error {
+		cfg.Cipher, cfg.Round, cfg.Episodes = "gift64", 25, 8
+		_, err := DiscoverContext(ctx, cfg)
+		return err
+	}
+	_, sweepErr := Sweep(ctx, SweepConfig{Cipher: "gift64", Rounds: []int{25}, MaxOrder: -1})
+	one, both := PatternFromBits(64, 1), PatternFromBits(128, 1, 65)
+	for name, err := range map[string]error{
+		"assess max order -1":    assess(AssessContext, one, AssessConfig{MaxOrder: -1}),
+		"protected max order -1": assess(AssessProtectedContext, both, AssessConfig{MaxOrder: -1}),
+		"protected samples 1":    assess(AssessProtectedContext, both, AssessConfig{Samples: 1}),
+		"protected samples -3":   assess(AssessProtectedContext, both, AssessConfig{Samples: -3}),
+		"discover num envs -1":   discover(DiscoverConfig{NumEnvs: -1}),
+		"discover samples 1":     discover(DiscoverConfig{Samples: 1}),
+		"discover samples -4":    discover(DiscoverConfig{Samples: -4}),
+		"sweep max order -1":     sweepErr,
 	} {
-		if tc.err() == nil {
-			t.Errorf("%s: no error", tc.name)
+		if err == nil {
+			t.Errorf("%s: no error", name)
 		}
 	}
 }
