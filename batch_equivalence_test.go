@@ -136,10 +136,9 @@ func TestBatchScalarEquivalence(t *testing.T) {
 // TestBatchScalarEquivalenceModels extends the golden-vector table along
 // the fault-model axis: every registered cipher × typed fault model must
 // produce bit-identical trace matrices and merged accumulator sums on the
-// batch and scalar paths for worker counts 1 and 4. This covers all three
-// dispatch tiers of EncryptForksOps: the XOR-only hot path (XorFlip), the
-// FaultKernel (AND, XOR) lanes where a kernel has them, and the automatic
-// scalar fallback where it does not.
+// batch and scalar paths for worker counts 1 and 4. This covers both
+// halves of the kernels' injection op: the XOR-only hot path (XorFlip) and
+// the (AND, XOR) lanes of the other models.
 func TestBatchScalarEquivalenceModels(t *testing.T) {
 	const samples = 200
 	keyRng := prng.New(0xfade)

@@ -498,9 +498,9 @@ func benchEncryptForks(b *testing.B, name string, round int, batch bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batch {
-			kern.EncryptForks(round, points, traces, pts, masks, states, cts)
+			kern.EncryptForksOps(round, points, traces, pts, masks, nil, states, cts)
 		} else {
-			ciphers.ScalarForks(c, round, points, traces, pts, masks, states, cts)
+			ciphers.ScalarForksOps(c, round, points, traces, pts, masks, nil, states, cts)
 		}
 	}
 }

@@ -114,12 +114,7 @@ func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
 	return &batchKernel{c: c}
 }
 
-// EncryptForks implements ciphers.BatchKernel.
-func (k *batchKernel) EncryptForks(round int, points []ciphers.BatchPoint, n int, pts []byte, masks, states, cts [][]byte) {
-	k.EncryptForksOps(round, points, n, pts, masks, nil, states, cts)
-}
-
-// EncryptForksOps implements ciphers.FaultKernel: the AND half of the
+// EncryptForksOps implements ciphers.BatchKernel: the AND half of the
 // injection pair costs four extra word ANDs per faulted branch, applied to
 // the fork snapshot before the XOR half.
 func (k *batchKernel) EncryptForksOps(round int, points []ciphers.BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {

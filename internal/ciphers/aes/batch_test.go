@@ -26,7 +26,7 @@ func TestTTablesMatchReference(t *testing.T) {
 }
 
 // TestBatchKernelMatchesScalar cross-checks the T-table fork kernel
-// against the scalar reference path (ScalarForks): ciphertexts and every
+// against the scalar reference path (ScalarForksOps): ciphertexts and every
 // captured point state must be bit-identical for clean and faulted
 // branches alike.
 func TestBatchKernelMatchesScalar(t *testing.T) {
@@ -70,9 +70,9 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 					return states, cts
 				}
 				wantStates, wantCts := mkBufs()
-				ciphers.ScalarForks(c, round, points, n, pts, masks, wantStates, wantCts)
+				ciphers.ScalarForksOps(c, round, points, n, pts, masks, nil, wantStates, wantCts)
 				gotStates, gotCts := mkBufs()
-				kern.EncryptForks(round, points, n, pts, masks, gotStates, gotCts)
+				kern.EncryptForksOps(round, points, n, pts, masks, nil, gotStates, gotCts)
 				for f := range masks {
 					if !bytes.Equal(gotStates[f], wantStates[f]) {
 						t.Errorf("branch %d point states differ from scalar path", f)

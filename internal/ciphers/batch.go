@@ -1,16 +1,16 @@
-// Batched paired-trace encryption: the optional fast path behind the
-// fault-simulation engine.
+// Batched paired-trace encryption: the fork engine behind every fault
+// simulation.
 //
 // A fault campaign encrypts every plaintext at least twice — once cleanly
 // and once per faulty branch — and the two computations coincide on every
 // round before the injection point. The batch API exposes exactly that
-// structure: one EncryptForks call runs the shared prefix (rounds
+// structure: one EncryptForksOps call runs the shared prefix (rounds
 // 1..round-1) once per plaintext, snapshots the state, and forks each
 // branch from the snapshot, so the redundant prefix work is paid once
-// instead of once per branch. Implementations additionally replace the
-// byte-at-a-time reference round functions with word-oriented kernels
+// instead of once per branch. Kernels additionally replace the
+// byte-at-a-time reference round functions with word-oriented code
 // (T-table AES, bitsliced GIFT); both optimizations are exactness
-// preserving and cross-checked against the scalar path by the test suite.
+// preserving and cross-checked against ScalarForksOps by the test suite.
 package ciphers
 
 import "fmt"
@@ -26,8 +26,8 @@ type BatchPoint struct {
 }
 
 // BatchEncrypter is the optional capability interface of ciphers that
-// provide a batched fork kernel. Ciphers without it fall back to the
-// scalar reference path (ScalarForks).
+// provide a batched fork kernel. Ciphers without it run the scalar
+// reference path (ScalarForksOps).
 type BatchEncrypter interface {
 	Cipher
 	// NewBatchKernel returns a reusable kernel holding the scratch state
@@ -36,80 +36,49 @@ type BatchEncrypter interface {
 	NewBatchKernel() BatchKernel
 }
 
-// BatchKernel encrypts batches of plaintexts with shared-prefix forking.
-type BatchKernel interface {
-	// EncryptForks processes n plaintexts. Plaintext i occupies
-	// pts[i*BlockBytes():(i+1)*BlockBytes()] in the same byte order as
-	// Encrypt's src. For each plaintext the kernel runs rounds
-	// 1..round-1 once, then forks one branch per entry of masks: branch
-	// f XORs masks[f][i*bb:(i+1)*bb] (repository bit order, like
-	// Fault.Mask) into the snapshot at the input of round `round`; a nil
-	// masks[f] is the clean branch. After the forked rounds complete,
-	// branch f's state at observation point j of trace i is written to
-	// states[f][(i*len(points)+j)*bb:...] (nil states[f] skips point
-	// capture) and its ciphertext — in Encrypt's dst byte order — to
-	// cts[f][i*bb:(i+1)*bb] (nil cts[f] skips it). Every point must
-	// satisfy Round == 0 or round <= Round <= Rounds().
-	//
-	// The result is bit-identical to running Encrypt once per (trace,
-	// branch) with the corresponding Fault and Trace.
-	EncryptForks(round int, points []BatchPoint, n int, pts []byte, masks, states, cts [][]byte)
+// NewKernel returns a new fork kernel for c, or nil — the scalar
+// reference path of EncryptForksOps — when c has none or noBatch is set.
+func NewKernel(c Cipher, noBatch bool) BatchKernel {
+	if be, ok := c.(BatchEncrypter); ok && !noBatch {
+		return be.NewBatchKernel()
+	}
+	return nil
 }
 
-// FaultKernel is the optional extension of BatchKernel for kernels that
-// support the generalized injection op: branch f of trace i replaces the
-// fork snapshot with (state AND ands[f][i*bb:]) XOR xors[f][i*bb:], a nil
-// ands[f] meaning all-ones and a nil xors[f] meaning all-zero (both nil is
-// the clean branch). The AND half is what stuck-at faults need — a lane-
-// wise AND clears the stuck-at-0 bits, and the XOR half re-sets the
-// stuck-at-1 ones — and is cheap in both word-oriented and bitsliced
-// kernels (one extra AND per state word/lane). Kernels without this
-// interface are driven through the scalar fallback by EncryptForksOps.
-type FaultKernel interface {
-	BatchKernel
-	// EncryptForksOps is EncryptForks with the (AND, XOR) injection pair
-	// per branch instead of an XOR mask only.
+// BatchKernel encrypts batches of plaintexts with shared-prefix forking.
+type BatchKernel interface {
+	// EncryptForksOps processes n plaintexts. Plaintext i occupies
+	// pts[i*BlockBytes():(i+1)*BlockBytes()] in the same byte order as
+	// Encrypt's src. For each plaintext the kernel runs rounds
+	// 1..round-1 once, then forks one branch per entry of xors: branch
+	// f replaces the snapshot at the input of round `round` with
+	// (state AND ands[f][i*bb:]) XOR xors[f][i*bb:] (repository bit
+	// order, like Fault). A nil ands or ands[f] means all-ones and a nil
+	// xors[f] all-zero, so a branch with neither is the clean branch.
+	// After the forked rounds complete, branch f's state at observation
+	// point j of trace i is written to states[f][(i*len(points)+j)*bb:...]
+	// (nil states[f] skips point capture) and its ciphertext — in
+	// Encrypt's dst byte order — to cts[f][i*bb:(i+1)*bb] (nil cts[f]
+	// skips it). Every point must satisfy Round == 0 or
+	// round <= Round <= Rounds().
+	//
+	// The result is bit-identical to running Encrypt once per (trace,
+	// branch) with the corresponding Fault and Trace (ScalarForksOps).
 	EncryptForksOps(round int, points []BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte)
 }
 
-// EncryptForksOps runs one generalized-injection batch through the best
-// available engine: the plain batch kernel when no branch carries an AND
-// mask (the XorFlip hot path, unchanged), the kernel's FaultKernel
-// extension when it has one, and otherwise the scalar reference path —
-// the automatic fallback that keeps exotic fault models correct on
-// kernels that only speak XOR. kern may be nil to force the scalar path.
+// EncryptForksOps runs one batch through kern, or through the scalar
+// reference path ScalarForksOps when kern is nil.
 func EncryptForksOps(c Cipher, kern BatchKernel, round int, points []BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
-	andFree := true
-	for _, a := range ands {
-		if a != nil {
-			andFree = false
-			break
-		}
-	}
-	if andFree {
-		if kern != nil {
-			kern.EncryptForks(round, points, n, pts, xors, states, cts)
-			return
-		}
-		ScalarForks(c, round, points, n, pts, xors, states, cts)
+	if kern == nil {
+		ScalarForksOps(c, round, points, n, pts, xors, ands, states, cts)
 		return
 	}
-	if fk, ok := kern.(FaultKernel); ok {
-		fk.EncryptForksOps(round, points, n, pts, xors, ands, states, cts)
-		return
-	}
-	ScalarForksOps(c, round, points, n, pts, xors, ands, states, cts)
+	kern.EncryptForksOps(round, points, n, pts, xors, ands, states, cts)
 }
 
-// ValidateForks panics if an EncryptForks call is malformed for cipher c.
-// Kernels and ScalarForks call it at the top of every batch.
-func ValidateForks(c Cipher, round int, points []BatchPoint, n int, pts []byte, masks, states, cts [][]byte) {
-	ValidateForksOps(c, round, points, n, pts, masks, nil, states, cts)
-}
-
-// ValidateForksOps is ValidateForks for the generalized injection op: it
-// additionally checks the AND-mask buffers (ands may be nil for the
-// XOR-only contract).
+// ValidateForksOps panics if an EncryptForksOps call is malformed for
+// cipher c. Kernels and ScalarForksOps call it at the top of every batch.
 func ValidateForksOps(c Cipher, round int, points []BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
 	bb := c.BlockBytes()
 	if round < 1 || round > c.Rounds() {
@@ -148,20 +117,12 @@ func ValidateForksOps(c Cipher, round int, points []BatchPoint, n int, pts []byt
 	}
 }
 
-// ScalarForks is the reference implementation of the EncryptForks
+// ScalarForksOps is the reference implementation of the BatchKernel
 // contract for an arbitrary Cipher: one full Encrypt per (trace, branch)
-// pair, with the requested point states copied out of a Trace. It is the
-// fallback for ciphers without a batch kernel and the oracle that batch
-// kernels are verified against.
-func ScalarForks(c Cipher, round int, points []BatchPoint, n int, pts []byte, masks, states, cts [][]byte) {
-	ScalarForksOps(c, round, points, n, pts, masks, nil, states, cts)
-}
-
-// ScalarForksOps is the reference implementation of the generalized
-// injection contract (see FaultKernel): one full Encrypt per (trace,
-// branch) with a Fault carrying both mask halves. It is the automatic
-// fallback of EncryptForksOps for kernels without AND support, and the
-// oracle every FaultKernel is verified against.
+// with a Fault carrying both mask halves, and the requested point states
+// copied out of a Trace. It runs ciphers without a kernel and callers
+// that ask for the reference path, and every kernel is verified against
+// it.
 func ScalarForksOps(c Cipher, round int, points []BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
 	ValidateForksOps(c, round, points, n, pts, xors, ands, states, cts)
 	bb, np := c.BlockBytes(), len(points)

@@ -76,11 +76,9 @@ func FuzzEncryptDecrypt(f *testing.F) {
 // FuzzBatchScalarEquivalence cross-checks the batched fork kernels
 // against the scalar reference path on arbitrary keys, plaintext batches,
 // (XOR, AND) injection pairs, rounds and observation points. An empty
-// andMaterial exercises the historical XOR-only path (EncryptForks); a
-// non-empty one drives the generalized injection op through
-// EncryptForksOps, which picks the kernel's FaultKernel lanes when it has
-// them and the automatic scalar fallback when it does not. This is the
-// exactness contract the fault-campaign fast path rests on.
+// andMaterial exercises the XOR-only injection (nil AND masks); a
+// non-empty one adds the kernel's AND lanes. This is the exactness
+// contract the fault-campaign fast path rests on.
 func FuzzBatchScalarEquivalence(f *testing.F) {
 	f.Add(byte(0), byte(8), byte(3), []byte("k"), []byte("p"), []byte{0x01}, []byte{})
 	f.Add(byte(2), byte(25), byte(5), []byte{0xaa}, bytes.Repeat([]byte{0x0f}, 64), []byte{0x80, 0x01}, []byte{})

@@ -174,12 +174,7 @@ func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian b
 	}
 }
 
-// EncryptForks implements ciphers.BatchKernel.
-func (k *kernel) EncryptForks(round int, points []ciphers.BatchPoint, n int, pts []byte, masks, states, cts [][]byte) {
-	k.EncryptForksOps(round, points, n, pts, masks, nil, states, cts)
-}
-
-// EncryptForksOps implements ciphers.FaultKernel. In bitsliced form the
+// EncryptForksOps implements ciphers.BatchKernel. In bitsliced form the
 // AND half of the injection pair is one extra AND per lane word on the
 // faulted branch: the mask rows are transposed exactly like the XOR rows
 // and clamp all 64 traces of a lane at once. Dead lanes past bn are ANDed

@@ -104,9 +104,9 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 						return states, cts
 					}
 					wantStates, wantCts := mkBufs()
-					ciphers.ScalarForks(c, round, points, n, pts, masks, wantStates, wantCts)
+					ciphers.ScalarForksOps(c, round, points, n, pts, masks, nil, wantStates, wantCts)
 					gotStates, gotCts := mkBufs()
-					kern.EncryptForks(round, points, n, pts, masks, gotStates, gotCts)
+					kern.EncryptForksOps(round, points, n, pts, masks, nil, gotStates, gotCts)
 					for f := range masks {
 						if !bytes.Equal(gotStates[f], wantStates[f]) {
 							t.Errorf("branch %d point states differ from scalar path", f)

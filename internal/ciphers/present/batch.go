@@ -28,7 +28,7 @@ const laneBlock = 64
 // it the per-trace fork path wins.
 const bitsliceMin = 8
 
-// kernel implements ciphers.FaultKernel for PRESENT-80.
+// kernel implements ciphers.BatchKernel for PRESENT-80.
 type kernel struct {
 	c *Cipher
 	// lanes/tmp/snap are the bitsliced state, the permutation double
@@ -133,12 +133,7 @@ func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian b
 	}
 }
 
-// EncryptForks implements ciphers.BatchKernel.
-func (k *kernel) EncryptForks(round int, points []ciphers.BatchPoint, n int, pts []byte, masks, states, cts [][]byte) {
-	k.EncryptForksOps(round, points, n, pts, masks, nil, states, cts)
-}
-
-// EncryptForksOps implements ciphers.FaultKernel: the AND half of the
+// EncryptForksOps implements ciphers.BatchKernel: the AND half of the
 // injection pair is one extra AND per lane on the faulted branch, with
 // mask rows transposed exactly like the XOR rows. Dead lanes past bn are
 // ANDed with the zero padding, which is harmless because captures never

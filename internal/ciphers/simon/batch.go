@@ -25,7 +25,7 @@ const laneBlock = 64
 // bitsliceMin is the smallest block worth transposing into lanes.
 const bitsliceMin = 8
 
-// kernel implements ciphers.FaultKernel for both SIMON variants. The 2n
+// kernel implements ciphers.BatchKernel for both SIMON variants. The 2n
 // state bits map to lanes in repository order: lane i holds y bit i for
 // i < n and x bit i-n otherwise.
 type kernel struct {
@@ -150,12 +150,7 @@ func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian b
 	}
 }
 
-// EncryptForks implements ciphers.BatchKernel.
-func (k *kernel) EncryptForks(round int, points []ciphers.BatchPoint, n int, pts []byte, masks, states, cts [][]byte) {
-	k.EncryptForksOps(round, points, n, pts, masks, nil, states, cts)
-}
-
-// EncryptForksOps implements ciphers.FaultKernel: the AND half of the
+// EncryptForksOps implements ciphers.BatchKernel: the AND half of the
 // injection pair is one extra AND per lane on the faulted branch.
 func (k *kernel) EncryptForksOps(round int, points []ciphers.BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
 	ciphers.ValidateForksOps(k.c, round, points, n, pts, xors, ands, states, cts)

@@ -29,7 +29,7 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kern := c.NewBatchKernel().(ciphers.FaultKernel)
+		kern := c.NewBatchKernel()
 		bb := c.BlockBytes()
 		last := c.Rounds()
 		for _, round := range []int{1, last / 2, last - 2, last} {

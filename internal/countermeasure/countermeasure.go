@@ -126,8 +126,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 	groups := 8 * bb / o.cfg.GroupBits
 	seed := evaluate.PatternSeed(o.cfg.Seed, pattern, o.round)
 
-	be, batch := o.cipher.(ciphers.BatchEncrypter)
-	batch = batch && !o.cfg.NoBatch
+	batchPath := fault.BatchPathOf(o.cipher, o.cfg.NoBatch)
 
 	sp, ctx := trace.StartSpan(ctx, trace.SpanAssess)
 	defer sp.End()
@@ -148,8 +147,8 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 			"bits":        pattern.Count(),
 			"samples":     o.cfg.Samples,
 			"protected":   true,
-			"batch":       batch,
-			"batch_path":  fault.BatchPathOf(o.cipher, o.cfg.NoBatch),
+			"batch":       batchPath == "kernel",
+			"batch_path":  batchPath,
 			"fault_model": model.String(),
 			"oracle":      o.cfg.Oracle.String(),
 		})
@@ -164,11 +163,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 			ssp.SetAttr("samples", n)
 			ssp.OwnLane()
 			st := shardHist.Start()
-			var kern ciphers.BatchKernel
-			if batch {
-				kern = be.NewBatchKernel()
-			}
-			shardMuted := o.collect(kern, inj1, inj2, rng, n, shardAccs[0])
+			shardMuted := o.collect(ciphers.NewKernel(o.cipher, o.cfg.NoBatch), inj1, inj2, rng, n, shardAccs[0])
 			st.Stop()
 			muted.Add(int64(shardMuted))
 			ssp.End()
@@ -199,7 +194,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 			"muted_rate":  o.LastMutedRate,
 			"protected":   true,
 			"duration_ms": float64(wall) / float64(time.Millisecond),
-			"batch_path":  fault.BatchPathOf(o.cipher, o.cfg.NoBatch),
+			"batch_path":  batchPath,
 			"fault_model": model.String(),
 			"oracle":      o.cfg.Oracle.String(),
 		})

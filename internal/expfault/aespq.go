@@ -31,7 +31,7 @@ func AESPiretQuisquater(c *aes.Cipher, pairsPerColumn int, rng *prng.Source) (*K
 	if pairsPerColumn < 2 {
 		return nil, fmt.Errorf("expfault: need at least 2 pairs per column")
 	}
-	kern := batchKernelFor(c)
+	kern := ciphers.NewKernel(c, false)
 	// MixColumns coefficient column for a fault entering at row r:
 	// output byte i of the column gets mc[i][r]·z.
 	mc := [4][4]byte{

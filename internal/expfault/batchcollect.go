@@ -7,29 +7,26 @@ import (
 	"repro/internal/prng"
 )
 
-// batchKernelFor returns a fork kernel for c when it provides one, nil
-// otherwise (selecting the scalar reference path in EncryptForksOps).
-func batchKernelFor(c ciphers.Cipher) ciphers.BatchKernel {
-	if be, ok := c.(ciphers.BatchEncrypter); ok {
-		return be.NewBatchKernel()
-	}
-	return nil
-}
-
 // collectForks drives count (clean, faulty) paired encryptions through
-// the batched fork engine in 64-wide blocks and hands each pair's bytes
-// at the observation point to visit, in sample order. It is the batched
-// replacement for the DFA collection loops' per-pair Encrypt calls: the
-// shared prefix up to the fault round is computed once per plaintext
-// instead of twice, and the forked rounds run through the cipher's
-// bitsliced/word kernel.
+// the fork engine in 64-wide blocks and hands each pair's states to
+// visit, in sample order and, within a sample, in point order: visit(j,
+// clean, faulty) receives both branches' bytes at points[j]. A non-nil
+// kern computes the shared prefix up to the fault round once per
+// plaintext and runs the forked rounds through the cipher's
+// bitsliced/word kernel; a nil kern runs the scalar reference path.
 //
-// The PRNG draw order is the scalar loops' exactly — per sample, the
-// plaintext is filled first and the fault model drawn second, with no
-// other consumers in between — so the collected pairs are bit-identical
-// to the scalar path at any block size.
-func collectForks(c ciphers.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vector, model fault.Model, faultRound int, point ciphers.BatchPoint, count int, rng *prng.Source, visit func(clean, faulty []byte)) {
-	bb := c.BlockBytes()
+// Per sample the plaintext is filled first and the fault model drawn
+// second, with no other consumers in between, so the PRNG stream does not
+// depend on the block size or the path. An empty point list keeps the
+// draws and visits nothing.
+//
+// Uniform plaintexts make the state at the injection point uniform
+// regardless of key, so for every fault model the joint (state, fault)
+// distribution — and with it every later round's differential
+// distribution — is key-independent, which is all the offline templates
+// need.
+func collectForks(c ciphers.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vector, model fault.Model, faultRound int, points []ciphers.BatchPoint, count int, rng *prng.Source, visit func(j int, clean, faulty []byte)) {
+	bb, np := c.BlockBytes(), len(points)
 	inj := fault.NewInjector(*pattern, model, fault.RandomMask)
 	const block = 64
 	pts := make([]byte, block*bb)
@@ -40,21 +37,13 @@ func collectForks(c ciphers.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Ve
 	if inj.HasAnd() {
 		andBuf = make([]byte, block*bb)
 	}
-	stClean := make([]byte, block*bb)
-	stFault := make([]byte, block*bb)
-	points := []ciphers.BatchPoint{point}
-	xors := [][]byte{nil, xorBuf}
-	var ands [][]byte
-	if andBuf != nil {
-		ands = [][]byte{nil, andBuf}
-	}
+	stClean := make([]byte, block*np*bb)
+	stFault := make([]byte, block*np*bb)
+	xors, ands := [][]byte{nil, xorBuf}, [][]byte{nil, andBuf}
 	states := [][]byte{stClean, stFault}
 	cts := [][]byte{nil, nil}
 	for base := 0; base < count; base += block {
-		bn := count - base
-		if bn > block {
-			bn = block
-		}
+		bn := min(block, count-base)
 		for t := 0; t < bn; t++ {
 			rng.Fill(pts[t*bb : (t+1)*bb])
 			var xs, as []byte
@@ -67,8 +56,8 @@ func collectForks(c ciphers.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Ve
 			inj.Draw(xs, as, rng)
 		}
 		ciphers.EncryptForksOps(c, kern, faultRound, points, bn, pts, xors, ands, states, cts)
-		for t := 0; t < bn; t++ {
-			visit(stClean[t*bb:(t+1)*bb], stFault[t*bb:(t+1)*bb])
+		for t := 0; t < bn*np; t++ {
+			visit(t%np, stClean[t*bb:(t+1)*bb], stFault[t*bb:(t+1)*bb])
 		}
 	}
 }

@@ -71,6 +71,9 @@ func GIFT128DFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, 
 		return nil, fmt.Errorf("expfault: empty pattern")
 	}
 	rounds := target.Rounds() // 40
+	if err := cfg.check(rounds); err != nil {
+		return nil, err
+	}
 
 	tmplKey := make([]byte, 16)
 	rng.Fill(tmplKey)
@@ -78,43 +81,18 @@ func GIFT128DFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, 
 	if err != nil {
 		return nil, err
 	}
-	var tmplKern ciphers.BatchKernel
-	if !cfg.NoBatch {
-		tmplKern = batchKernelFor(tmplCipher)
-	}
-	tmpl40, err := diffTemplate128(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds, cfg.TemplateSamples, rng)
-	if err != nil {
-		return nil, err
-	}
-	tmpl39, err := diffTemplate128(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds-1, cfg.TemplateSamples, rng)
-	if err != nil {
-		return nil, err
-	}
+	tmplKern := ciphers.NewKernel(tmplCipher, cfg.NoBatch)
+	tmpl40 := diffTemplate128(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds, cfg.TemplateSamples, rng)
+	tmpl39 := diffTemplate128(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds-1, cfg.TemplateSamples, rng)
 
 	cc := make([]state128, cfg.Pairs)
 	cf := make([]state128, cfg.Pairs)
-	if !cfg.NoBatch {
-		p := 0
-		collectForks(target, batchKernelFor(target), pattern, cfg.Model, cfg.FaultRound,
-			ciphers.BatchPoint{Round: 0}, cfg.Pairs, rng, func(clean, faulty []byte) {
-				cc[p] = le128(clean)
-				cf[p] = le128(faulty)
-				p++
-			})
-	} else {
-		tr := ciphers.NewTrace(target)
-		pt := make([]byte, 16)
-		out := make([]byte, 16)
-		mf := newModelFault(pattern, cfg.Model, cfg.FaultRound)
-		for p := 0; p < cfg.Pairs; p++ {
-			rng.Fill(pt)
-			f := mf.draw(rng)
-			target.Encrypt(out, pt, nil, tr)
-			cc[p] = le128(tr.Ciphertext)
-			target.Encrypt(out, pt, f, tr)
-			cf[p] = le128(tr.Ciphertext)
-		}
-	}
+	p := 0
+	collectForks(target, ciphers.NewKernel(target, cfg.NoBatch), pattern, cfg.Model, cfg.FaultRound,
+		[]ciphers.BatchPoint{{Round: 0}}, cfg.Pairs, rng, func(_ int, clean, faulty []byte) {
+			cc[p], cf[p] = le128(clean), le128(faulty)
+			p++
+		})
 
 	guesses := 0.0
 	rk40 := recoverRoundKey128(cc, cf, tmpl40, rounds, cfg.MinMargin)
@@ -155,43 +133,30 @@ func GIFT128DFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, 
 	}, nil
 }
 
-// diffTemplate128 mirrors diffTemplate for the 32-nibble state: a
-// non-nil kern routes the paired simulations through the batched fork
-// engine, bit-identically to the scalar loop.
-func diffTemplate128(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vector, model fault.Model, faultRound, obsRound, samples int, rng *prng.Source) ([32][16]float64, error) {
+// diffTemplate128 mirrors diffTemplate for the 32-nibble state.
+func diffTemplate128(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vector, model fault.Model, faultRound, obsRound, samples int, rng *prng.Source) [32][16]float64 {
 	var hist [32][16]int
-	bin := func(d state128) {
+	var points []ciphers.BatchPoint
+	if obsRound >= faultRound {
+		points = []ciphers.BatchPoint{{Round: obsRound}}
+	} else {
+		for n := range hist {
+			hist[n][0] = samples
+		}
+	}
+	collectForks(c, kern, pattern, model, faultRound, points, samples, rng, func(_ int, clean, faulty []byte) {
+		d := le128(clean).xor(le128(faulty))
 		for n := 0; n < 32; n++ {
 			hist[n][d.nibble(n)]++
 		}
-	}
-	if kern != nil && faultRound <= obsRound {
-		collectForks(c, kern, pattern, model, faultRound,
-			ciphers.BatchPoint{Round: obsRound}, samples, rng, func(clean, faulty []byte) {
-				bin(le128(clean).xor(le128(faulty)))
-			})
-	} else {
-		tr := ciphers.NewTrace(c)
-		pt := make([]byte, 16)
-		out := make([]byte, 16)
-		mf := newModelFault(pattern, model, faultRound)
-		for s := 0; s < samples; s++ {
-			rng.Fill(pt)
-			f := mf.draw(rng)
-			c.Encrypt(out, pt, nil, tr)
-			clean := le128(tr.Inputs[obsRound-1])
-			c.Encrypt(out, pt, f, tr)
-			faulty := le128(tr.Inputs[obsRound-1])
-			bin(clean.xor(faulty))
-		}
-	}
+	})
 	var tmpl [32][16]float64
 	for n := 0; n < 32; n++ {
 		for v := 0; v < 16; v++ {
 			tmpl[n][v] = (float64(hist[n][v]) + 0.5) / (float64(samples) + 8)
 		}
 	}
-	return tmpl, nil
+	return tmpl
 }
 
 // recovery128 mirrors recovery with 32-bit round-key words.

@@ -13,14 +13,15 @@ import (
 
 // GIFTDFAConfig tunes the GIFT-64 differential fault attack.
 type GIFTDFAConfig struct {
-	// FaultRound is where the fault model injects (default 25, §IV-D).
+	// FaultRound is where the fault model injects (default 25, §IV-D;
+	// GIFT128DFA defaults to 37).
 	FaultRound int
 	// Pairs is the number of online faulty encryptions (default 1024;
 	// recovered bits grow with the pair count because acceptance is
 	// significance-gated).
 	Pairs int
 	// TemplateSamples sizes the attacker's offline simulation of the
-	// fault model's differential distributions (default 4096).
+	// fault model's differential distributions (default 8192).
 	TemplateSamples int
 	// MinMargin is the minimum significance (a one-sided t statistic of
 	// the per-pair log-likelihood gap between the best and second-best
@@ -36,11 +37,10 @@ type GIFTDFAConfig struct {
 	// guess-and-filter machinery works unchanged for stuck-at and
 	// random-value faults.
 	Model fault.Model
-	// NoBatch forces the per-pair scalar Encrypt loops for the offline
-	// templates and the online pair collection. The batched default
-	// drives the same PRNG stream through the cipher's fork kernel in
-	// 64-wide blocks and is bit-identical; the knob exists for
-	// benchmarking and cross-checks.
+	// NoBatch runs the offline templates and the online pair collection
+	// through the scalar reference path (ciphers.ScalarForksOps) instead
+	// of the cipher's fork kernel. Both draw the same PRNG stream and are
+	// bit-identical; the knob exists for benchmarking and cross-checks.
 	NoBatch bool
 }
 
@@ -57,6 +57,20 @@ func (c *GIFTDFAConfig) setDefaults() {
 	if c.MinMargin == 0 {
 		c.MinMargin = 4.5
 	}
+}
+
+// check reports the first out-of-range value of a defaulted config for a
+// cipher of the given round count.
+func (c *GIFTDFAConfig) check(rounds int) error {
+	switch {
+	case c.FaultRound < 1 || c.FaultRound > rounds:
+		return fmt.Errorf("expfault: fault round %d out of range (want 1..%d)", c.FaultRound, rounds)
+	case c.Pairs < 0:
+		return fmt.Errorf("expfault: pairs %d out of range (want 0 or more)", c.Pairs)
+	case c.TemplateSamples < 0:
+		return fmt.Errorf("expfault: template samples %d out of range (want 0 or more)", c.TemplateSamples)
+	}
+	return nil
 }
 
 // GIFTDFA mounts a nibble-wise guess-and-filter DFA against GIFT-64 for
@@ -93,6 +107,9 @@ func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng
 		return nil, fmt.Errorf("expfault: empty pattern")
 	}
 	rounds := target.Rounds() // 28
+	if err := cfg.check(rounds); err != nil {
+		return nil, err
+	}
 
 	// Offline phase: simulate the fault model under an attacker-chosen
 	// key to build per-nibble differential templates at the inputs of
@@ -104,44 +121,19 @@ func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng
 	if err != nil {
 		return nil, err
 	}
-	var tmplKern ciphers.BatchKernel
-	if !cfg.NoBatch {
-		tmplKern = batchKernelFor(tmplCipher)
-	}
-	tmpl28, err := diffTemplate(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds, cfg.TemplateSamples, rng)
-	if err != nil {
-		return nil, err
-	}
-	tmpl27, err := diffTemplate(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds-1, cfg.TemplateSamples, rng)
-	if err != nil {
-		return nil, err
-	}
+	tmplKern := ciphers.NewKernel(tmplCipher, cfg.NoBatch)
+	tmpl28 := diffTemplate(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds, cfg.TemplateSamples, rng)
+	tmpl27 := diffTemplate(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds-1, cfg.TemplateSamples, rng)
 
 	// Online phase: collect ciphertext pairs from the target.
 	cc := make([]uint64, cfg.Pairs)
 	cf := make([]uint64, cfg.Pairs)
-	if !cfg.NoBatch {
-		p := 0
-		collectForks(target, batchKernelFor(target), pattern, cfg.Model, cfg.FaultRound,
-			ciphers.BatchPoint{Round: 0}, cfg.Pairs, rng, func(clean, faulty []byte) {
-				cc[p] = le64(clean)
-				cf[p] = le64(faulty)
-				p++
-			})
-	} else {
-		tr := ciphers.NewTrace(target)
-		pt := make([]byte, 8)
-		out := make([]byte, 8)
-		mf := newModelFault(pattern, cfg.Model, cfg.FaultRound)
-		for p := 0; p < cfg.Pairs; p++ {
-			rng.Fill(pt)
-			f := mf.draw(rng)
-			target.Encrypt(out, pt, nil, tr)
-			cc[p] = le64(tr.Ciphertext)
-			target.Encrypt(out, pt, f, tr)
-			cf[p] = le64(tr.Ciphertext)
-		}
-	}
+	p := 0
+	collectForks(target, ciphers.NewKernel(target, cfg.NoBatch), pattern, cfg.Model, cfg.FaultRound,
+		[]ciphers.BatchPoint{{Round: 0}}, cfg.Pairs, rng, func(_ int, clean, faulty []byte) {
+			cc[p], cf[p] = le64(clean), le64(faulty)
+			p++
+		})
 
 	guesses := 0.0
 
@@ -206,38 +198,27 @@ func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng
 }
 
 // diffTemplate returns, per nibble, the distribution of the differential
-// at the input of obsRound for the fault model, from samples simulations.
-// A non-nil kern routes the paired simulations through the batched fork
-// engine (bit-identical to the scalar loop; see collectForks); injection
-// points past the observation round keep the scalar path, which reads
-// the observation from the shared prefix.
-func diffTemplate(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vector, model fault.Model, faultRound, obsRound, samples int, rng *prng.Source) ([16][16]float64, error) {
+// at the input of obsRound for the fault model, from samples simulations
+// through collectForks (kern nil selects the scalar reference path). A
+// fork cannot observe before its own round: an observation round ahead of
+// the fault sees a zero differential, but its samples are still drawn so
+// that later phases read the same PRNG stream.
+func diffTemplate(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vector, model fault.Model, faultRound, obsRound, samples int, rng *prng.Source) [16][16]float64 {
 	var hist [16][16]int
-	bin := func(d uint64) {
+	var points []ciphers.BatchPoint
+	if obsRound >= faultRound {
+		points = []ciphers.BatchPoint{{Round: obsRound}}
+	} else {
+		for n := range hist {
+			hist[n][0] = samples
+		}
+	}
+	collectForks(c, kern, pattern, model, faultRound, points, samples, rng, func(_ int, clean, faulty []byte) {
+		d := le64(clean) ^ le64(faulty)
 		for n := 0; n < 16; n++ {
 			hist[n][d>>(4*uint(n))&0xf]++
 		}
-	}
-	if kern != nil && faultRound <= obsRound {
-		collectForks(c, kern, pattern, model, faultRound,
-			ciphers.BatchPoint{Round: obsRound}, samples, rng, func(clean, faulty []byte) {
-				bin(le64(clean) ^ le64(faulty))
-			})
-	} else {
-		tr := ciphers.NewTrace(c)
-		pt := make([]byte, 8)
-		out := make([]byte, 8)
-		mf := newModelFault(pattern, model, faultRound)
-		for s := 0; s < samples; s++ {
-			rng.Fill(pt)
-			f := mf.draw(rng)
-			c.Encrypt(out, pt, nil, tr)
-			cleanIn := le64(tr.Inputs[obsRound-1])
-			c.Encrypt(out, pt, f, tr)
-			faultIn := le64(tr.Inputs[obsRound-1])
-			bin(cleanIn ^ faultIn)
-		}
-	}
+	})
 	var tmpl [16][16]float64
 	for n := 0; n < 16; n++ {
 		for v := 0; v < 16; v++ {
@@ -245,7 +226,7 @@ func diffTemplate(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vect
 			tmpl[n][v] = (float64(hist[n][v]) + 0.5) / (float64(samples) + 8)
 		}
 	}
-	return tmpl, nil
+	return tmpl
 }
 
 // recovery holds the outcome of one round-key recovery phase: the U and V

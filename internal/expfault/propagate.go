@@ -68,6 +68,9 @@ func ProfileModel(c ciphers.Cipher, pattern *bitvec.Vector, model fault.Model, r
 	if round < 1 || round > c.Rounds() {
 		return nil, fmt.Errorf("expfault: round %d out of range", round)
 	}
+	if samples < 2 {
+		return nil, fmt.Errorf("expfault: samples %d out of range (want 2 or more)", samples)
+	}
 	gb := c.GroupBits()
 	groups := stateBits / gb
 	rounds := c.Rounds()
@@ -97,33 +100,28 @@ func ProfileModel(c ciphers.Cipher, pattern *bitvec.Vector, model fault.Model, r
 		}
 	}
 
-	cleanTr := ciphers.NewTrace(c)
-	faultTr := ciphers.NewTrace(c)
-	n := c.BlockBytes()
-	pt := make([]byte, n)
-	out := make([]byte, n)
-	mf := newModelFault(pattern, model, round)
-	for s := 0; s < samples; s++ {
-		rng.Fill(pt)
-		f := mf.draw(rng)
-		c.Encrypt(out, pt, nil, cleanTr)
-		c.Encrypt(out, pt, f, faultTr)
-		for r := round; r < rounds; r++ {
-			vals := make([]float64, groups)
-			for g := 0; g < groups; g++ {
-				d := groupOf(cleanTr.Inputs[r], g, gb) ^ groupOf(faultTr.Inputs[r], g, gb)
-				hists[r][g][d]++
-				vals[g] = float64(d)
-				sum[r][g] += vals[g]
-				sumSq[r][g] += vals[g] * vals[g]
-			}
-			for g1 := 0; g1 < groups; g1++ {
-				for g2 := g1 + 1; g2 < groups; g2++ {
-					cross[r][g1][g2] += vals[g1] * vals[g2]
-				}
+	// Point j observes the input of round round+1+j, whose statistics
+	// live at index round+j.
+	points := make([]ciphers.BatchPoint, rounds-round)
+	for j := range points {
+		points[j].Round = round + 1 + j
+	}
+	vals := make([]float64, groups)
+	collectForks(c, ciphers.NewKernel(c, false), pattern, model, round, points, samples, rng, func(j int, clean, faulty []byte) {
+		r := round + j
+		for g := 0; g < groups; g++ {
+			d := groupOf(clean, g, gb) ^ groupOf(faulty, g, gb)
+			hists[r][g][d]++
+			vals[g] = float64(d)
+			sum[r][g] += vals[g]
+			sumSq[r][g] += vals[g] * vals[g]
+		}
+		for g1 := 0; g1 < groups; g1++ {
+			for g2 := g1 + 1; g2 < groups; g2++ {
+				cross[r][g1][g2] += vals[g1] * vals[g2]
 			}
 		}
-	}
+	})
 
 	maxEntropy := float64(gb)
 	fn := float64(samples)

@@ -326,13 +326,12 @@ func (cp *Campaign) CollectIntoContext(ctx context.Context, rng *prng.Source, n 
 // Each block first draws every plaintext and fault injection pair — in
 // the same per-sample interleaving a trace-at-a-time loop would use, so
 // the PRNG stream is independent of the block size — and then encrypts
-// the whole block through the generalized-injection dispatcher (batch
-// kernel, FaultKernel extension, or the scalar reference path; see
-// ciphers.EncryptForksOps). All engines produce bit-identical
-// observations. The observations are formed in place in the block's
-// clean-state buffer, and buf is reused across calls, so nothing is
-// allocated per block. Cancellation is checked once per block, before
-// any of the block's PRNG draws.
+// the whole block with one ciphers.EncryptForksOps call, through the
+// cipher's fork kernel or the scalar reference path. Both produce
+// bit-identical observations. The observations are formed in place in
+// the block's clean-state buffer, and buf is reused across calls, so
+// nothing is allocated per block. Cancellation is checked once per
+// block, before any of the block's PRNG draws.
 //
 // Ineffective-fault conditioning compares ciphertexts only: every
 // observation point sits at or after the injection round, and the rounds
@@ -364,10 +363,7 @@ func (cp *Campaign) forEachBlock(ctx context.Context, rng *prng.Source, n int, b
 	if sifa {
 		cts = [][]byte{buf.ct0, buf.ct1}
 	}
-	var kern ciphers.BatchKernel
-	if be, ok := cp.Cipher.(ciphers.BatchEncrypter); ok && !cp.NoBatch {
-		kern = be.NewBatchKernel()
-	}
+	kern := ciphers.NewKernel(cp.Cipher, cp.NoBatch)
 	// One collect span per call (one per shard under the evaluate
 	// engine); nil and free unless the caller's ctx carries a span.
 	sp, _ := trace.StartSpan(ctx, trace.SpanCollect)

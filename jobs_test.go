@@ -607,6 +607,14 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 	}
 	_, sweepErr := Sweep(ctx, SweepConfig{Cipher: "gift64", Rounds: []int{25}, MaxOrder: -1})
 	one, both := PatternFromBits(64, 1), PatternFromBits(128, 1, 65)
+	verify := func(p Pattern, cfg VerifyConfig) error {
+		_, err := VerifyKeyRecovery(p, cfg)
+		return err
+	}
+	propagate := func(samples int) error {
+		_, err := Propagate(one, "gift64", nil, 3, samples, 1)
+		return err
+	}
 	for name, err := range map[string]error{
 		"assess max order -1":    assess(AssessContext, one, AssessConfig{MaxOrder: -1}),
 		"protected max order -1": assess(AssessProtectedContext, both, AssessConfig{MaxOrder: -1}),
@@ -616,6 +624,13 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 		"discover samples 1":     discover(DiscoverConfig{Samples: 1}),
 		"discover samples -4":    discover(DiscoverConfig{Samples: -4}),
 		"sweep max order -1":     sweepErr,
+		"gift64 dfa pairs -1":    verify(one, VerifyConfig{Cipher: "gift64", Pairs: -1}),
+		"gift64 dfa round 29":    verify(one, VerifyConfig{Cipher: "gift64", Round: 29}),
+		"gift64 dfa round -3":    verify(one, VerifyConfig{Cipher: "gift64", Round: -3}),
+		"gift128 dfa pairs -1":   verify(both, VerifyConfig{Cipher: "gift128", Pairs: -1}),
+		"gift128 dfa round 41":   verify(both, VerifyConfig{Cipher: "gift128", Round: 41}),
+		"propagate samples -5":   propagate(-5),
+		"propagate samples 1":    propagate(1),
 	} {
 		if err == nil {
 			t.Errorf("%s: no error", name)

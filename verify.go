@@ -26,7 +26,7 @@ type VerifyConfig struct {
 	// Round is the fault round for GIFT (default 25); AES's attack is
 	// defined at round 9.
 	Round int
-	// Pairs is the number of faulty encryptions (GIFT default 256;
+	// Pairs is the number of faulty encryptions (GIFT default 1024;
 	// AES uses 3 per column = 12 total).
 	Pairs int
 	// FaultModel is the typed injection model (default XorFlip, the
