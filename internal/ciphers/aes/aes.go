@@ -283,14 +283,6 @@ func Diagonal(d int) [4]int {
 	return out
 }
 
-// Column returns the state byte indices of column c (0..3).
-func Column(c int) [4]int {
-	if c < 0 || c > 3 {
-		panic("aes: column index out of range")
-	}
-	return [4]int{4 * c, 4*c + 1, 4*c + 2, 4*c + 3}
-}
-
 // DiagonalOf returns which diagonal state byte i lies on.
 func DiagonalOf(i int) int {
 	if i < 0 || i > 15 {

@@ -360,9 +360,6 @@ func invPerm(nbits int, v Variant) []int {
 	return out
 }
 
-// NibbleOf returns the nibble index of state bit b.
-func NibbleOf(b int) int { return b / 4 }
-
 // ConstMask128 returns the known (key-independent) part of GIFT-128's
 // round-r AddRoundKey as (lo, hi) state words: the round-constant bits at
 // positions 4i+3 and the fixed 1 at bit 127.

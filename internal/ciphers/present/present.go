@@ -112,15 +112,6 @@ func rotl80(hi, lo uint64, n uint) (uint64, uint64) {
 	return outHi, outLo
 }
 
-// RoundKey returns round key r (1-based; round NumRounds+1 is the final
-// whitening key).
-func (c *Cipher) RoundKey(r int) uint64 {
-	if r < 1 || r > NumRounds+1 {
-		panic("present: round key index out of range")
-	}
-	return c.roundKeys[r-1]
-}
-
 // Name implements ciphers.Cipher.
 func (c *Cipher) Name() string { return "present80" }
 

@@ -130,14 +130,6 @@ func (c *Cipher) expandKey(key []byte, m int) {
 	}
 }
 
-// RoundKey returns the round key of round r (1-based).
-func (c *Cipher) RoundKey(r int) uint32 {
-	if r < 1 || r > c.rounds {
-		panic("speck: round key index out of range")
-	}
-	return c.roundKeys[r-1]
-}
-
 // Name implements ciphers.Cipher.
 func (c *Cipher) Name() string {
 	if c.variant == Speck64_128 {

@@ -96,9 +96,6 @@ func NewCachedOracle(inner Oracle, capacity int) *CachedOracle {
 	}
 }
 
-// Inner returns the wrapped oracle.
-func (c *CachedOracle) Inner() Oracle { return c.inner }
-
 // Stats returns the current memoization counters.
 func (c *CachedOracle) Stats() CacheStats {
 	c.mu.Lock()

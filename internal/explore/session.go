@@ -244,12 +244,6 @@ func NewSession(factory OracleFactory, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// Agent exposes the trained agent (for greedy inspection in examples).
-func (s *Session) Agent() *ppo.Agent { return s.agent }
-
-// Log exposes the training log.
-func (s *Session) Log() *Log { return s.log }
-
 // Run trains until the episode budget is exhausted, then reads out the
 // converged pattern.
 //

@@ -410,9 +410,6 @@ func NewAdam(params []Param, lr float64) *Adam {
 	return a
 }
 
-// SetLR updates the learning rate (for schedules).
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
 // AdamState is a serializable snapshot of the optimizer moments. The
 // hyperparameters (lr, betas, eps) are configuration, not state: they are
 // re-derived from the run config on restore.

@@ -222,11 +222,6 @@ func (a *Agent) Probs(obs []float64) []float64 {
 	return append([]float64(nil), a.probs...)
 }
 
-// Value returns the value estimate for obs.
-func (a *Agent) Value(obs []float64) float64 {
-	return a.value.Forward(obs)[0]
-}
-
 // Update implements rl.Agent: runs Epochs of minibatch SGD with the
 // clipped surrogate objective on the batch.
 func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
