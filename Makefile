@@ -4,7 +4,7 @@ BENCH_BASE ?= BENCH_pr9.json
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 
-.PHONY: all build test check fmt-check vet race bench bench-all bench-compare fuzz smoke-resume smoke-trace smoke-atlas smoke-server fmt
+.PHONY: all build test check fmt-check vet race loc bench bench-all bench-compare fuzz smoke-resume smoke-trace smoke-atlas smoke-server fmt
 
 all: build
 
@@ -33,6 +33,11 @@ vet:
 
 race:
 	$(GO) test -race -short ./...
+
+# Non-test Go lines outside perfbench/, the size figure that changes which
+# delete code report (tracked files only).
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # Engine benchmarks (campaign, oracle, per-cipher fork kernels, DFA key
 # recovery, atlas sweeps), 5 repetitions averaged into $(BENCH_OUT) under
