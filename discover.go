@@ -203,6 +203,17 @@ func DiscoverContext(ctx context.Context, cfg DiscoverConfig) (*DiscoveryResult,
 	if cfg.NumEnvs < 0 {
 		return nil, fmt.Errorf("explorefault: NumEnvs %d out of range (want 0 for the default, or more)", cfg.NumEnvs)
 	}
+	if cfg.Agent.MinibatchSize < 0 {
+		return nil, fmt.Errorf("explorefault: Agent.MinibatchSize %d out of range (want 0 for the default, or more)", cfg.Agent.MinibatchSize)
+	}
+	if cfg.Agent.Epochs < 0 {
+		return nil, fmt.Errorf("explorefault: Agent.Epochs %d out of range (want 0 for the default, or more)", cfg.Agent.Epochs)
+	}
+	for i, h := range cfg.Agent.Hidden {
+		if h < 1 {
+			return nil, fmt.Errorf("explorefault: Agent.Hidden[%d] = %d out of range (want 1 or more units)", i, h)
+		}
+	}
 	info, err := LookupCipher(cfg.Cipher)
 	if err != nil {
 		return nil, err

@@ -66,10 +66,7 @@ func (r refMLP) Backward(x, gradOut []float64) {
 		}
 		var gx []float64
 		if k > 0 {
-			gx = r.grads[k]
-			for i := range gx {
-				gx[i] = 0
-			}
+			gx = make([]float64, r.layers[k].In)
 		}
 		refBackward(r.layers[k], in, gy, gx)
 		if k > 0 {
@@ -78,6 +75,20 @@ func (r refMLP) Backward(x, gradOut []float64) {
 			}
 			gy = gx
 		}
+	}
+}
+
+// forEachFold4Body runs f under fold4's Go body and then, where the init
+// probe selected one, under its assembly body. It restores the probe's
+// choice when f returns or fails.
+func forEachFold4Body(f func(body string)) {
+	asm := fold4Asm
+	defer func() { fold4Asm = asm }()
+	fold4Asm = nil
+	f("go")
+	if asm != nil {
+		fold4Asm = asm
+		f("asm")
 	}
 }
 
@@ -123,59 +134,69 @@ func requireSameBits(t *testing.T, what string, want, got []float64) {
 	}
 }
 
-// FuzzMLPKernels checks that the blocked dense kernels, the sparse first
-// layer and BackwardLast reproduce the scalar reference bit for bit: the
-// outputs of every Forward, and the gradients accumulated over several
-// Backward and BackwardLast calls between Adam steps. Layer widths are
-// not restricted to multiples of the row block.
+// FuzzMLPKernels checks that Forward, ForwardBatch and BackwardBatch
+// reproduce the scalar reference bit for bit under every fold4 body: the
+// outputs of every pass, and the gradients accumulated over two
+// minibatches of 1–9 samples between Adam steps, with one workspace
+// throughout. Layer widths are not restricted to multiples of four.
 func FuzzMLPKernels(f *testing.F) {
 	f.Add(uint64(1), byte(128), byte(64), byte(128), byte(3), byte(0), byte(0), byte(8))
 	f.Add(uint64(2), byte(7), byte(5), byte(3), byte(2), byte(1), byte(1), byte(3))
 	f.Add(uint64(3), byte(13), byte(6), byte(1), byte(3), byte(2), byte(0), byte(5))
 	f.Add(uint64(4), byte(1), byte(1), byte(1), byte(1), byte(3), byte(1), byte(2))
-	f.Fuzz(func(t *testing.T, seed uint64, inSel, hiddenSel, outSel, depthSel, kindSel, actSel, callsSel byte) {
+	f.Fuzz(func(t *testing.T, seed uint64, inSel, hiddenSel, outSel, depthSel, kindSel, actSel, batchSel byte) {
 		sizes := []int{1 + int(inSel)%130}
 		for k := 1; k < 1+int(depthSel)%3; k++ {
 			sizes = append(sizes, 1+int(hiddenSel+byte(k))%67)
 		}
 		sizes = append(sizes, 1+int(outSel)%131)
 		act := Activation(actSel % 2)
-		calls := 1 + int(callsSel)%8
+		batches := []int{1 + int(batchSel)%9, 1 + int(batchSel/9)%9}
 
-		m := NewMLP(sizes, act, prng.New(seed))
-		ref := refMLP{NewMLP(sizes, act, prng.New(seed))}
-		mOpt := NewAdam(m.Params(), 1e-2)
-		refOpt := NewAdam(ref.Params(), 1e-2)
-		rng := prng.New(seed ^ 0x5eed)
-		x := make([]float64, m.InSize())
-		g := make([]float64, m.OutSize())
+		forEachFold4Body(func(body string) {
+			m := NewMLP(sizes, act, prng.New(seed))
+			ref := refMLP{NewMLP(sizes, act, prng.New(seed))}
+			mOpt := NewAdam(m.Params(), 1e-2)
+			refOpt := NewAdam(ref.Params(), 1e-2)
+			rng := prng.New(seed ^ 0x5eed)
+			var ws Workspace
+			out := m.OutSize()
 
-		for step := 0; step < 3; step++ {
-			ZeroGrad(m.Params())
-			ZeroGrad(ref.Params())
-			for c := 0; c < calls; c++ {
-				kernelInput(x, (int(kindSel)+c)%4, rng)
-				for i := range g {
-					g[i] = rng.NormFloat64()
-					if rng.Intn(8) == 0 {
-						g[i] = 0
+			for step := 0; step < 3; step++ {
+				ZeroGrad(m.Params())
+				ZeroGrad(ref.Params())
+				for _, n := range batches {
+					xs := make([][]float64, n)
+					for s := range xs {
+						xs[s] = make([]float64, m.InSize())
+						kernelInput(xs[s], (int(kindSel)+s)%4, rng)
+					}
+					gradOut := make([]float64, out*n)
+					for i := range gradOut {
+						gradOut[i] = rng.NormFloat64()
+						if rng.Intn(8) == 0 {
+							gradOut[i] = 0
+						}
+					}
+					batchOut := m.ForwardBatch(&ws, xs)
+					for s, x := range xs {
+						want := ref.Forward(x)
+						requireSameBits(t, body+" output", want, m.Forward(x))
+						requireSameBits(t, body+" batch output", want, batchOut[s*out:][:out])
+					}
+					m.BackwardBatch(&ws, gradOut)
+					for s, x := range xs {
+						ref.Backward(x, gradOut[s*out:][:out])
+					}
+					for pi, p := range ref.Params() {
+						requireSameBits(t, body+" grad", p.Grad, m.Params()[pi].Grad)
 					}
 				}
-				requireSameBits(t, "output", ref.Forward(x), m.Forward(x))
-				if c%2 == 0 {
-					m.BackwardLast(g)
-				} else {
-					m.Backward(x, g)
-				}
-				ref.Backward(x, g)
-				for pi, p := range ref.Params() {
-					requireSameBits(t, "grad", p.Grad, m.Params()[pi].Grad)
-				}
+				ClipGradNorm(m.Params(), 0.5)
+				ClipGradNorm(ref.Params(), 0.5)
+				mOpt.Step()
+				refOpt.Step()
 			}
-			ClipGradNorm(m.Params(), 0.5)
-			ClipGradNorm(ref.Params(), 0.5)
-			mOpt.Step()
-			refOpt.Step()
-		}
+		})
 	})
 }

@@ -3,18 +3,26 @@
 // softmax utilities for categorical policies, Xavier initialization, and
 // the Adam optimizer. Everything is float64 and allocation-conscious.
 //
-// The dense kernels are fast paths that return the same bits as the
-// textbook scalar loops. Each layer computes four output rows per pass:
-// every row's sum still adds its terms in input order, but the four sums
-// are independent dependency chains, and the input gradient folds four
-// rows per pass in output order. The first layer is sparse: policy
-// observations are 0/1 bit-selection vectors, mostly zeros, so Forward
-// collects the nonzero inputs once and the first layer's forward pass and
-// weight gradient visit only those. A skipped term is w·0 = ±0, which
-// leaves every sum here unchanged because no sum is ever −0 (DESIGN.md,
-// "Exact fast paths in the policy network"). Forward keeps what the
-// backward pass needs, so BackwardLast backpropagates without a second
-// forward pass.
+// An MLP runs one sample at a time (Forward, for acting) or a minibatch
+// layer by layer (ForwardBatch and BackwardBatch, for training), and both
+// return the same bits as the textbook scalar loops. Forward computes
+// four output rows per pass: every row's sum still adds its terms in
+// input order, but the four sums are independent dependency chains. The
+// minibatch pass keeps activations unit-major (unit × sample) in a
+// Workspace the caller owns, and every dense product goes through fold4,
+// which adds four scaled vectors to a running vector, one term after the
+// other. The forward pass and the input gradient fold across samples;
+// the weight gradient folds across inputs, four samples per pass. Each
+// element so gains the same terms in the same order as it would one
+// sample at a time. On amd64 CPUs with AVX, fold4 runs on four vector
+// lanes that round exactly as its Go body does.
+//
+// The first layer is sparse: policy observations are 0/1 bit-selection
+// vectors, mostly zeros, so both passes collect the nonzero inputs once
+// and the first layer's forward pass and weight gradient visit only
+// those. A skipped term is w·0 = ±0, which leaves every sum here
+// unchanged because no sum is ever −0 (DESIGN.md, "Exact fast paths in
+// the policy network").
 package nn
 
 import (
@@ -162,45 +170,6 @@ func (l *Linear) forwardSparse(idx []int, val, y []float64) {
 	}
 }
 
-// backward accumulates parameter gradients given the layer input x and the
-// upstream gradient gy, and adds the input gradient into gx. gx[i] gains
-// gy[o]·W[o][i] in output order.
-func (l *Linear) backward(x, gy, gx []float64) {
-	in := l.In
-	x = x[:in]
-	for o, g := range gy {
-		l.B.Grad[o] += g
-		row := l.W.Grad[o*in:][:in]
-		for i, xv := range x {
-			row[i] += g * xv
-		}
-	}
-	w := l.W.Val
-	gx = gx[:in]
-	o := 0
-	for ; o+rowBlock <= l.Out; o += rowBlock {
-		r0 := w[o*in:][:in]
-		r1 := w[(o+1)*in:][:in]
-		r2 := w[(o+2)*in:][:in]
-		r3 := w[(o+3)*in:][:in]
-		g0, g1, g2, g3 := gy[o], gy[o+1], gy[o+2], gy[o+3]
-		for i, s := range gx {
-			s += g0 * r0[i]
-			s += g1 * r1[i]
-			s += g2 * r2[i]
-			s += g3 * r3[i]
-			gx[i] = s
-		}
-	}
-	for ; o < l.Out; o++ {
-		row := w[o*in:][:in]
-		g := gy[o]
-		for i := range gx {
-			gx[i] += g * row[i]
-		}
-	}
-}
-
 // backwardSparse accumulates the parameter gradients of a layer whose
 // input is the sparse vector (idx, val) of forwardSparse. It computes no
 // input gradient: it serves the first layer only.
@@ -216,18 +185,87 @@ func (l *Linear) backwardSparse(idx []int, val, gy []float64) {
 	}
 }
 
+// forwardBatch is forward for n samples, with x (In × n) and y (Out × n)
+// unit-major. Each output starts at its bias and adds W[o][i]·x[i] in
+// input order, four inputs per fold across the samples.
+func (l *Linear) forwardBatch(x, y []float64, n int) {
+	in := l.In
+	for o := 0; o < l.Out; o++ {
+		yo := y[o*n:][:n]
+		for s := range yo {
+			yo[s] = l.B.Val[o]
+		}
+		row := l.W.Val[o*in:][:in]
+		i := 0
+		for ; i+4 <= in; i += 4 {
+			fold4(yo, row[i], row[i+1], row[i+2], row[i+3], x[i*n:], x[(i+1)*n:], x[(i+2)*n:], x[(i+3)*n:])
+		}
+		for ; i < in; i++ {
+			fold1(yo, row[i], x[i*n:])
+		}
+	}
+}
+
+// backwardBatch accumulates the parameter gradients of n samples, given
+// the layer input x (In × n) and the upstream gradient gy (Out × n), and
+// writes the input gradient to gx (In × n), all unit-major. Every element
+// gains its terms in the order n one-sample passes would add them: a bias
+// gradient in sample order; a weight-gradient row in sample order, four
+// samples per fold across the inputs, read from a sample-major copy in
+// cols (4·In); gx[i] in output order from +0, four rows per fold across
+// the samples.
+func (l *Linear) backwardBatch(x, gy, gx, cols []float64, n int) {
+	in := l.In
+	for o := 0; o < l.Out; o++ {
+		for _, g := range gy[o*n:][:n] {
+			l.B.Grad[o] += g
+		}
+	}
+	s := 0
+	for ; s+4 <= n; s += 4 {
+		c := cols[:4*in]
+		for i := 0; i < in; i++ {
+			xi := x[i*n+s:][:4]
+			c[i], c[in+i], c[2*in+i], c[3*in+i] = xi[0], xi[1], xi[2], xi[3]
+		}
+		for o := 0; o < l.Out; o++ {
+			g := gy[o*n+s:][:4]
+			fold4(l.W.Grad[o*in:][:in], g[0], g[1], g[2], g[3], c, c[in:], c[2*in:], c[3*in:])
+		}
+	}
+	for ; s < n; s++ {
+		c := cols[:in]
+		for i := range c {
+			c[i] = x[i*n+s]
+		}
+		for o := 0; o < l.Out; o++ {
+			fold1(l.W.Grad[o*in:][:in], gy[o*n+s], c)
+		}
+	}
+	w := l.W.Val
+	for i := 0; i < in; i++ {
+		gxi := gx[i*n:][:n]
+		clear(gxi)
+		o := 0
+		for ; o+4 <= l.Out; o += 4 {
+			fold4(gxi, w[o*in+i], w[(o+1)*in+i], w[(o+2)*in+i], w[(o+3)*in+i], gy[o*n:], gy[(o+1)*n:], gy[(o+2)*n:], gy[(o+3)*n:])
+		}
+		for ; o < l.Out; o++ {
+			fold1(gxi, w[o*in+i], gy[o*n:])
+		}
+	}
+}
+
 // MLP is a multi-layer perceptron: hidden dense layers with a shared
 // activation, then a linear output layer.
 type MLP struct {
 	layers []*Linear
 	act    Activation
-	// The last Forward's input as a sparse vector: x[nzIdx[j]] = nzVal[j]
-	// for its nonzero entries, in index order.
+	// Forward's scratch: its input's nonzero entries, x[nzIdx[j]] =
+	// nzVal[j] in index order, and every layer's output.
 	nzIdx []int
 	nzVal []float64
-	// scratch buffers sized per layer, reused across calls.
-	outs  [][]float64 // outs[k] = post-activation output of layer k (pre-activation for last)
-	grads [][]float64
+	outs  [][]float64
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes =
@@ -244,10 +282,8 @@ func NewMLP(sizes []int, act Activation, rng *prng.Source) *MLP {
 	m.nzIdx = make([]int, 0, sizes[0])
 	m.nzVal = make([]float64, 0, sizes[0])
 	m.outs = make([][]float64, len(m.layers))
-	m.grads = make([][]float64, len(m.layers))
 	for i, l := range m.layers {
 		m.outs[i] = make([]float64, l.Out)
-		m.grads[i] = make([]float64, l.In)
 	}
 	return m
 }
@@ -261,21 +297,30 @@ func (m *MLP) InSize() int { return m.layers[0].In }
 // OutSize returns the output width.
 func (m *MLP) OutSize() int { return m.layers[len(m.layers)-1].Out }
 
-// Forward evaluates the network and returns its output slice, which is
-// owned by the MLP and overwritten by the next call. The MLP keeps what
-// BackwardLast needs: the input's nonzero entries (copied, so the caller
-// may reuse x) and every layer's output.
-func (m *MLP) Forward(x []float64) []float64 {
+// checkInput panics unless x has the network's input width.
+func (m *MLP) checkInput(x []float64) {
 	if len(x) != m.InSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InSize()))
 	}
-	m.nzIdx, m.nzVal = m.nzIdx[:0], m.nzVal[:0]
+}
+
+// appendNonzero appends x's nonzero entries to idx and val, in index
+// order.
+func appendNonzero(idx []int, val, x []float64) ([]int, []float64) {
 	for i, v := range x {
 		if v != 0 {
-			m.nzIdx = append(m.nzIdx, i)
-			m.nzVal = append(m.nzVal, v)
+			idx = append(idx, i)
+			val = append(val, v)
 		}
 	}
+	return idx, val
+}
+
+// Forward evaluates the network on one sample and returns its output
+// slice, which is owned by the MLP and overwritten by the next call.
+func (m *MLP) Forward(x []float64) []float64 {
+	m.checkInput(x)
+	m.nzIdx, m.nzVal = appendNonzero(m.nzIdx[:0], m.nzVal[:0], x)
 	m.layers[0].forwardSparse(m.nzIdx, m.nzVal, m.outs[0])
 	for k, l := range m.layers {
 		if k > 0 {
@@ -290,32 +335,136 @@ func (m *MLP) Forward(x []float64) []float64 {
 	return m.outs[len(m.outs)-1]
 }
 
-// Backward accumulates parameter gradients for input x and upstream output
-// gradient gradOut. It runs Forward(x) first, so it does not require a
-// preceding Forward call with the same x.
-func (m *MLP) Backward(x, gradOut []float64) {
-	m.Forward(x)
-	m.BackwardLast(gradOut)
+// Workspace holds one minibatch pass: its inputs' nonzero entries, every
+// layer's output and the backward pass's gradients, unit-major (row u
+// holds unit u of every sample). It grows to the largest network and
+// minibatch it serves, so one workspace serves several networks, as long
+// as each BackwardBatch follows the ForwardBatch of its own network. The
+// zero value is ready to use.
+type Workspace struct {
+	net   *MLP // the network of the last ForwardBatch
+	n     int  // its sample count
+	nzIdx []int
+	nzVal []float64
+	nzOff []int        // sample s owns nzIdx[nzOff[s]:nzOff[s+1]]
+	outs  [][]float64  // outs[k]: layer k's output, Out × n
+	grads [2][]float64 // input gradients, In × n, alternating by layer
+	out   []float64    // the network's output, sample-major
+	cols  []float64    // a layer's input for four samples, or one sample's first-layer units
 }
 
-// BackwardLast accumulates parameter gradients for upstream output
-// gradient gradOut at the input of the most recent Forward call. The
-// weights must not have changed since that call.
-func (m *MLP) BackwardLast(gradOut []float64) {
-	gy := gradOut
-	for k := len(m.layers) - 1; k > 0; k-- {
-		gx := m.grads[k]
-		for i := range gx {
-			gx[i] = 0
+// nonzero returns sample s's nonzero inputs.
+func (ws *Workspace) nonzero(s int) ([]int, []float64) {
+	lo, hi := ws.nzOff[s], ws.nzOff[s+1]
+	return ws.nzIdx[lo:hi], ws.nzVal[lo:hi]
+}
+
+// resize returns buf with length n, reallocating only when it is too
+// short.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// transpose writes the rows × cols matrix src to dst as cols × rows, both
+// row-major.
+func transpose(dst, src []float64, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols:][:cols] {
+			dst[c*rows+r] = v
 		}
-		m.layers[k].backward(m.outs[k-1], gy, gx)
+	}
+}
+
+// ForwardBatch evaluates the network on every sample of xs and returns
+// the outputs sample after sample: out[s*OutSize():][:OutSize()] holds
+// the bits Forward(xs[s]) returns. The output and everything
+// BackwardBatch needs stay in ws until its next ForwardBatch; xs may be
+// reused at once.
+func (m *MLP) ForwardBatch(ws *Workspace, xs [][]float64) []float64 {
+	n := len(xs)
+	ws.net, ws.n = m, n
+	ws.nzIdx, ws.nzVal, ws.nzOff = ws.nzIdx[:0], ws.nzVal[:0], append(ws.nzOff[:0], 0)
+	for _, x := range xs {
+		m.checkInput(x)
+		ws.nzIdx, ws.nzVal = appendNonzero(ws.nzIdx, ws.nzVal, x)
+		ws.nzOff = append(ws.nzOff, len(ws.nzIdx))
+	}
+	cols := m.layers[0].Out
+	for _, l := range m.layers[1:] {
+		cols = max(cols, 4*l.In)
+	}
+	ws.cols = resize(ws.cols, cols)
+	for len(ws.outs) < len(m.layers) {
+		ws.outs = append(ws.outs, nil)
+	}
+	for k, l := range m.layers {
+		y := resize(ws.outs[k], l.Out*n)
+		ws.outs[k] = y
+		if k == 0 {
+			col := ws.cols[:l.Out]
+			for s := 0; s < n; s++ {
+				idx, val := ws.nonzero(s)
+				l.forwardSparse(idx, val, col)
+				for o, v := range col {
+					y[o*n+s] = v
+				}
+			}
+		} else {
+			l.forwardBatch(ws.outs[k-1], y, n)
+		}
+		if k < len(m.layers)-1 {
+			for i, v := range y {
+				y[i] = m.act.apply(v)
+			}
+		}
+	}
+	ws.out = resize(ws.out, m.OutSize()*n)
+	transpose(ws.out, ws.outs[len(m.layers)-1], m.OutSize(), n)
+	return ws.out
+}
+
+// BackwardBatch accumulates parameter gradients for the samples of the
+// last ForwardBatch in ws, which must have run this network with the
+// weights unchanged since. gradOut holds the output gradients sample
+// after sample, as ForwardBatch returns outputs. Every gradient element
+// gains the bits that one-sample backward passes in sample order would
+// add.
+func (m *MLP) BackwardBatch(ws *Workspace, gradOut []float64) {
+	if ws.net != m {
+		panic("nn: BackwardBatch without a ForwardBatch of this network")
+	}
+	n, last := ws.n, len(m.layers)-1
+	if len(gradOut) != m.OutSize()*n {
+		panic(fmt.Sprintf("nn: output gradient of %d values, want %d", len(gradOut), m.OutSize()*n))
+	}
+	// The last layer's unit-major output is not needed again: it takes
+	// the output gradient in its layout.
+	gy := ws.outs[last]
+	transpose(gy, gradOut, n, m.OutSize())
+	for k := last; k > 0; k-- {
+		l := m.layers[k]
+		x := ws.outs[k-1]
+		gx := resize(ws.grads[k%2], l.In*n)
+		ws.grads[k%2] = gx
+		l.backwardBatch(x, gy, gx, ws.cols, n)
 		// Chain through the activation of the previous layer.
-		for i, y := range m.outs[k-1] {
+		for i, y := range x {
 			gx[i] *= m.act.derivFromOut(y)
 		}
 		gy = gx
 	}
-	m.layers[0].backwardSparse(m.nzIdx, m.nzVal, gy)
+	first := m.layers[0]
+	col := ws.cols[:first.Out]
+	for s := 0; s < n; s++ {
+		for o := range col {
+			col[o] = gy[o*n+s]
+		}
+		idx, val := ws.nonzero(s)
+		first.backwardSparse(idx, val, col)
+	}
 }
 
 // Params returns all trainable parameters.

@@ -18,6 +18,14 @@ func TestLinearForwardKnownValues(t *testing.T) {
 	}
 }
 
+// backward accumulates the parameter gradients of one sample x with
+// output gradient g through the minibatch pass.
+func backward(m *MLP, x, g []float64) {
+	var ws Workspace
+	m.ForwardBatch(&ws, [][]float64{x})
+	m.BackwardBatch(&ws, g)
+}
+
 // numericalGrad estimates d loss / d param via central differences.
 func numericalGrad(f func() float64, p *float64) float64 {
 	const h = 1e-6
@@ -53,7 +61,7 @@ func TestMLPGradientsMatchNumerical(t *testing.T) {
 	}
 	params := m.Params()
 	ZeroGrad(params)
-	m.Backward(x, gradOut)
+	backward(m, x, gradOut)
 
 	for pi, p := range params {
 		for j := range p.Val {
@@ -85,7 +93,7 @@ func TestMLPGradientsReLU(t *testing.T) {
 	}
 	params := m.Params()
 	ZeroGrad(params)
-	m.Backward(x, gradOut)
+	backward(m, x, gradOut)
 	for pi, p := range params {
 		for j := range p.Val {
 			want := numericalGrad(loss, &p.Val[j])
@@ -104,10 +112,10 @@ func TestBackwardAccumulates(t *testing.T) {
 	g := []float64{1}
 	params := m.Params()
 	ZeroGrad(params)
-	m.Backward(x, g)
+	backward(m, x, g)
 	snapshot := make([]float64, len(params[0].Grad))
 	copy(snapshot, params[0].Grad)
-	m.Backward(x, g)
+	backward(m, x, g)
 	for i := range snapshot {
 		if math.Abs(params[0].Grad[i]-2*snapshot[i]) > 1e-12 {
 			t.Fatal("gradients do not accumulate across Backward calls")
@@ -150,7 +158,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 			y := m.Forward(x)
 			d := y[0] - labels[i]
 			loss += 0.5 * d * d
-			m.Backward(x, []float64{d})
+			backward(m, x, []float64{d})
 		}
 		opt.Step()
 	}
@@ -283,11 +291,51 @@ func BenchmarkForward128x128(b *testing.B) {
 	}
 }
 
-func BenchmarkBackward128x128(b *testing.B) {
-	m := NewMLP([]int{128, 128, 128, 129}, Tanh, prng.New(1))
-	x := benchInput()
-	g := make([]float64, 129)
-	for i := 0; i < b.N; i++ {
-		m.Backward(x, g)
+// benchBatch is a minibatch of discovery's shape: 64 observations of
+// benchInput's density, 4 ones each, at positions that differ by sample.
+func benchBatch() [][]float64 {
+	xs := make([][]float64, 64)
+	for s := range xs {
+		xs[s] = make([]float64, 128)
+		for _, i := range []int{5, 37, 70, 101} {
+			xs[s][(i+3*s)%128] = 1
+		}
 	}
+	return xs
+}
+
+// BenchmarkForwardBatch times ForwardBatch on discovery's policy network
+// and minibatch under each fold4 body.
+func BenchmarkForwardBatch(b *testing.B) {
+	m := NewMLP([]int{128, 64, 64, 128}, Tanh, prng.New(1))
+	xs := benchBatch()
+	var ws Workspace
+	forEachFold4Body(func(body string) {
+		b.Run(body, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.ForwardBatch(&ws, xs)
+			}
+		})
+	})
+}
+
+// BenchmarkBackwardBatch times BackwardBatch on discovery's policy
+// network and minibatch under each fold4 body.
+func BenchmarkBackwardBatch(b *testing.B) {
+	m := NewMLP([]int{128, 64, 64, 128}, Tanh, prng.New(1))
+	xs := benchBatch()
+	var ws Workspace
+	out := m.ForwardBatch(&ws, xs)
+	g := make([]float64, len(out))
+	rng := prng.New(2)
+	for i := range g {
+		g[i] = 1e-3 * rng.NormFloat64()
+	}
+	forEachFold4Body(func(body string) {
+		b.Run(body, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.BackwardBatch(&ws, g)
+			}
+		})
+	})
 }

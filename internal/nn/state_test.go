@@ -70,7 +70,7 @@ func TestAdamStateRestoreRoundTrip(t *testing.T) {
 				grad[i] = out[i] - 1
 			}
 			ZeroGrad(m.Params())
-			m.Backward(in, grad)
+			backward(m, in, grad)
 			opt.Step()
 		}
 	}

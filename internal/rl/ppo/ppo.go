@@ -95,6 +95,7 @@ type Agent struct {
 	rng    *prng.Source
 	raw    []float64 // scratch: softmax of logits
 	probs  []float64 // scratch: mixture distribution actually played
+	ws     nn.Workspace
 }
 
 var _ rl.Agent = (*Agent)(nil)
@@ -187,9 +188,8 @@ func (a *Agent) Respike(spike float64) {
 }
 
 // dist fills a.raw with softmax(logits) and a.probs with the played
-// mixture distribution for obs.
-func (a *Agent) dist(obs []float64) {
-	logits := a.policy.Forward(obs)
+// mixture distribution.
+func (a *Agent) dist(logits []float64) {
 	nn.Softmax(logits, a.raw)
 	eps := a.cfg.ExplorationFloor
 	k := float64(len(a.raw))
@@ -201,7 +201,7 @@ func (a *Agent) dist(obs []float64) {
 // Act implements rl.Agent: samples from the categorical policy (with the
 // exploration floor mixed in).
 func (a *Agent) Act(obs []float64) (int, float64, float64) {
-	a.dist(obs)
+	a.dist(a.policy.Forward(obs))
 	action := nn.SampleCategorical(a.probs, a.rng)
 	logp := nn.LogProb(a.probs, action)
 	v := a.value.Forward(obs)[0]
@@ -218,12 +218,14 @@ func (a *Agent) ActGreedy(obs []float64) int {
 // Probs returns the current action distribution for obs (copy), including
 // the exploration floor.
 func (a *Agent) Probs(obs []float64) []float64 {
-	a.dist(obs)
+	a.dist(a.policy.Forward(obs))
 	return append([]float64(nil), a.probs...)
 }
 
 // Update implements rl.Agent: runs Epochs of minibatch SGD with the
-// clipped surrogate objective on the batch.
+// clipped surrogate objective on the batch. Each minibatch runs the
+// policy network forward, its loss sample by sample, and its backward
+// pass, then the same for the value network.
 func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 	b.NormalizeAdvantages()
 	n := b.Len()
@@ -232,9 +234,12 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 
 	pParams := a.policy.Params()
 	vParams := a.value.Params()
-	gradOut := make([]float64, a.policy.OutSize())
-	logProbs := make([]float64, a.policy.OutSize()) // log max(π_j, 1e-12)
-	vGrad := make([]float64, 1)
+	k := a.policy.OutSize()
+	mbMax := min(a.cfg.MinibatchSize, n)
+	obs := make([][]float64, 0, mbMax)
+	pGrad := make([]float64, k*mbMax)
+	logProbs := make([]float64, k) // log max(π_j, 1e-12)
+	vGrad := make([]float64, mbMax)
 
 	for epoch := 0; epoch < a.cfg.Epochs; epoch++ {
 		order := rl.Shuffle(n, a.rng)
@@ -245,18 +250,22 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 			}
 			mb := order[start:end]
 			mbN := float64(len(mb))
+			obs = obs[:0]
+			for _, i := range mb {
+				obs = append(obs, b.Obs[i])
+			}
 
 			nn.ZeroGrad(pParams)
 			nn.ZeroGrad(vParams)
 			var policyLoss, valueLoss, entropy, clipped float64
 
-			for _, i := range mb {
-				obs := b.Obs[i]
+			logits := a.policy.ForwardBatch(&a.ws, obs)
+			for s, i := range mb {
 				act := b.Actions[i]
 				adv := b.Advantages[i]
 				oldLogp := b.LogProbs[i]
 
-				a.dist(obs)
+				a.dist(logits[s*k:][:k])
 				// One log per action serves the ratio, the entropy and
 				// its gradient; each equals what nn.LogProb and
 				// nn.Entropy compute.
@@ -294,6 +303,7 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 				// entropy bonus adds -entCoef·dH/dlogit_l with
 				// dH/dlogit_l = -(1-ε)·p_l·[(logπ_l+1) - Σ_j p_j(logπ_j+1)].
 				oneMinusEps := 1 - a.cfg.ExplorationFloor
+				gradOut := pGrad[s*k:][:k]
 				for j := range gradOut {
 					gradOut[j] = 0
 				}
@@ -312,15 +322,17 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 					dH := -oneMinusEps * a.raw[j] * ((lp + 1) - dot)
 					gradOut[j] -= a.cfg.EntropyCoef * dH / mbN
 				}
-				a.policy.BackwardLast(gradOut)
-
-				// Value loss: 0.5 * (V - R)^2.
-				v := a.value.Forward(obs)[0]
-				dv := v - b.Returns[i]
-				valueLoss += 0.5 * dv * dv
-				vGrad[0] = a.cfg.ValueCoef * dv / mbN
-				a.value.BackwardLast(vGrad)
 			}
+			a.policy.BackwardBatch(&a.ws, pGrad[:len(logits)])
+
+			// Value loss: 0.5 * (V - R)^2.
+			values := a.value.ForwardBatch(&a.ws, obs)
+			for s, i := range mb {
+				dv := values[s] - b.Returns[i]
+				valueLoss += 0.5 * dv * dv
+				vGrad[s] = a.cfg.ValueCoef * dv / mbN
+			}
+			a.value.BackwardBatch(&a.ws, vGrad[:len(mb)])
 
 			gn := nn.ClipGradNorm(pParams, a.cfg.MaxGradNorm)
 			nn.ClipGradNorm(vParams, a.cfg.MaxGradNorm)

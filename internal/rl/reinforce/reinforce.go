@@ -47,6 +47,7 @@ type Agent struct {
 	vOpt   *nn.Adam
 	rng    *prng.Source
 	probs  []float64
+	ws     nn.Workspace
 }
 
 var _ rl.Agent = (*Agent)(nil)
@@ -82,6 +83,11 @@ func (a *Agent) ActGreedy(obs []float64) int {
 	return nn.Argmax(a.policy.Forward(obs))
 }
 
+// chunk is the number of samples Update runs through a network per
+// minibatch pass. Gradients gain their terms in sample order whatever it
+// is; it bounds the workspace.
+const chunk = 64
+
 // Update implements rl.Agent: a single full-batch policy-gradient step
 // using the GAE advantages as the score weights.
 func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
@@ -94,33 +100,42 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 	vParams := a.value.Params()
 	nn.ZeroGrad(pParams)
 	nn.ZeroGrad(vParams)
-	gradOut := make([]float64, a.policy.OutSize())
+	k := a.policy.OutSize()
+	pGrad := make([]float64, k*min(chunk, n))
+	vGrad := make([]float64, min(chunk, n))
 	var stats rl.UpdateStats
 	fn := float64(n)
-	for i := 0; i < n; i++ {
-		obs := b.Obs[i]
-		act := b.Actions[i]
-		adv := b.Advantages[i]
-		logits := a.policy.Forward(obs)
-		nn.Softmax(logits, a.probs)
-		stats.PolicyLoss += -nn.LogProb(a.probs, act) * adv
-		ent := nn.Entropy(a.probs)
-		stats.Entropy += ent
-		for j := range gradOut {
-			ind := 0.0
-			if j == act {
-				ind = 1.0
+	for start := 0; start < n; start += chunk {
+		obs := b.Obs[start:min(start+chunk, n)]
+		logits := a.policy.ForwardBatch(&a.ws, obs)
+		for s := range obs {
+			i := start + s
+			act := b.Actions[i]
+			adv := b.Advantages[i]
+			nn.Softmax(logits[s*k:][:k], a.probs)
+			stats.PolicyLoss += -nn.LogProb(a.probs, act) * adv
+			ent := nn.Entropy(a.probs)
+			stats.Entropy += ent
+			gradOut := pGrad[s*k:][:k]
+			for j := range gradOut {
+				ind := 0.0
+				if j == act {
+					ind = 1.0
+				}
+				gradOut[j] = -adv * (ind - a.probs[j]) / fn
+				lp := math.Log(math.Max(a.probs[j], 1e-12))
+				gradOut[j] -= a.cfg.EntropyCoef * (-a.probs[j] * (lp + ent)) / fn
 			}
-			gradOut[j] = -adv * (ind - a.probs[j]) / fn
-			lp := math.Log(math.Max(a.probs[j], 1e-12))
-			gradOut[j] -= a.cfg.EntropyCoef * (-a.probs[j] * (lp + ent)) / fn
 		}
-		a.policy.BackwardLast(gradOut)
+		a.policy.BackwardBatch(&a.ws, pGrad[:len(logits)])
 
-		v := a.value.Forward(obs)[0]
-		dv := v - b.Returns[i]
-		stats.ValueLoss += 0.5 * dv * dv
-		a.value.BackwardLast([]float64{dv / fn})
+		values := a.value.ForwardBatch(&a.ws, obs)
+		for s := range obs {
+			dv := values[s] - b.Returns[start+s]
+			stats.ValueLoss += 0.5 * dv * dv
+			vGrad[s] = dv / fn
+		}
+		a.value.BackwardBatch(&a.ws, vGrad[:len(obs)])
 	}
 	stats.GradNorm = nn.ClipGradNorm(pParams, a.cfg.MaxGradNorm)
 	nn.ClipGradNorm(vParams, a.cfg.MaxGradNorm)

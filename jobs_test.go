@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rl/ppo"
 	"repro/internal/server"
 )
 
@@ -623,6 +624,10 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 		"discover num envs -1":   discover(DiscoverConfig{NumEnvs: -1}),
 		"discover samples 1":     discover(DiscoverConfig{Samples: 1}),
 		"discover samples -4":    discover(DiscoverConfig{Samples: -4}),
+		"discover minibatch -1":  discover(DiscoverConfig{Agent: ppo.Config{MinibatchSize: -1}}),
+		"discover epochs -1":     discover(DiscoverConfig{Agent: ppo.Config{Epochs: -1}}),
+		"discover hidden -3":     discover(DiscoverConfig{Agent: ppo.Config{Hidden: []int{64, -3}}}),
+		"discover hidden 0":      discover(DiscoverConfig{Agent: ppo.Config{Hidden: []int{0}}}),
 		"sweep max order -1":     sweepErr,
 		"gift64 dfa pairs -1":    verify(one, VerifyConfig{Cipher: "gift64", Pairs: -1}),
 		"gift64 dfa round 29":    verify(one, VerifyConfig{Cipher: "gift64", Round: 29}),
