@@ -1,27 +1,12 @@
 package nn
 
+import "repro/internal/cpuid"
+
 func init() {
-	if hasAVX() {
+	if cpuid.AVX() {
 		fold4Asm = fold4AVX
 	}
 }
-
-// hasAVX reports whether the CPU has AVX and the OS saves the YMM
-// registers across context switches: CPUID.1 sets OSXSAVE and AVX, and
-// XCR0 enables both the SSE and the AVX state.
-func hasAVX() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	if cpuid1ECX()&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	return xgetbv0()&6 == 6
-}
-
-// cpuid1ECX returns ECX of CPUID leaf 1.
-func cpuid1ECX() uint32
-
-// xgetbv0 returns the low word of XCR0. Call it only when OSXSAVE is set.
-func xgetbv0() uint32
 
 // fold4AVX is fold4 on four AVX lanes: VMULPD then VADDPD per term, no
 // FMA and no sums across lanes, so every lane rounds exactly as fold4Go

@@ -1,20 +1,5 @@
 #include "textflag.h"
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	MOVL $0, CX
-	CPUID
-	MOVL CX, ret+0(FP)
-	RET
-
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // func fold4AVX(y []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64)
 //
 // Each lane runs y + a0·x0, then adds a1·x1, a2·x2 and a3·x3 in turn:
