@@ -21,9 +21,14 @@ type Block struct {
 	rows     int
 	cols     []uint8
 	// Packed operands of the pair products, per column like cols and
-	// filled by AddBlock (see addNibbleBlock and addByteBlock).
+	// filled by AddBlock (see addNibbleBlock and addByteBlock); made on
+	// their first use.
 	u, v []uint64
-	row  []float64 // one row, for the float path of orders >= 3
+	// A, G and the column sums of the Gram body (see gramAsm); made on
+	// its first use.
+	gramA        []int16
+	gramG, gramS []int32
+	row          []float64 // one row, for the float path of orders >= 3
 }
 
 // NewBlock returns an empty block for rows of groups values, each width
@@ -42,8 +47,6 @@ func NewBlock(groups, width int) *Block {
 		width:    width,
 		rowBytes: (groups*width + 7) / 8,
 		cols:     make([]uint8, groups*BlockRows),
-		u:        make([]uint64, groups*BlockRows),
-		v:        make([]uint64, groups*BlockRows),
 		row:      make([]float64, groups),
 	}
 }
@@ -104,7 +107,7 @@ func (b *Block) SetRows(src []byte, stride, rows int) {
 
 // AddBlock folds the block's rows into the running sums.
 //
-// For orders <= 2 it sums the block in uint64 arithmetic — per column the
+// For orders <= 2 it sums the block in integer arithmetic — per column the
 // powers Σx^k (k <= 4), per column pair Σx_i x_j, Σx_i² x_j, Σx_i x_j² and
 // Σx_i² x_j² — and adds each sum to its float64 total once. Values are at
 // most 255, so every term is below 2^32 and every block sum below 2^38,
@@ -112,6 +115,9 @@ func (b *Block) SetRows(src []byte, stride, rows int) {
 // total stays below 2^53, that is for at least 2^21 rows: both paths then
 // hold the exact integer totals, so they produce the same float64 bits
 // for any split of the rows into blocks. Campaign shards hold 256 rows.
+// Order 2 reads its sums off one Gram matrix per block where gramAsm has
+// a body (addGramBlock); order 1, and order 2 elsewhere, runs the
+// packed-lane Go bodies, which compute the same integers.
 //
 // Orders >= 3 keep Add's row-wise float path, in row order: their sums
 // of x^6 and beyond are not exact in float64, so only the same sequence
@@ -133,6 +139,8 @@ func (a *Accumulator) AddBlock(b *Block) {
 			a.Add(b.row)
 		}
 		return
+	case a.cross != nil && gramAsm != nil:
+		a.addGramBlock(b)
 	case b.width <= 4:
 		a.addNibbleBlock(b)
 	default:
@@ -148,8 +156,13 @@ func (a *Accumulator) AddBlock(b *Block) {
 const segRows = 8
 
 // padRows zeroes the rows of every column from the block's row count up to
-// the next segment boundary and returns that padded count.
+// the next segment boundary and returns that padded count. It also makes
+// the packed operands u and v on their first use.
 func (b *Block) padRows() int {
+	if b.u == nil {
+		b.u = make([]uint64, b.groups*BlockRows)
+		b.v = make([]uint64, b.groups*BlockRows)
+	}
 	padded := (b.rows + segRows - 1) / segRows * segRows
 	for j := 0; j < b.groups; j++ {
 		clear(b.cols[j*BlockRows+b.rows : j*BlockRows+padded])

@@ -97,10 +97,11 @@ func TestAddBlockConstantColumns(t *testing.T) {
 }
 
 // BenchmarkAccumulate times folding one 64-row block of a 16-column
-// observation point, row by row through Add and at once through AddBlock,
-// for the nibble and byte group widths; ns/op is per block.
+// observation point into an order-2 accumulator, row by row through Add
+// and at once through AddBlock under each of its bodies, for every group
+// width; ns/op is per block.
 func BenchmarkAccumulate(b *testing.B) {
-	for _, width := range []int{4, 8} {
+	for _, width := range []int{1, 2, 4, 8} {
 		const groups = 16
 		rowBytes := groups * width / 8
 		src := make([]byte, BlockRows*rowBytes)
@@ -117,13 +118,15 @@ func BenchmarkAccumulate(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("addblock-w%d", width), func(b *testing.B) {
-			a := NewAccumulator(groups, 2)
-			blk := NewBlock(groups, width)
-			for i := 0; i < b.N; i++ {
-				blk.SetRows(src, rowBytes, BlockRows)
-				a.AddBlock(blk)
-			}
+		forEachGramBody(func(body string) {
+			b.Run(fmt.Sprintf("addblock-w%d/%s", width, body), func(b *testing.B) {
+				a := NewAccumulator(groups, 2)
+				blk := NewBlock(groups, width)
+				for i := 0; i < b.N; i++ {
+					blk.SetRows(src, rowBytes, BlockRows)
+					a.AddBlock(blk)
+				}
+			})
 		})
 	}
 }

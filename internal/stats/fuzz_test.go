@@ -80,17 +80,20 @@ func requireEqual(t *testing.T, label string, want, got *Accumulator) {
 }
 
 // FuzzAccumulatorBlock checks that AddBlock is a drop-in replacement for
-// Add: rows of any group width (1, 2, 4 or 8 bits) and order (1..3), cut
-// into blocks of every size from empty to full and split at an arbitrary
-// point into two merged accumulators, must leave N and the raw sums
-// bit-identical to the same rows fed one by one through Add. Rows are
+// Add: rows of any group width (1, 2, 4 or 8 bits), order (1..3) and 1 to
+// 32 groups (GIFT-128's nibble count), cut into blocks of every size from
+// empty to full and split at an arbitrary point into two merged
+// accumulators, must leave N and the raw sums bit-identical to the same
+// rows fed one by one through Add, under every AddBlock body. Rows are
 // decoded for Add by a bit reader independent of Block.SetRows, so the
 // unpacking is checked too.
 func FuzzAccumulatorBlock(f *testing.F) {
 	// The largest value of every width in full blocks, where the packed
-	// lanes of the order-2 kernels come closest to overflowing.
+	// lanes of the order-2 kernels come closest to overflowing, at 16 and
+	// at 32 groups.
 	for widthSel := byte(0); widthSel < 4; widthSel++ {
 		f.Add(widthSel, byte(1), byte(15), byte(200), byte(64), []byte{0xff})
+		f.Add(widthSel, byte(1), byte(31), byte(200), byte(64), []byte{0xff})
 	}
 	f.Add(byte(2), byte(1), byte(15), byte(200), byte(3), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0xff})
 	f.Add(byte(3), byte(2), byte(7), byte(255), byte(200), []byte{0xff, 0x00, 0x80, 0x7f, 0x01})
@@ -102,7 +105,7 @@ func FuzzAccumulatorBlock(f *testing.F) {
 		}
 		width := []int{1, 2, 4, 8}[widthSel%4]
 		maxOrder := 1 + int(orderSel)%3
-		groups := 1 + int(groupsSel)%16
+		groups := 1 + int(groupsSel)%32
 		rows := int(rowsSel)
 		rowBytes := (groups*width + 7) / 8
 		packed := make([]byte, rows*rowBytes)
@@ -130,20 +133,25 @@ func FuzzAccumulatorBlock(f *testing.F) {
 			}
 		}
 
-		wantAll, gotAll := NewAccumulator(groups, maxOrder), NewAccumulator(groups, maxOrder)
+		wantAll := NewAccumulator(groups, maxOrder)
 		addRows(wantAll, 0, rows)
-		addBlocks(gotAll, 0, rows)
-		requireEqual(t, "all rows", wantAll, gotAll)
-
 		wantL, wantR := NewAccumulator(groups, maxOrder), NewAccumulator(groups, maxOrder)
-		gotL, gotR := NewAccumulator(groups, maxOrder), NewAccumulator(groups, maxOrder)
 		addRows(wantL, 0, split)
 		addRows(wantR, split, rows)
-		addBlocks(gotL, 0, split)
-		addBlocks(gotR, split, rows)
 		wantL.Merge(wantR)
-		gotL.Merge(gotR)
-		requireEqual(t, "merged split", wantL, gotL)
+		start := k
+		forEachGramBody(func(body string) {
+			k = start
+			gotAll := NewAccumulator(groups, maxOrder)
+			addBlocks(gotAll, 0, rows)
+			requireEqual(t, body+": all rows", wantAll, gotAll)
+
+			gotL, gotR := NewAccumulator(groups, maxOrder), NewAccumulator(groups, maxOrder)
+			addBlocks(gotL, 0, split)
+			addBlocks(gotR, split, rows)
+			gotL.Merge(gotR)
+			requireEqual(t, body+": merged split", wantL, gotL)
+		})
 	})
 }
 
