@@ -70,13 +70,11 @@ func sboxLanes(l *[4]uint64) {
 	l[0], l[1], l[2], l[3] = s3, s1, s2, s0
 }
 
-// subCellsLanes applies the S-box circuit to every nibble of the lanes.
+// subCellsLanes applies the S-box circuit to every nibble of the lanes,
+// in place.
 func (k *kernel) subCellsLanes() {
 	for nib := 0; nib < k.nbits; nib += 4 {
-		var l [4]uint64
-		copy(l[:], k.lanes[nib:nib+4])
-		sboxLanes(&l)
-		copy(k.lanes[nib:nib+4], l[:])
+		sboxLanes((*[4]uint64)(k.lanes[nib : nib+4]))
 	}
 }
 
@@ -143,7 +141,10 @@ func (k *kernel) loadRowsLE(masks []byte, base, bn, wi int) {
 
 // captureLanes transposes the current lanes back to per-trace words and
 // writes each live trace's state into dst at stride*traceIndex+off,
-// little-endian (trace order) or big-endian (ciphertext order).
+// little-endian (trace order) or big-endian (ciphertext order). State
+// word wi holds bits 64*wi.. of the block: in trace order it is bytes
+// 8*wi.. read little-endian, in ciphertext order the eight bytes ending
+// 8*wi bytes before the block's end, read big-endian.
 func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian bool) {
 	bb := k.c.BlockBytes()
 	words := (k.nbits + 63) / 64
@@ -151,24 +152,11 @@ func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian b
 		copy(k.rows[:], k.lanes[64*wi:64*wi+64])
 		transpose64(&k.rows)
 		for t := 0; t < bn; t++ {
-			var s state
-			s[wi] = k.rows[t]
 			at := dst[(base+t)*stride+off:]
 			if bigEndian {
-				// storeBE writes the whole block; accumulate per word
-				// instead: byte i holds bits 8*(bb-1-i)..
-				for i := 0; i < bb; i++ {
-					bitBase := 8 * (bb - 1 - i)
-					if bitBase/64 == wi {
-						at[i] = byte(s[wi] >> (uint(bitBase) % 64))
-					}
-				}
+				binary.BigEndian.PutUint64(at[bb-8*(wi+1):], k.rows[t])
 			} else {
-				for i := 0; i < bb; i++ {
-					if i/8 == wi {
-						at[i] = byte(s[wi] >> (8 * uint(i%8)))
-					}
-				}
+				binary.LittleEndian.PutUint64(at[8*wi:], k.rows[t])
 			}
 		}
 	}

@@ -65,13 +65,11 @@ func sboxLanes(l *[4]uint64) {
 	l[3] = ^(x0 ^ x1 ^ t12 ^ t012 ^ x3 ^ a ^ b)
 }
 
-// subLayerLanes applies the S-box circuit to every nibble of the lanes.
+// subLayerLanes applies the S-box circuit to every nibble of the lanes,
+// in place.
 func (k *kernel) subLayerLanes() {
 	for nib := 0; nib < 64; nib += 4 {
-		var l [4]uint64
-		copy(l[:], k.lanes[nib:nib+4])
-		sboxLanes(&l)
-		copy(k.lanes[nib:nib+4], l[:])
+		sboxLanes((*[4]uint64)(k.lanes[nib : nib+4]))
 	}
 }
 
