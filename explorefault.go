@@ -203,10 +203,10 @@ type AssessConfig struct {
 	Round int `json:"round"`
 	// Samples is the number of plaintexts (default 2048).
 	Samples int `json:"samples,omitempty"`
-	// MaxOrder is the highest t-test order G (default 2).
+	// MaxOrder is the highest t-test order G (default 2, at most 16).
 	MaxOrder int `json:"max_order,omitempty"`
-	// FixedOrder, if non-zero, runs only that order (Table I contrasts
-	// order 1 against order 2).
+	// FixedOrder, if non-zero, runs only that order, 1 to 16 (Table I
+	// contrasts order 1 against order 2).
 	FixedOrder int `json:"fixed_order,omitempty"`
 	// Threshold overrides the leakage classification threshold θ
 	// (default 4.5).
@@ -277,7 +277,7 @@ func AssessContext(ctx context.Context, pattern Pattern, cfg AssessConfig) (Asse
 		return Assessment{}, err
 	}
 	var res evaluate.Assessment
-	if cfg.FixedOrder > 0 {
+	if cfg.FixedOrder != 0 {
 		res, err = e.AssessOrder(ctx, &pattern, cfg.Round, cfg.FixedOrder)
 	} else {
 		res, err = e.Assess(ctx, &pattern, cfg.Round)

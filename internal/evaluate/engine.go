@@ -45,7 +45,8 @@ type Config struct {
 	// Samples is the number of random plaintexts per assessment
 	// (default 2048).
 	Samples int
-	// MaxOrder is the highest t-test order G (default 2).
+	// MaxOrder is the highest t-test order G (default 2, at most
+	// stats.MaxTestOrder).
 	MaxOrder int
 	// GroupBits is the differential grouping granularity; 0 uses the
 	// cipher's native substitution width.
@@ -129,8 +130,8 @@ func (cfg *Config) resolve(c ciphers.Cipher) error {
 	if cfg.Samples < 2 {
 		return fmt.Errorf("evaluate: samples %d out of range (want 2 or more)", cfg.Samples)
 	}
-	if cfg.MaxOrder < 1 {
-		return fmt.Errorf("evaluate: max order %d out of range (want 1 or more)", cfg.MaxOrder)
+	if cfg.MaxOrder < 1 || cfg.MaxOrder > stats.MaxTestOrder {
+		return fmt.Errorf("evaluate: max order %d out of range (want 1..%d)", cfg.MaxOrder, stats.MaxTestOrder)
 	}
 	switch cfg.GroupBits {
 	case 1, 2, 4, 8:
@@ -169,8 +170,8 @@ type Engine struct {
 }
 
 // New creates an engine for the given keyed cipher. It fails when a
-// knob is out of range: fewer than 2 samples, a maximum order below 1, or
-// a group size other than 1, 2, 4 or 8 bits.
+// knob is out of range: fewer than 2 samples, a maximum order outside
+// 1..stats.MaxTestOrder, or a group size other than 1, 2, 4 or 8 bits.
 func New(c ciphers.Cipher, cfg Config) (*Engine, error) {
 	if err := cfg.resolve(c); err != nil {
 		return nil, err
@@ -215,10 +216,11 @@ func (e *Engine) AssessModel(ctx context.Context, pattern *bitvec.Vector, round 
 
 // AssessOrder runs a single fixed-order assessment (used by the Table I
 // harness to contrast first- and second-order statistics). It ignores
-// StopAtThreshold and may exceed Config.MaxOrder.
+// StopAtThreshold and may exceed Config.MaxOrder, but not
+// stats.MaxTestOrder.
 func (e *Engine) AssessOrder(ctx context.Context, pattern *bitvec.Vector, round, order int) (Assessment, error) {
-	if order < 1 {
-		return Assessment{}, fmt.Errorf("evaluate: order %d out of range", order)
+	if order < 1 || order > stats.MaxTestOrder {
+		return Assessment{}, fmt.Errorf("evaluate: fixed order %d out of range (want 1..%d)", order, stats.MaxTestOrder)
 	}
 	return e.assess(ctx, pattern, round, e.cfg.Model, order)
 }

@@ -85,7 +85,7 @@ type Config struct {
 	Mode fault.Mode `json:"-"`
 	// Samples is the per-cell trace budget (default DefaultSamples).
 	Samples int `json:"samples,omitempty"`
-	// MaxOrder is the highest t-test order (default 2).
+	// MaxOrder is the highest t-test order (default 2, at most 16).
 	MaxOrder int `json:"max_order,omitempty"`
 	// GroupBits is the oracle's differential grouping granularity; 0
 	// uses the cipher's native width. Independent of GranBits.

@@ -568,6 +568,12 @@ func TestBadJobValuesFail(t *testing.T) {
 		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":1}`, "samples 1 "},
 		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":-3}`, "samples -3 "},
 		{"sweep", `{"cipher":"gift64","rounds":[25],"max_order":-1}`, "max order -1 "},
+		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":1099511627776}`, "max order 1099511627776 "},
+		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":17}`, "max order 17 "},
+		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"max_order":17}`, "max order 17 "},
+		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"fixed_order":200}`, "fixed order 200 "},
+		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"fixed_order":-3}`, "fixed order -3 "},
+		{"sweep", `{"cipher":"gift64","rounds":[25],"max_order":1099511627776}`, "max order 1099511627776 "},
 		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"num_envs":-1}`, "NumEnvs -1 "},
 		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":1}`, "samples 1 "},
 		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":-4}`, "samples -4 "},
@@ -606,7 +612,10 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 		_, err := DiscoverContext(ctx, cfg)
 		return err
 	}
-	_, sweepErr := Sweep(ctx, SweepConfig{Cipher: "gift64", Rounds: []int{25}, MaxOrder: -1})
+	sweep := func(maxOrder int) error {
+		_, err := Sweep(ctx, SweepConfig{Cipher: "gift64", Rounds: []int{25}, MaxOrder: maxOrder})
+		return err
+	}
 	one, both := PatternFromBits(64, 1), PatternFromBits(128, 1, 65)
 	verify := func(p Pattern, cfg VerifyConfig) error {
 		_, err := VerifyKeyRecovery(p, cfg)
@@ -628,7 +637,14 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 		"discover epochs -1":     discover(DiscoverConfig{Agent: ppo.Config{Epochs: -1}}),
 		"discover hidden -3":     discover(DiscoverConfig{Agent: ppo.Config{Hidden: []int{64, -3}}}),
 		"discover hidden 0":      discover(DiscoverConfig{Agent: ppo.Config{Hidden: []int{0}}}),
-		"sweep max order -1":     sweepErr,
+		"sweep max order -1":     sweep(-1),
+		"sweep max order 17":     sweep(17),
+		"assess max order 2^40":  assess(AssessContext, one, AssessConfig{MaxOrder: 1 << 40}),
+		"assess max order 200":   assess(AssessContext, one, AssessConfig{MaxOrder: 200}),
+		"assess fixed order 200": assess(AssessContext, one, AssessConfig{FixedOrder: 200}),
+		"assess fixed order 17":  assess(AssessContext, one, AssessConfig{FixedOrder: 17}),
+		"assess fixed order -3":  assess(AssessContext, one, AssessConfig{FixedOrder: -3}),
+		"protected max order 17": assess(AssessProtectedContext, both, AssessConfig{MaxOrder: 17}),
 		"gift64 dfa pairs -1":    verify(one, VerifyConfig{Cipher: "gift64", Pairs: -1}),
 		"gift64 dfa round 29":    verify(one, VerifyConfig{Cipher: "gift64", Round: 29}),
 		"gift64 dfa round -3":    verify(one, VerifyConfig{Cipher: "gift64", Round: -3}),
