@@ -40,8 +40,8 @@ loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # Engine benchmarks (campaign, oracle, per-cipher fork kernels, DFA key
-# recovery, atlas sweeps), 5 repetitions averaged into $(BENCH_OUT) under
-# label $(BENCH_LABEL). Run with BENCH_LABEL=before on the parent commit
+# recovery, atlas sweeps), 5 repetitions recorded in $(BENCH_OUT) under
+# label $(BENCH_LABEL) as their mean, median and quartiles. Run with BENCH_LABEL=before on the parent commit
 # to record a baseline; entries of other labels in an existing file are
 # preserved.
 bench:
@@ -53,7 +53,8 @@ bench-all:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # Compare this PR's benchmark record against the checked-in baseline;
-# exits nonzero when any shared benchmark slowed down beyond 20%.
+# exits nonzero when any shared benchmark's mean slowed down beyond 20%.
+# Each side's median and interquartile range are printed beside it.
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) $(BENCH_OUT)
 

@@ -1,5 +1,6 @@
 // benchjson converts `go test -bench` output into a JSON record keyed by
-// benchmark name and run label, averaging repeated -count runs. Feeding
+// benchmark name and run label, averaging repeated -count runs and
+// keeping their median and quartiles beside the mean. Feeding
 // two runs into the same output file under different labels (e.g.
 // "before" and "after") produces a machine-readable comparison:
 //
@@ -13,7 +14,9 @@
 // exits nonzero when any shared benchmark slowed down beyond the
 // threshold or any baseline benchmark is missing from the new record, so
 // CI (or a pre-merge checklist) can gate on "this PR did not regress the
-// kernels and did not silently drop coverage". Added and removed
+// kernels and did not silently drop coverage". The gate reads the means;
+// each side's median and interquartile range are printed beside them, so
+// a reader can tell a shift from the runs' own spread. Added and removed
 // benchmarks are listed in their own sections:
 //
 //	go run ./cmd/benchjson -compare BENCH_pr2.json BENCH_pr5.json
@@ -28,14 +31,20 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Metrics is one benchmark's averaged measurements under one label.
+// Metrics is one benchmark's averaged measurements under one label, with
+// the median and quartiles of its ns/op runs. Records written before
+// the quartiles were kept lack them; they read as zero.
 type Metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsMedian    float64 `json:"ns_median,omitempty"`
+	NsQ1        float64 `json:"ns_q1,omitempty"`
+	NsQ3        float64 `json:"ns_q3,omitempty"`
 	BPerOp      float64 `json:"b_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	Runs        int     `json:"runs"`
@@ -103,6 +112,7 @@ func ingest(stdin io.Reader, stdout io.Writer, label, out string) error {
 	type sums struct {
 		ns, bytes, allocs float64
 		runs              int
+		nsRuns            []float64
 	}
 	totals := map[string]*sums{}
 	var order []string
@@ -142,6 +152,7 @@ func ingest(stdin io.Reader, stdout io.Writer, label, out string) error {
 			return err
 		}
 		t.ns += ns
+		t.nsRuns = append(t.nsRuns, ns)
 		t.bytes += b
 		t.allocs += allocs
 		t.runs++
@@ -159,8 +170,12 @@ func ingest(stdin io.Reader, stdout io.Writer, label, out string) error {
 		if rec.Benchmarks[name] == nil {
 			rec.Benchmarks[name] = map[string]*Metrics{}
 		}
+		slices.Sort(t.nsRuns)
 		rec.Benchmarks[name][label] = &Metrics{
 			NsPerOp:     t.ns / n,
+			NsMedian:    quantile(t.nsRuns, 0.5),
+			NsQ1:        quantile(t.nsRuns, 0.25),
+			NsQ3:        quantile(t.nsRuns, 0.75),
 			BPerOp:      t.bytes / n,
 			AllocsPerOp: t.allocs / n,
 			Runs:        t.runs,
@@ -183,6 +198,26 @@ func ingest(stdin io.Reader, stdout io.Writer, label, out string) error {
 	return nil
 }
 
+// quantile returns the p-quantile of sorted, interpolating linearly
+// between the order statistics at p·(n-1).
+func quantile(sorted []float64, p float64) float64 {
+	pos := p * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 >= len(sorted) {
+		return sorted[i]
+	}
+	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
+}
+
+// spread formats a record's median and interquartile range, or "-" for
+// a record written without them.
+func spread(m *Metrics) string {
+	if m.NsMedian == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f (IQR %.0f)", m.NsMedian, m.NsQ3-m.NsQ1)
+}
+
 // pickLabel returns the metrics of label in one benchmark's entry map,
 // falling back to the sole entry when the file uses a single different
 // label (e.g. comparing a "before" baseline against an "after" record).
@@ -199,8 +234,9 @@ func pickLabel(entries map[string]*Metrics, label string) *Metrics {
 }
 
 // compareRecords prints per-benchmark ns/op deltas between two record
-// files and returns an error when any shared benchmark regressed beyond
-// threshold or when any benchmark disappeared. Added and removed
+// files, with each side's median and interquartile range, and returns an
+// error when any shared benchmark's mean regressed beyond threshold or
+// when any benchmark disappeared. Added and removed
 // benchmarks get their own sections after the shared table: additions are
 // informational, but a removed benchmark usually means lost coverage (a
 // rename or a dropped case), so it fails the comparison and must be
@@ -264,8 +300,8 @@ func compareRecords(w io.Writer, oldPath, newPath string, label string, threshol
 				verdict = "  REGRESSED"
 				regressed++
 			}
-			fmt.Fprintf(w, "  %-50s %12.0f -> %12.0f ns/op  %+6.1f%%%s\n",
-				short, o.NsPerOp, n.NsPerOp, 100*delta, verdict)
+			fmt.Fprintf(w, "  %-50s %12.0f -> %12.0f ns/op  %+6.1f%%  median %s -> %s%s\n",
+				short, o.NsPerOp, n.NsPerOp, 100*delta, spread(o), spread(n), verdict)
 		}
 	}
 	if len(added) > 0 {

@@ -62,6 +62,35 @@ func TestIngest(t *testing.T) {
 	}
 }
 
+// TestIngestQuartiles pins the median and quartiles kept beside the mean:
+// linear interpolation between the sorted runs, in any input order.
+func TestIngestQuartiles(t *testing.T) {
+	const runs = `BenchmarkKernel-2   10   40 ns/op
+BenchmarkKernel-2   10   10 ns/op
+BenchmarkKernel-2   10   100 ns/op
+BenchmarkKernel-2   10   30 ns/op
+BenchmarkKernel-2   10   20 ns/op
+BenchmarkPair-2     10   60 ns/op
+BenchmarkPair-2     10   50 ns/op
+`
+	var stdout, stderr bytes.Buffer
+	if err := run(nil, strings.NewReader(runs), &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	if err := json.Unmarshal(stdout.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]Metrics{
+		"BenchmarkKernel": {NsPerOp: 40, NsMedian: 30, NsQ1: 20, NsQ3: 40, Runs: 5},
+		"BenchmarkPair":   {NsPerOp: 55, NsMedian: 55, NsQ1: 52.5, NsQ3: 57.5, Runs: 2},
+	} {
+		if got := rec.Benchmarks[name]["after"]; got == nil || *got != want {
+			t.Errorf("%s: %+v, want %+v", name, got, want)
+		}
+	}
+}
+
 // writeRecord writes a record file with the given ns/op per benchmark
 // under one label.
 func writeRecord(t *testing.T, path, label string, ns map[string]float64) {
@@ -181,6 +210,43 @@ func TestCompare(t *testing.T) {
 		}
 		if !strings.Contains(text, "added (2):") || !strings.Contains(text, "removed (3):") {
 			t.Errorf("added/removed sections should still be listed:\n%s", text)
+		}
+	})
+
+	t.Run("median_and_iqr", func(t *testing.T) {
+		// A record with quartiles compares against one written without
+		// them: the old side prints "-", and the gate still reads the
+		// means (+10% here, under the threshold although the median
+		// moved more).
+		cur := filepath.Join(dir, "quartiles.json")
+		rec := Record{Benchmarks: map[string]map[string]*Metrics{
+			"BenchmarkCampaign": {"after": {NsPerOp: 110, NsMedian: 140, NsQ1: 90, NsQ3: 150, Runs: 5}},
+			"BenchmarkOracle":   {"after": {NsPerOp: 50, Runs: 5}},
+			"BenchmarkGone":     {"after": {NsPerOp: 10, NsMedian: 10, NsQ1: 9, NsQ3: 12, Runs: 5}},
+		}}
+		data, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cur, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-compare", old, cur}, nil, &out, &out); err != nil {
+			t.Fatalf("mean +10%% should pass whatever the median: %v\n%s", err, out.String())
+		}
+		text := out.String()
+		for _, want := range []string{"+10.0%  median - -> 140 (IQR 60)", "median - -> -", "median - -> 10 (IQR 3)"} {
+			if !strings.Contains(text, want) {
+				t.Errorf("output lacks %q:\n%s", want, text)
+			}
+		}
+		var back bytes.Buffer
+		if err := run([]string{"-compare", cur, cur}, nil, &back, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(back.String(), "median 140 (IQR 60) -> 140 (IQR 60)") {
+			t.Errorf("both sides' quartiles missing:\n%s", back.String())
 		}
 	})
 
