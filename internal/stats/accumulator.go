@@ -4,10 +4,9 @@ import "fmt"
 
 // MaxTestOrder is the highest t-test order the entry points accept. An
 // order-d test reads the power sums Σx^k up to k = 2d, so an
-// accumulator's storage grows with d, and a requested order of 2^40 used
-// to end the process out of memory. Precision ends long before that: the
-// centered moments are recovered from float64 raw power sums by
-// cancellation. On a one-bit fault at GIFT-64 rounds 5 and 25 and
+// accumulator's storage grows with d without bound. Precision ends long
+// before memory does: the centered moments are recovered from float64
+// raw power sums by cancellation. On a one-bit fault at GIFT-64 rounds 5 and 25 and
 // AES-128 round 3, at 512 and 2,048 samples, orders 1 to 16 returned
 // finite statistics below the cap and order 17 returned the cap in all
 // six cases.
