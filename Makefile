@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAccumulatorMerge$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzAccumulatorBlock$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzStagesOpen$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultApply$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzMLPKernels$$' -fuzztime $(FUZZTIME) ./internal/nn
 
@@ -90,7 +91,8 @@ smoke-atlas:
 # Daemon restart smoke: SIGTERM explorefaultd mid-job, restart it on the
 # same data directory, and require the resumed job's result and
 # normalized event stream to match an uninterrupted daemon's byte for
-# byte.
+# byte; then the same after a SIGKILL and a torn record appended to the
+# job table, which the restarted daemon must report as dropped bytes.
 smoke-server:
 	sh scripts/smoke_server.sh
 

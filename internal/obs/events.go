@@ -54,6 +54,10 @@ const (
 	EventJobStarted   = "job_started"
 	EventJobFinished  = "job_finished"
 	EventJobCancelled = "job_cancelled"
+	// EventJobStoreOpened is the campaign server's first event: the job
+	// table it loaded at startup, with the bytes of a torn or corrupt
+	// tail its store discarded ("dropped_bytes", 0 after a clean stop).
+	EventJobStoreOpened = "job_store_opened"
 	// EventJobUsage records one job's resource accounting (wall/CPU/queue
 	// seconds, work counters, peak heap delta) plus its attribution labels
 	// (tenant, kind, cipher, fault_model), written into the per-job event

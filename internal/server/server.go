@@ -169,6 +169,9 @@ func New(cfg Config) (*Server, error) {
 		s.jobs[j.ID] = j
 	}
 	s.updateGauges()
+	cfg.Events.Emit(obs.EventJobStoreOpened, map[string]any{
+		"jobs": len(jobs), "dropped_bytes": st.stages.DroppedBytes(),
+	})
 
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
@@ -256,7 +259,8 @@ func (s *Server) Jobs() []*Job {
 // place, a running job's context is cancelled (the engine stops at its
 // next shard/episode boundary and the job settles to cancelled), and a
 // terminal job's record and files are purged. The returned purged flag
-// reports the last case.
+// reports the last case. A purge whose store delete fails keeps the job
+// and its files, so a restart never finds a record without them.
 func (s *Server) Delete(id string) (job *Job, purged bool, err error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -291,14 +295,17 @@ func (s *Server) Delete(id string) (job *Job, purged bool, err error) {
 		s.cfg.Events.Emit(obs.EventJobCancelled, map[string]any{"id": id, "state": "running"})
 		return job, false, nil
 	default: // terminal: purge record and files
+		if err := s.store.deleteJob(id); err != nil {
+			s.mu.Unlock()
+			return nil, false, err
+		}
 		delete(s.jobs, id)
-		err = s.store.deleteJob(id)
 		files := s.Files(id)
 		s.mu.Unlock()
 		for _, p := range []string{files.Checkpoint, files.Events, files.Output} {
 			os.Remove(p)
 		}
-		return nil, true, err
+		return nil, true, nil
 	}
 }
 

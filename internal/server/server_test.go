@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -440,5 +441,88 @@ func TestServerValidateRejects(t *testing.T) {
 	_, err = s.Submit(countSpec("bad", 1, 1))
 	if err == nil || !strings.Contains(err.Error(), "no") {
 		t.Fatalf("Submit err = %v, want runner validation error", err)
+	}
+}
+
+// TestServerPurgeKeepsJobWhenStoreDeleteFails purges a done job while
+// the job table cannot be written: the purge must fail without dropping
+// the record from memory or deleting the job's files, so a restart never
+// finds a record whose event log is gone.
+func TestServerPurgeKeepsJobWhenStoreDeleteFails(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{DataDir: dir, Workers: 1, Runner: testRunner{run: countRun}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j := submitSpec(t, s, countSpec("purge", 2, 1))
+	waitJob(t, s, j.ID, func(j *Job) bool { return j.State == StateDone })
+
+	// A directory in the table's place fails both ways the store writes:
+	// an appending open and a rename onto it. File permissions would not
+	// stop a privileged process.
+	table := filepath.Join(dir, storeFile)
+	if err := os.Remove(table); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(table, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, purged, err := s.Delete(j.ID); err == nil || purged {
+		t.Fatalf("purge with an unwritable store: purged=%v err=%v, want an error", purged, err)
+	}
+	if got, err := s.Job(j.ID); err != nil || got.State != StateDone {
+		t.Fatalf("job after the failed purge: %+v, %v", got, err)
+	}
+	if _, err := os.Stat(s.Files(j.ID).Events); err != nil {
+		t.Fatalf("event log after the failed purge: %v", err)
+	}
+}
+
+// TestServerReportsDroppedStoreTail restarts a daemon whose job table
+// ends in a torn delta: the store keeps every whole record, and the
+// daemon's first event reports the bytes it dropped.
+func TestServerReportsDroppedStoreTail(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Workers: 1, Runner: testRunner{run: countRun}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := submitSpec(t, s, countSpec("torn", 2, 1))
+	waitJob(t, s, j.ID, func(j *Job) bool { return j.State == StateDone })
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	torn := []byte("EFCKPT\x00\x01\x00") // the first bytes of a delta envelope
+	f, err := os.OpenFile(filepath.Join(dir, storeFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var events strings.Builder
+	cfg.Events = obs.NewEmitter(&events)
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, err := s2.Job(j.ID); err != nil || got.State != StateDone || string(got.Result) != `{"count":2}` {
+		t.Fatalf("job after the torn tail: %+v, %v", got, err)
+	}
+	var first obs.Event
+	line, _, _ := strings.Cut(events.String(), "\n")
+	if err := json.Unmarshal([]byte(line), &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Event != obs.EventJobStoreOpened || first.Fields["dropped_bytes"] != float64(len(torn)) || first.Fields["jobs"] != float64(1) {
+		t.Fatalf("first daemon event = %s, want %s with dropped_bytes %d", line, obs.EventJobStoreOpened, len(torn))
 	}
 }

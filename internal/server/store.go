@@ -10,12 +10,13 @@ import (
 )
 
 // Job records are persisted through checkpoint.Stages: one stage per
-// job plus a sequence counter, in a single checksummed envelope file
-// written atomically on every change. Reusing the checkpoint store —
-// rather than a bespoke database — means job durability inherits the
-// properties the engine checkpoints already pin in tests: a torn write
-// never corrupts prior state, a foreign or damaged file is a clean
-// error, and the whole daemon state lives in one copyable directory.
+// job plus a sequence counter, in one file that starts with a
+// checksummed snapshot and grows by one fsynced delta record per change.
+// Reusing the checkpoint store — rather than a bespoke database — means
+// job durability inherits the properties the engine checkpoints already
+// pin in tests: a torn write reopens to the state before it, a foreign
+// or damaged snapshot is a clean error, and the whole daemon state lives
+// in one copyable directory.
 const (
 	storeKind = "explorefaultd-jobs"
 	storeKey  = "jobs/v1"

@@ -5,6 +5,10 @@
 # be byte-identical to the same job run on an uninterrupted daemon —
 # and the normalized event streams (episode events, timestamps and
 # sequence numbers stripped, overlap deduplicated) to match exactly.
+# A second scenario SIGKILLs the daemon mid-job instead and appends the
+# first bytes of a delta record to its job table, as a crash mid-append
+# leaves it: the restarted daemon must report the dropped bytes and
+# still finish the job with the reference result.
 #
 # Robust by construction: if the job finishes before the signal lands,
 # the restart path degenerates to "load a done job", which still has to
@@ -21,10 +25,11 @@ $GO build -o "$BIN" ./cmd/explorefaultd
 
 JOB='{"type":"discover","name":"smoke","config":{"cipher":"gift64","round":25,"episodes":96,"samples":128,"seed":7,"checkpoint_every":8}}'
 
-# start_daemon <datadir> <logfile>: boots the daemon on an ephemeral
-# port, waits for the startup line, and sets DPID and BASE.
+# start_daemon <datadir> <logfile> [<events>]: boots the daemon on an
+# ephemeral port, waits for the startup line, and sets DPID and BASE.
+# With a third argument the daemon writes its lifecycle events there.
 start_daemon() {
-    "$BIN" -addr localhost:0 -data "$1" > "$2" 2>&1 &
+    "$BIN" -addr localhost:0 -data "$1" ${3:+-events "$3"} > "$2" 2>&1 &
     DPID=$!
     i=0
     while ! grep -q 'listening on http://' "$2" 2>/dev/null; do
@@ -49,6 +54,18 @@ wait_done() {
         i=$((i + 1))
         [ "$i" -gt 600 ] && { echo "FAIL: job stuck in '$state'"; exit 1; }
         sleep 0.2
+    done
+}
+
+# wait_episodes <events.jsonl> <n>: waits until a job's log holds n
+# episode events (or gives up after 30 s: a fast job still has to
+# produce the reference result).
+wait_episodes() {
+    i=0
+    while [ "$(grep -c '"event":"episode"' "$1" 2>/dev/null || echo 0)" -lt "$2" ]; do
+        i=$((i + 1))
+        [ "$i" -gt 300 ] && break
+        sleep 0.1
     done
 }
 
@@ -110,12 +127,7 @@ echo "   reference result captured ($(wc -l < "$DIR/ref.events") episodes)"
 echo "== interrupted daemon (SIGTERM mid-job)"
 start_daemon "$DIR/b" "$DIR/b1.log"
 ID2=$(curl -s "$BASE/jobs" -d "$JOB" | jq -r .id)
-i=0
-while [ "$(grep -c '"event":"episode"' "$DIR/b/$ID2.events.jsonl" 2>/dev/null || echo 0)" -lt 16 ]; do
-    i=$((i + 1))
-    [ "$i" -gt 300 ] && break # job may simply be fast; restart still must match
-    sleep 0.1
-done
+wait_episodes "$DIR/b/$ID2.events.jsonl" 16
 kill -TERM "$DPID"; wait "$DPID" || true
 echo "   daemon killed after $(grep -c '"event":"episode"' "$DIR/b/$ID2.events.jsonl" 2>/dev/null || echo 0) episodes"
 
@@ -136,3 +148,37 @@ if ! diff "$DIR/ref.events" "$DIR/int.events"; then
     exit 1
 fi
 echo "PASS: resumed job (resumes=$resumes) matches the uninterrupted run byte for byte"
+
+echo "== crashed daemon (SIGKILL mid-job, torn job-table record)"
+start_daemon "$DIR/c" "$DIR/c1.log"
+ID3=$(curl -s "$BASE/jobs" -d "$JOB" | jq -r .id)
+wait_episodes "$DIR/c/$ID3.events.jsonl" 16
+kill -KILL "$DPID"; wait "$DPID" 2>/dev/null || true
+# A crash mid-append leaves a delta's first bytes: magic, version and
+# half of the kind length, 9 bytes.
+printf 'EFCKPT\000\001\000' >> "$DIR/c/jobs.ckpt"
+echo "   daemon killed after $(grep -c '"event":"episode"' "$DIR/c/$ID3.events.jsonl" 2>/dev/null || echo 0) episodes; 9 torn bytes appended"
+
+echo "== restarted daemon (drops the torn record, job resumes)"
+start_daemon "$DIR/c" "$DIR/c2.log" "$DIR/c2.daemon.jsonl"
+dropped=$(jq -r 'select(.event == "job_store_opened") | .fields.dropped_bytes' "$DIR/c2.daemon.jsonl")
+if [ "$dropped" != 9 ]; then
+    echo "FAIL: restarted daemon reported dropped_bytes '$dropped', want 9"
+    cat "$DIR/c2.daemon.jsonl"
+    exit 1
+fi
+wait_done "$BASE" "$ID3"
+resumes=$(curl -s "$BASE/jobs/$ID3" | jq -r .resumes)
+curl -s "$BASE/jobs/$ID3" | jq -S .result > "$DIR/crash.result"
+normalize_events "$DIR/c/$ID3.events.jsonl" "$DIR/crash.events"
+kill -TERM "$DPID"; wait "$DPID" || true
+
+if ! diff "$DIR/ref.result" "$DIR/crash.result"; then
+    echo "FAIL: job resumed after SIGKILL differs from the uninterrupted run"
+    exit 1
+fi
+if ! diff "$DIR/ref.events" "$DIR/crash.events"; then
+    echo "FAIL: normalized event stream after SIGKILL differs from the uninterrupted run"
+    exit 1
+fi
+echo "PASS: after SIGKILL and a torn record (9 bytes dropped), the job (resumes=$resumes) matches the uninterrupted run byte for byte"
