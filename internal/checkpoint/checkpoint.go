@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 )
 
 // Version is the current envelope format version. Decode rejects any
@@ -234,8 +235,12 @@ func save(path, kind string, payload any) (int64, error) {
 }
 
 // syncDir fsyncs a directory, making the renames and creations in it
-// durable.
+// durable. It does nothing on Windows, which flushes only handles opened
+// for writing and cannot open a directory that way.
 func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
