@@ -200,8 +200,18 @@ func DiscoverContext(ctx context.Context, cfg DiscoverConfig) (*DiscoveryResult,
 	if cfg.MaxHarvest == 0 {
 		cfg.MaxHarvest = 24
 	}
-	if cfg.NumEnvs < 0 {
-		return nil, fmt.Errorf("explorefault: NumEnvs %d out of range (want 0 for the default, or more)", cfg.NumEnvs)
+	for _, c := range []struct {
+		name  string
+		value int
+	}{
+		{"Episodes", cfg.Episodes},
+		{"NumEnvs", cfg.NumEnvs},
+		{"EpisodeLen", cfg.EpisodeLen},
+		{"MaxHarvest", cfg.MaxHarvest},
+	} {
+		if c.value < 0 {
+			return nil, fmt.Errorf("explorefault: %s %d out of range (want 0 for the default, or more)", c.name, c.value)
+		}
 	}
 	if cfg.Agent.MinibatchSize < 0 {
 		return nil, fmt.Errorf("explorefault: Agent.MinibatchSize %d out of range (want 0 for the default, or more)", cfg.Agent.MinibatchSize)

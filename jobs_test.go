@@ -577,6 +577,9 @@ func TestBadJobValuesFail(t *testing.T) {
 		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"num_envs":-1}`, "NumEnvs -1 "},
 		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":1}`, "samples 1 "},
 		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":-4}`, "samples -4 "},
+		{"discover", `{"cipher":"gift64","round":25,"episodes":-3}`, "Episodes -3 "},
+		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"episode_len":-5}`, "EpisodeLen -5 "},
+		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"max_harvest":-1}`, "MaxHarvest -1 "},
 	} {
 		j, err := s.Submit(JobSpec{Type: tc.typ, Config: json.RawMessage(tc.config)})
 		if err != nil {
@@ -610,6 +613,10 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 	discover := func(cfg DiscoverConfig) error {
 		cfg.Cipher, cfg.Round, cfg.Episodes = "gift64", 25, 8
 		_, err := DiscoverContext(ctx, cfg)
+		return err
+	}
+	episodes := func(n int) error {
+		_, err := DiscoverContext(ctx, DiscoverConfig{Cipher: "gift64", Round: 25, Episodes: n})
 		return err
 	}
 	sweep := func(maxOrder int) error {
@@ -652,6 +659,9 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 		"gift128 dfa round 41":   verify(both, VerifyConfig{Cipher: "gift128", Round: 41}),
 		"propagate samples -5":   propagate(-5),
 		"propagate samples 1":    propagate(1),
+		"discover Episodes -3":   episodes(-3),
+		"discover EpisodeLen -5": discover(DiscoverConfig{EpisodeLen: -5}),
+		"discover MaxHarvest -1": discover(DiscoverConfig{MaxHarvest: -1}),
 	} {
 		if err == nil {
 			t.Errorf("%s: no error", name)
