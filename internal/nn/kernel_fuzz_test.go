@@ -78,17 +78,33 @@ func (r refMLP) Backward(x, gradOut []float64) {
 	}
 }
 
-// forEachFold4Body runs f under fold4's Go body and then, where the init
-// probe selected one, under its assembly body. It restores the probe's
-// choice when f returns or fails.
-func forEachFold4Body(f func(body string)) {
-	asm := fold4Asm
-	defer func() { fold4Asm = asm }()
-	fold4Asm = nil
+// forEachBody runs f under the Go bodies of gemm and adamStep and then,
+// where the init probe selected them, under their assembly bodies. It
+// restores the probe's choice when f returns or fails.
+func forEachBody(f func(body string)) {
+	gemmA, adamA := gemmAsm, adamAsm
+	defer func() { gemmAsm, adamAsm = gemmA, adamA }()
+	gemmAsm, adamAsm = nil, nil
 	f("go")
-	if asm != nil {
-		fold4Asm = asm
+	if gemmA != nil || adamA != nil {
+		gemmAsm, adamAsm = gemmA, adamA
 		f("asm")
+	}
+}
+
+// refAdamStep is the scalar Adam loop that adamStep's bodies replace,
+// kept as the reference they must match bit for bit.
+func refAdamStep(a *Adam) {
+	a.t++
+	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
+	bc2 := 1 - math.Pow(a.beta2, float64(a.t))
+	for i, p := range a.params {
+		m, v := a.m[i], a.v[i]
+		for j, g := range p.Grad {
+			m[j] = a.beta1*m[j] + (1-a.beta1)*g
+			v[j] = a.beta2*v[j] + (1-a.beta2)*g*g
+			p.Val[j] -= a.lr * (m[j] / bc1) / (math.Sqrt(v[j]/bc2) + a.eps)
+		}
 	}
 }
 
@@ -134,26 +150,32 @@ func requireSameBits(t *testing.T, what string, want, got []float64) {
 	}
 }
 
-// FuzzMLPKernels checks that Forward, ForwardBatch and BackwardBatch
-// reproduce the scalar reference bit for bit under every fold4 body: the
-// outputs of every pass, and the gradients accumulated over two
-// minibatches of 1–9 samples between Adam steps, with one workspace
-// throughout. Layer widths are not restricted to multiples of four.
+// FuzzMLPKernels checks that Forward, ForwardBatch, BackwardBatch and
+// Adam.Step reproduce the scalar reference bit for bit under the Go and
+// the assembly bodies: the outputs of every pass, the gradients
+// accumulated over two minibatches of 1–70 samples between Adam steps,
+// with one workspace throughout, and the parameters after each step. The
+// minibatches cover both sides of every 16-sample strip of the assembly
+// body, and layer widths are not restricted to multiples of 16.
 func FuzzMLPKernels(f *testing.F) {
-	f.Add(uint64(1), byte(128), byte(64), byte(128), byte(3), byte(0), byte(0), byte(8))
-	f.Add(uint64(2), byte(7), byte(5), byte(3), byte(2), byte(1), byte(1), byte(3))
-	f.Add(uint64(3), byte(13), byte(6), byte(1), byte(3), byte(2), byte(0), byte(5))
-	f.Add(uint64(4), byte(1), byte(1), byte(1), byte(1), byte(3), byte(1), byte(2))
-	f.Fuzz(func(t *testing.T, seed uint64, inSel, hiddenSel, outSel, depthSel, kindSel, actSel, batchSel byte) {
+	f.Add(uint64(1), byte(128), byte(65), byte(66), byte(128), byte(3), byte(0), byte(0), byte(8), byte(0))
+	f.Add(uint64(2), byte(7), byte(6), byte(7), byte(3), byte(2), byte(1), byte(1), byte(3), byte(0))
+	f.Add(uint64(3), byte(13), byte(7), byte(8), byte(1), byte(3), byte(2), byte(0), byte(5), byte(0))
+	f.Add(uint64(4), byte(1), byte(2), byte(3), byte(1), byte(1), byte(3), byte(1), byte(2), byte(0))
+	// Discovery's policy network, [128, 64, 64, 128], and minibatch of 64.
+	f.Add(uint64(5), byte(127), byte(63), byte(63), byte(127), byte(2), byte(0), byte(0), byte(63), byte(69))
+	// Widths and minibatches one past and one short of a 16-sample strip.
+	f.Add(uint64(6), byte(36), byte(16), byte(30), byte(32), byte(2), byte(3), byte(1), byte(16), byte(30))
+	f.Fuzz(func(t *testing.T, seed uint64, inSel, hidden1Sel, hidden2Sel, outSel, depthSel, kindSel, actSel, batchSel, batch2Sel byte) {
 		sizes := []int{1 + int(inSel)%130}
-		for k := 1; k < 1+int(depthSel)%3; k++ {
-			sizes = append(sizes, 1+int(hiddenSel+byte(k))%67)
+		for _, sel := range []byte{hidden1Sel, hidden2Sel}[:int(depthSel)%3] {
+			sizes = append(sizes, 1+int(sel)%67)
 		}
 		sizes = append(sizes, 1+int(outSel)%131)
 		act := Activation(actSel % 2)
-		batches := []int{1 + int(batchSel)%9, 1 + int(batchSel/9)%9}
+		batches := []int{1 + int(batchSel)%70, 1 + int(batch2Sel)%70}
 
-		forEachFold4Body(func(body string) {
+		forEachBody(func(body string) {
 			m := NewMLP(sizes, act, prng.New(seed))
 			ref := refMLP{NewMLP(sizes, act, prng.New(seed))}
 			mOpt := NewAdam(m.Params(), 1e-2)
@@ -195,7 +217,10 @@ func FuzzMLPKernels(f *testing.F) {
 				ClipGradNorm(m.Params(), 0.5)
 				ClipGradNorm(ref.Params(), 0.5)
 				mOpt.Step()
-				refOpt.Step()
+				refAdamStep(refOpt)
+				for pi, p := range ref.Params() {
+					requireSameBits(t, body+" param", p.Val, m.Params()[pi].Val)
+				}
 			}
 		})
 	})

@@ -9,13 +9,16 @@
 // four output rows per pass: every row's sum still adds its terms in
 // input order, but the four sums are independent dependency chains. The
 // minibatch pass keeps activations unit-major (unit × sample) in a
-// Workspace the caller owns, and every dense product goes through fold4,
-// which adds four scaled vectors to a running vector, one term after the
-// other. The forward pass and the input gradient fold across samples;
-// the weight gradient folds across inputs, four samples per pass. Each
-// element so gains the same terms in the same order as it would one
-// sample at a time. On amd64 CPUs with AVX, fold4 runs on four vector
-// lanes that round exactly as its Go body does.
+// Workspace the caller owns, and every dense product goes through gemm,
+// which adds A·B to C one term after the other: the forward pass adds W·x
+// to the biases, the input gradient is Wᵀ·gy with W read through swapped
+// strides, and the weight gradient adds gy·xᵀ, read from a sample-major
+// copy of x. Each element so gains the same terms in the same order as it
+// would one sample at a time. Adam evaluates the same expressions for
+// every element whichever body runs it. On amd64 CPUs with AVX, gemm
+// keeps two-row, 16-column tiles of C in vector registers and Adam runs
+// four elements at a time, on lanes that round exactly as the Go bodies
+// do.
 //
 // The first layer is sparse: policy observations are 0/1 bit-selection
 // vectors, mostly zeros, so both passes collect the nonzero inputs once
@@ -186,74 +189,39 @@ func (l *Linear) backwardSparse(idx []int, val, gy []float64) {
 }
 
 // forwardBatch is forward for n samples, with x (In × n) and y (Out × n)
-// unit-major. Each output starts at its bias and adds W[o][i]·x[i] in
-// input order, four inputs per fold across the samples.
+// unit-major: y = W·x, where each output starts at its bias and adds
+// W[o][i]·x[i] in input order.
 func (l *Linear) forwardBatch(x, y []float64, n int) {
-	in := l.In
-	for o := 0; o < l.Out; o++ {
+	for o, b := range l.B.Val {
 		yo := y[o*n:][:n]
 		for s := range yo {
-			yo[s] = l.B.Val[o]
-		}
-		row := l.W.Val[o*in:][:in]
-		i := 0
-		for ; i+4 <= in; i += 4 {
-			fold4(yo, row[i], row[i+1], row[i+2], row[i+3], x[i*n:], x[(i+1)*n:], x[(i+2)*n:], x[(i+3)*n:])
-		}
-		for ; i < in; i++ {
-			fold1(yo, row[i], x[i*n:])
+			yo[s] = b
 		}
 	}
+	gemm(l.Out, n, l.In, l.W.Val, l.In, 1, x, n, y, n)
 }
 
 // backwardBatch accumulates the parameter gradients of n samples, given
 // the layer input x (In × n) and the upstream gradient gy (Out × n), and
-// writes the input gradient to gx (In × n), all unit-major. Every element
-// gains its terms in the order n one-sample passes would add them: a bias
-// gradient in sample order; a weight-gradient row in sample order, four
-// samples per fold across the inputs, read from a sample-major copy in
-// cols (4·In); gx[i] in output order from +0, four rows per fold across
-// the samples.
-func (l *Linear) backwardBatch(x, gy, gx, cols []float64, n int) {
+// writes the input gradient to gx (In × n), all unit-major; xt is scratch
+// for a sample-major copy of x (n × In). Every element gains its terms in
+// the order n one-sample passes would add them: a bias gradient in sample
+// order; W.Grad += gy·xᵀ in sample order; gx = Wᵀ·gy from +0 in output
+// order, reading W with its rows and columns swapped in place of a
+// transposed copy.
+func (l *Linear) backwardBatch(x, gy, gx, xt []float64, n int) {
 	in := l.In
 	for o := 0; o < l.Out; o++ {
 		for _, g := range gy[o*n:][:n] {
 			l.B.Grad[o] += g
 		}
 	}
-	s := 0
-	for ; s+4 <= n; s += 4 {
-		c := cols[:4*in]
-		for i := 0; i < in; i++ {
-			xi := x[i*n+s:][:4]
-			c[i], c[in+i], c[2*in+i], c[3*in+i] = xi[0], xi[1], xi[2], xi[3]
-		}
-		for o := 0; o < l.Out; o++ {
-			g := gy[o*n+s:][:4]
-			fold4(l.W.Grad[o*in:][:in], g[0], g[1], g[2], g[3], c, c[in:], c[2*in:], c[3*in:])
-		}
-	}
-	for ; s < n; s++ {
-		c := cols[:in]
-		for i := range c {
-			c[i] = x[i*n+s]
-		}
-		for o := 0; o < l.Out; o++ {
-			fold1(l.W.Grad[o*in:][:in], gy[o*n+s], c)
-		}
-	}
-	w := l.W.Val
-	for i := 0; i < in; i++ {
-		gxi := gx[i*n:][:n]
-		clear(gxi)
-		o := 0
-		for ; o+4 <= l.Out; o += 4 {
-			fold4(gxi, w[o*in+i], w[(o+1)*in+i], w[(o+2)*in+i], w[(o+3)*in+i], gy[o*n:], gy[(o+1)*n:], gy[(o+2)*n:], gy[(o+3)*n:])
-		}
-		for ; o < l.Out; o++ {
-			fold1(gxi, w[o*in+i], gy[o*n:])
-		}
-	}
+	xt = xt[:n*in]
+	transpose(xt, x, in, n)
+	gemm(l.Out, in, n, gy, n, 1, xt, in, l.W.Grad, in)
+	gx = gx[:in*n]
+	clear(gx)
+	gemm(in, n, l.Out, l.W.Val, 1, in, gy, n, gx, n)
 }
 
 // MLP is a multi-layer perceptron: hidden dense layers with a shared
@@ -350,7 +318,7 @@ type Workspace struct {
 	outs  [][]float64  // outs[k]: layer k's output, Out × n
 	grads [2][]float64 // input gradients, In × n, alternating by layer
 	out   []float64    // the network's output, sample-major
-	cols  []float64    // a layer's input for four samples, or one sample's first-layer units
+	cols  []float64    // a layer's input sample-major, or one sample's first-layer units
 }
 
 // nonzero returns sample s's nonzero inputs.
@@ -394,7 +362,7 @@ func (m *MLP) ForwardBatch(ws *Workspace, xs [][]float64) []float64 {
 	}
 	cols := m.layers[0].Out
 	for _, l := range m.layers[1:] {
-		cols = max(cols, 4*l.In)
+		cols = max(cols, l.In*n)
 	}
 	ws.cols = resize(ws.cols, cols)
 	for len(ws.outs) < len(m.layers) {
@@ -600,15 +568,16 @@ func (a *Adam) Restore(st AdamState) error {
 // accumulation).
 func (a *Adam) Step() {
 	a.t++
-	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.beta2, float64(a.t))
+	h := adamCoef{
+		beta1: a.beta1, c1: 1 - a.beta1,
+		beta2: a.beta2, c2: 1 - a.beta2,
+		lr:  a.lr,
+		bc1: 1 - math.Pow(a.beta1, float64(a.t)),
+		bc2: 1 - math.Pow(a.beta2, float64(a.t)),
+		eps: a.eps,
+	}
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		for j, g := range p.Grad {
-			m[j] = a.beta1*m[j] + (1-a.beta1)*g
-			v[j] = a.beta2*v[j] + (1-a.beta2)*g*g
-			p.Val[j] -= a.lr * (m[j] / bc1) / (math.Sqrt(v[j]/bc2) + a.eps)
-		}
+		adamStep(p.Val, p.Grad, a.m[i], a.v[i], h)
 	}
 }
 

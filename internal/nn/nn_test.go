@@ -305,12 +305,12 @@ func benchBatch() [][]float64 {
 }
 
 // BenchmarkForwardBatch times ForwardBatch on discovery's policy network
-// and minibatch under each fold4 body.
+// and minibatch under each kernel body.
 func BenchmarkForwardBatch(b *testing.B) {
 	m := NewMLP([]int{128, 64, 64, 128}, Tanh, prng.New(1))
 	xs := benchBatch()
 	var ws Workspace
-	forEachFold4Body(func(body string) {
+	forEachBody(func(body string) {
 		b.Run(body, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.ForwardBatch(&ws, xs)
@@ -320,7 +320,7 @@ func BenchmarkForwardBatch(b *testing.B) {
 }
 
 // BenchmarkBackwardBatch times BackwardBatch on discovery's policy
-// network and minibatch under each fold4 body.
+// network and minibatch under each kernel body.
 func BenchmarkBackwardBatch(b *testing.B) {
 	m := NewMLP([]int{128, 64, 64, 128}, Tanh, prng.New(1))
 	xs := benchBatch()
@@ -331,7 +331,7 @@ func BenchmarkBackwardBatch(b *testing.B) {
 	for i := range g {
 		g[i] = 1e-3 * rng.NormFloat64()
 	}
-	forEachFold4Body(func(body string) {
+	forEachBody(func(body string) {
 		b.Run(body, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.BackwardBatch(&ws, g)
