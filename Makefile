@@ -1,6 +1,6 @@
 GO ?= go
-BENCH_OUT ?= BENCH_pr10.json
-BENCH_BASE ?= BENCH_pr9.json
+BENCH_OUT ?= BENCH_pr21.json
+BENCH_BASE ?= BENCH_pr10.json
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 

@@ -1,10 +1,19 @@
 // Package bitvec implements fixed-width dense bit vectors used to represent
-// cipher states, fault patterns, and fault masks.
+// cipher states, fault patterns, and fault masks, and the lane primitives
+// of the bitsliced cipher kernels.
 //
 // Widths up to 256 bits are supported (the largest block size considered in
 // the paper). Bit i of a vector refers to bit i of the cipher state using
 // the cipher's own numbering convention; see the ciphers package for how
 // each cipher maps bits to bytes or nibbles.
+//
+// A bitsliced kernel packs 64 traces per uint64 lane: lane b holds state
+// bit b of all 64 traces. Transpose64 converts 64 per-trace state words
+// to 64 lanes and back; every bitsliced kernel (GIFT, PRESENT, SIMON,
+// SPECK) calls it on each plaintext load, mask load and state capture.
+// It has a Go body, which runs on every GOARCH and is the reference, and
+// an AVX2 body that init selects where internal/cpuid reports AVX2.
+// RippleAdd adds lane-sliced words for the ARX kernels.
 package bitvec
 
 import (

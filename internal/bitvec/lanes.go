@@ -1,17 +1,34 @@
-// Bitsliced lane primitives shared by the batched cipher kernels.
-//
-// A bitsliced kernel packs 64 traces per uint64 "lane": lane b holds
-// state bit b of all 64 traces, so a boolean gate on lanes evaluates 64
-// traces at once. The two operations every kernel needs — converting
-// between per-trace state words and lanes, and (for ARX ciphers) adding
-// two lane-sliced words — live here so new kernels (SPECK today, SIMECK
-// next) inherit them instead of reimplementing them.
+// Bitsliced lane primitives shared by the batched cipher kernels: a
+// boolean gate on lanes evaluates 64 traces at once. The two operations
+// every kernel needs, converting between per-trace state words and lanes
+// and (for ARX ciphers) adding two lane-sliced words, live here so new
+// kernels (SPECK today, SIMECK next) inherit them instead of
+// reimplementing them.
+
 package bitvec
 
+// transposeAsm is Transpose64's assembly body, set at init where this
+// GOARCH has one and the CPU can run it (transpose_amd64.go). While it is
+// nil, Transpose64 runs transpose64Go; tests set it to nil to force it.
+var transposeAsm func(a *[64]uint64)
+
 // Transpose64 transposes the 64x64 bit matrix in place: bit k of word i
-// becomes bit i of word k (Hacker's Delight 7-3). It is an involution,
-// so the same routine converts trace state words to lanes and back.
+// becomes bit i of word k. It is an involution, so the same routine
+// converts trace state words to lanes and back.
 func Transpose64(a *[64]uint64) {
+	if transposeAsm != nil {
+		transposeAsm(a)
+		return
+	}
+	transpose64Go(a)
+}
+
+// transpose64Go is Transpose64's body on every GOARCH, and the reference
+// its assembly body is tested against (Hacker's Delight 7-3). Stage j,
+// for j = 32, 16, ..., 1, exchanges the j-bit blocks of words k and k+j
+// that lie off the diagonal; each stage swaps one bit of the row index
+// with the same bit of the column index, so the stages commute.
+func transpose64Go(a *[64]uint64) {
 	m := uint64(0x00000000ffffffff)
 	for j := 32; j != 0; {
 		for k := 0; k < 64; k = (k + j + 1) &^ j {

@@ -2,18 +2,18 @@
 // traces per uint64 lane, with shared-prefix forking.
 //
 // In bitsliced form lane b holds state bit b of 64 traces at once, so one
-// round costs a fixed number of word operations for the whole block:
-// SubCells becomes the S-box's boolean circuit over 4 lanes per nibble,
-// PermBits becomes a lane renumbering, and AddRoundKey complements the
-// lanes selected by the precomputed round mask. Blocks smaller than
-// eight traces (and the tail of a ragged batch) take a per-trace path
-// that reuses the scalar round functions with prefix sharing, so both
-// paths are bit-identical to Encrypt.
+// round costs a fixed number of word operations for the whole block. A
+// round is one pass over the lanes: each nibble's four lanes go through
+// the S-box's boolean circuit, and each output lane is written straight
+// to its place under PermBits with its AddRoundKey bit XORed in as an
+// all-ones or all-zeros word. Blocks smaller than eight traces (and the
+// tail of a ragged batch) take a per-trace path that reuses the scalar
+// round functions with prefix sharing, so both paths are bit-identical
+// to Encrypt.
 package gift
 
 import (
 	"encoding/binary"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/ciphers"
@@ -27,39 +27,42 @@ const laneBlock = 64
 // it the per-trace fork path wins.
 const bitsliceMin = 8
 
+// maxLanes is the lane count of the larger variant. Lane buffers and
+// permutation tables have this size for both variants, so the compiler
+// drops the bounds checks of an index masked into 0..maxLanes-1; the
+// mask leaves every lane index below nbits as it is.
+const maxLanes = 128
+
+// lanePerm holds each variant's bit permutation as lane numbers: PermBits
+// moves lane i to lanePerm[variant][i] (set by init in gift.go).
+var lanePerm [2][maxLanes]uint8
+
 // kernel implements ciphers.BatchKernel for both GIFT variants.
 type kernel struct {
 	c     *Cipher
 	nbits int
-	// lanes/tmp/snap are the bitsliced state, the PermBits double
-	// buffer, and the fork snapshot: nbits lanes of 64 traces each.
-	lanes, tmp, snap []uint64
+	perm  *[maxLanes]uint8
+	// lanes is the bitsliced state, nbits lanes of 64 traces each, and
+	// tmp the buffer a round writes into before the two swap; both point
+	// into buf. snap is the fork snapshot.
+	lanes, tmp *[maxLanes]uint64
+	buf        [2][maxLanes]uint64
+	snap       [maxLanes]uint64
 	// rows is the transpose scratch: one state word per trace.
 	rows [laneBlock]uint64
 }
 
 // NewBatchKernel implements ciphers.BatchEncrypter.
 func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
-	nbits := 8 * c.BlockBytes()
-	return &kernel{
-		c:     c,
-		nbits: nbits,
-		lanes: make([]uint64, nbits),
-		tmp:   make([]uint64, nbits),
-		snap:  make([]uint64, nbits),
-	}
+	k := &kernel{c: c, nbits: 8 * c.BlockBytes(), perm: &lanePerm[c.variant]}
+	k.lanes, k.tmp = &k.buf[0], &k.buf[1]
+	return k
 }
-
-// transpose64 converts trace state words to lanes and back; the in-place
-// 64x64 bit transpose (an involution) is shared by all bitsliced kernels
-// via bitvec.Transpose64.
-func transpose64(a *[laneBlock]uint64) { bitvec.Transpose64(a) }
 
 // sboxLanes applies the GIFT S-box to one bitsliced nibble. The circuit
 // is the standard software bitslice of GS (Banik et al.); it is verified
 // against the lookup table by the test suite.
-func sboxLanes(l *[4]uint64) {
-	s0, s1, s2, s3 := l[0], l[1], l[2], l[3]
+func sboxLanes(s0, s1, s2, s3 uint64) (y0, y1, y2, y3 uint64) {
 	s1 ^= s0 & s2
 	s0 ^= s1 & s3
 	s2 ^= s0 | s1
@@ -67,96 +70,89 @@ func sboxLanes(l *[4]uint64) {
 	s1 ^= s3
 	s3 = ^s3
 	s2 ^= s0 & s1
-	l[0], l[1], l[2], l[3] = s3, s1, s2, s0
+	return s3, s1, s2, s0
 }
 
 // subCellsLanes applies the S-box circuit to every nibble of the lanes,
-// in place.
+// in place: the first half of a round whose post-S-box state is
+// captured.
 func (k *kernel) subCellsLanes() {
+	l := k.lanes
 	for nib := 0; nib < k.nbits; nib += 4 {
-		sboxLanes((*[4]uint64)(k.lanes[nib : nib+4]))
+		i := nib & (maxLanes - 4)
+		l[i], l[i+1], l[i+2], l[i+3] = sboxLanes(l[i], l[i+1], l[i+2], l[i+3])
 	}
 }
 
-// permBitsLanes renumbers the lanes through the variant's bit
-// permutation.
-func (k *kernel) permBitsLanes(perm []int) {
-	for i, p := range perm {
-		k.tmp[p] = k.lanes[i]
+// roundLanes runs round r on the lanes in one pass: SubCells when sub is
+// set (otherwise subCellsLanes has run it), then PermBits and
+// AddRoundKey. Each output lane i is written straight to lanePerm[i],
+// XORed with -(m>>i & 1) for the source-ordered round-key mask m: the
+// all-ones word where the key flips the bit and zero elsewhere, so the
+// loop has no data-dependent branch.
+func (k *kernel) roundLanes(r int, sub bool) {
+	src, dst, perm := k.lanes, k.tmp, k.perm
+	key := &k.c.rkSrc[r-1]
+	for nib := 0; nib < k.nbits; nib += 4 {
+		i := nib & (maxLanes - 4)
+		y0, y1, y2, y3 := src[i], src[i+1], src[i+2], src[i+3]
+		if sub {
+			y0, y1, y2, y3 = sboxLanes(y0, y1, y2, y3)
+		}
+		m := key[i/64%2] >> (uint(i) % 64)
+		dst[perm[i]&(maxLanes-1)] = y0 ^ -(m & 1)
+		dst[perm[i+1]&(maxLanes-1)] = y1 ^ -(m >> 1 & 1)
+		dst[perm[i+2]&(maxLanes-1)] = y2 ^ -(m >> 2 & 1)
+		dst[perm[i+3]&(maxLanes-1)] = y3 ^ -(m >> 3 & 1)
 	}
-	k.lanes, k.tmp = k.tmp, k.lanes
+	k.lanes, k.tmp = dst, src
 }
 
-// addRoundKeyLanes complements every lane selected by round r's
-// precomputed AddRoundKey mask (XOR with an all-set key bit is a NOT
-// across all 64 traces of the lane).
-func (k *kernel) addRoundKeyLanes(r int) {
-	m := k.c.rkMask[r-1]
-	for wi := 0; wi < (k.nbits+63)/64; wi++ {
-		w := m[wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			k.lanes[64*wi+b] = ^k.lanes[64*wi+b]
-			w &= w - 1
+// loadRows gathers state word wi of each trace of the block into k.rows,
+// zero-padding past bn. In ciphertext (plaintext) order the word is the
+// eight bytes ending 8*wi bytes before the block's end, read big-endian;
+// in trace order, the layout of fault masks, it is bytes 8*wi.. read
+// little-endian.
+func (k *kernel) loadRows(src []byte, base, bn, wi int, bigEndian bool) {
+	bb := k.c.BlockBytes()
+	o := base * bb
+	if bigEndian {
+		o += bb - 8*(wi+1)
+		for t := range k.rows[:bn] {
+			k.rows[t] = binary.BigEndian.Uint64(src[o : o+8])
+			o += bb
+		}
+	} else {
+		o += 8 * wi
+		for t := range k.rows[:bn] {
+			k.rows[t] = binary.LittleEndian.Uint64(src[o : o+8])
+			o += bb
 		}
 	}
-}
-
-// loadRows gathers one state word (words[wi]) per trace of the block
-// into k.rows, zero-padding past bn.
-func (k *kernel) loadRowsBE(pts []byte, base, bn, wi int) {
-	bb := k.c.BlockBytes()
-	for t := 0; t < bn; t++ {
-		var s state
-		s.loadBE(pts[(base+t)*bb:(base+t+1)*bb], bb)
-		k.rows[t] = s[wi]
-	}
-	for t := bn; t < laneBlock; t++ {
-		k.rows[t] = 0
-	}
-}
-
-// loadRowsLE gathers word wi of each trace's little-endian (repository
-// bit order) block — the layout of fault masks — into k.rows. The LE
-// byte encoding is exactly the little-endian encoding of the state
-// words, so this is a direct load.
-func (k *kernel) loadRowsLE(masks []byte, base, bn, wi int) {
-	bb := k.c.BlockBytes()
-	for t := 0; t < bn; t++ {
-		off := (base+t)*bb + 8*wi
-		if bb-8*wi >= 8 {
-			k.rows[t] = binary.LittleEndian.Uint64(masks[off:])
-		} else {
-			var w uint64
-			for j := 0; j < bb-8*wi; j++ {
-				w |= uint64(masks[off+j]) << (8 * uint(j))
-			}
-			k.rows[t] = w
-		}
-	}
-	for t := bn; t < laneBlock; t++ {
-		k.rows[t] = 0
-	}
+	clear(k.rows[bn:])
 }
 
 // captureLanes transposes the current lanes back to per-trace words and
 // writes each live trace's state into dst at stride*traceIndex+off,
-// little-endian (trace order) or big-endian (ciphertext order). State
-// word wi holds bits 64*wi.. of the block: in trace order it is bytes
-// 8*wi.. read little-endian, in ciphertext order the eight bytes ending
-// 8*wi bytes before the block's end, read big-endian.
+// little-endian (trace order) or big-endian (ciphertext order), the
+// layouts loadRows reads.
 func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian bool) {
 	bb := k.c.BlockBytes()
-	words := (k.nbits + 63) / 64
-	for wi := 0; wi < words; wi++ {
+	for wi := 0; wi < k.nbits/64; wi++ {
 		copy(k.rows[:], k.lanes[64*wi:64*wi+64])
-		transpose64(&k.rows)
-		for t := 0; t < bn; t++ {
-			at := dst[(base+t)*stride+off:]
-			if bigEndian {
-				binary.BigEndian.PutUint64(at[bb-8*(wi+1):], k.rows[t])
-			} else {
-				binary.LittleEndian.PutUint64(at[8*wi:], k.rows[t])
+		bitvec.Transpose64(&k.rows)
+		o := base*stride + off
+		if bigEndian {
+			o += bb - 8*(wi+1)
+			for _, v := range k.rows[:bn] {
+				binary.BigEndian.PutUint64(dst[o:o+8], v)
+				o += stride
+			}
+		} else {
+			o += 8 * wi
+			for _, v := range k.rows[:bn] {
+				binary.LittleEndian.PutUint64(dst[o:o+8], v)
+				o += stride
 			}
 		}
 	}
@@ -189,67 +185,64 @@ func (k *kernel) forkBlock(round int, points []ciphers.BatchPoint, base, bn int,
 	c := k.c
 	bb := c.BlockBytes()
 	np := len(points)
-	words := (k.nbits + 63) / 64
-	perm := perm64[:]
-	if c.variant == GIFT128 {
-		perm = perm128[:]
-	}
+	words := k.nbits / 64
 
 	// Transpose the block's plaintexts into lanes.
 	for wi := 0; wi < words; wi++ {
-		k.loadRowsBE(pts, base, bn, wi)
-		transpose64(&k.rows)
+		k.loadRows(pts, base, bn, wi, true)
+		bitvec.Transpose64(&k.rows)
 		copy(k.lanes[64*wi:64*wi+64], k.rows[:])
 	}
 	// Shared prefix: rounds before the injection point, computed once.
 	for r := 1; r < round; r++ {
-		k.subCellsLanes()
-		k.permBitsLanes(perm)
-		k.addRoundKeyLanes(r)
+		k.roundLanes(r, true)
 	}
-	copy(k.snap, k.lanes)
+	copy(k.snap[:k.nbits], k.lanes[:k.nbits])
 
 	for f := range masks {
 		if f > 0 {
-			copy(k.lanes, k.snap)
+			copy(k.lanes[:k.nbits], k.snap[:k.nbits])
 		}
 		if ands != nil && ands[f] != nil {
 			for wi := 0; wi < words; wi++ {
-				k.loadRowsLE(ands[f], base, bn, wi)
-				transpose64(&k.rows)
-				for b := 0; b < 64; b++ {
-					k.lanes[64*wi+b] &= k.rows[b]
+				k.loadRows(ands[f], base, bn, wi, false)
+				bitvec.Transpose64(&k.rows)
+				l := (*[laneBlock]uint64)(k.lanes[64*wi:])
+				for b, v := range k.rows {
+					l[b] &= v
 				}
 			}
 		}
 		if m := masks[f]; m != nil {
 			for wi := 0; wi < words; wi++ {
-				k.loadRowsLE(m, base, bn, wi)
-				transpose64(&k.rows)
-				for b := 0; b < 64; b++ {
-					k.lanes[64*wi+b] ^= k.rows[b]
+				k.loadRows(m, base, bn, wi, false)
+				bitvec.Transpose64(&k.rows)
+				l := (*[laneBlock]uint64)(k.lanes[64*wi:])
+				for b, v := range k.rows {
+					l[b] ^= v
 				}
 			}
 		}
 		st := states[f]
 		for r := round; r <= c.rounds; r++ {
+			split := false
 			if st != nil {
 				for j, p := range points {
 					if p.Round == r && !p.PostSub {
 						k.captureLanes(st, base, bn, np*bb, j*bb, false)
 					}
+					split = split || p.Round == r && p.PostSub
 				}
 			}
-			k.subCellsLanes()
-			if st != nil {
+			if split {
+				k.subCellsLanes()
 				for j, p := range points {
 					if p.Round == r && p.PostSub {
 						k.captureLanes(st, base, bn, np*bb, j*bb, false)
 					}
 				}
 			}
-			k.permBitsLanes(perm)
-			k.addRoundKeyLanes(r)
+			k.roundLanes(r, !split)
 		}
 		if st != nil {
 			for j, p := range points {

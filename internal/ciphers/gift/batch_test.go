@@ -9,29 +9,6 @@ import (
 	"repro/internal/prng"
 )
 
-// TestTranspose64 checks that transpose64 is a true bit transpose and an
-// involution.
-func TestTranspose64(t *testing.T) {
-	rng := prng.New(3)
-	var a, orig [laneBlock]uint64
-	for i := range a {
-		a[i] = rng.Uint64()
-	}
-	orig = a
-	transpose64(&a)
-	for i := 0; i < 64; i++ {
-		for k := 0; k < 64; k++ {
-			if a[i]>>uint(k)&1 != orig[k]>>uint(i)&1 {
-				t.Fatalf("transpose64: bit (%d,%d) not transposed", i, k)
-			}
-		}
-	}
-	transpose64(&a)
-	if a != orig {
-		t.Fatal("transpose64 is not an involution")
-	}
-}
-
 // TestSboxLanesMatchesTable runs the bitsliced S-box circuit on all 16
 // inputs replicated across lanes and compares against the lookup table.
 func TestSboxLanesMatchesTable(t *testing.T) {
@@ -42,7 +19,7 @@ func TestSboxLanesMatchesTable(t *testing.T) {
 				l[b] = ^uint64(0)
 			}
 		}
-		sboxLanes(&l)
+		l[0], l[1], l[2], l[3] = sboxLanes(l[0], l[1], l[2], l[3])
 		got := 0
 		for b := 0; b < 4; b++ {
 			switch l[b] {
@@ -60,9 +37,15 @@ func TestSboxLanesMatchesTable(t *testing.T) {
 }
 
 // TestBatchKernelMatchesScalar cross-checks the bitsliced fork kernel of
-// both variants against the scalar reference path, covering the
-// bitsliced block path, the small-block scalar path (n < 8) and ragged
-// tails (n % 64 != 0).
+// both variants against the scalar reference path, forking at every round
+// 1..R. Each fork observes what a sweep observes, the inputs and
+// post-S-box states of the last three rounds (those from the fork round
+// on) and the ciphertext, so every round with a post-S-box capture runs
+// split and every other round, the shared prefix included, runs in one
+// pass. n covers the per-trace path (1, 3), a partial bitsliced block
+// (8), a full one (64), a full one followed by a partial one (72) and by
+// a per-trace tail (130); the faulted branches use XOR masks, AND masks,
+// and both.
 func TestBatchKernelMatchesScalar(t *testing.T) {
 	rng := prng.New(11)
 	for _, variant := range []Variant{GIFT64, GIFT128} {
@@ -75,39 +58,37 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 		kern := c.NewBatchKernel()
 		bb := c.BlockBytes()
 		last := c.Rounds()
-		for _, round := range []int{1, last / 2, last - 2, last} {
-			points := []ciphers.BatchPoint{
-				{Round: 0},
-				{Round: round},
-				{Round: round, PostSub: true},
-				{Round: last, PostSub: true},
+		for round := 1; round <= last; round++ {
+			points := []ciphers.BatchPoint{{Round: 0}}
+			for r := max(round, last-2); r <= last; r++ {
+				points = append(points, ciphers.BatchPoint{Round: r}, ciphers.BatchPoint{Round: r, PostSub: true})
 			}
 			np := len(points)
 			for _, n := range []int{1, 3, 8, 64, 72, 130} {
 				t.Run(fmt.Sprintf("%v/round=%d/n=%d", variant, round, n), func(t *testing.T) {
 					pts := make([]byte, n*bb)
 					rng.Fill(pts)
-					maskA := make([]byte, n*bb)
-					maskB := make([]byte, n*bb)
-					rng.Fill(maskA)
-					rng.Fill(maskB)
-					masks := [][]byte{nil, maskA, maskB}
+					draw := func() []byte {
+						m := make([]byte, n*bb)
+						rng.Fill(m)
+						return m
+					}
+					xors := [][]byte{nil, draw(), nil, draw()}
+					ands := [][]byte{nil, nil, draw(), draw()}
 					mkBufs := func() ([][]byte, [][]byte) {
-						states := make([][]byte, len(masks))
-						cts := make([][]byte, len(masks))
-						for f := range masks {
+						states := make([][]byte, len(xors))
+						cts := make([][]byte, len(xors))
+						for f := range xors {
 							states[f] = make([]byte, n*np*bb)
 							cts[f] = make([]byte, n*bb)
 						}
-						states[1] = nil
-						cts[2] = nil
 						return states, cts
 					}
 					wantStates, wantCts := mkBufs()
-					ciphers.ScalarForksOps(c, round, points, n, pts, masks, nil, wantStates, wantCts)
+					ciphers.ScalarForksOps(c, round, points, n, pts, xors, ands, wantStates, wantCts)
 					gotStates, gotCts := mkBufs()
-					kern.EncryptForksOps(round, points, n, pts, masks, nil, gotStates, gotCts)
-					for f := range masks {
+					kern.EncryptForksOps(round, points, n, pts, xors, ands, gotStates, gotCts)
+					for f := range xors {
 						if !bytes.Equal(gotStates[f], wantStates[f]) {
 							t.Errorf("branch %d point states differ from scalar path", f)
 						}

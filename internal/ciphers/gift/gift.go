@@ -57,9 +57,11 @@ func init() {
 	}
 	for i := 0; i < 64; i++ {
 		perm64[i] = 4*(i/16) + 16*((3*((i%16)/4)+i%4)%4) + i%4
+		lanePerm[GIFT64][i] = uint8(perm64[i])
 	}
 	for i := 0; i < 128; i++ {
 		perm128[i] = 4*(i/16) + 32*((3*((i%16)/4)+i%4)%4) + i%4
+		lanePerm[GIFT128][i] = uint8(perm128[i])
 	}
 }
 
@@ -103,9 +105,13 @@ type Cipher struct {
 	// 32-bit for GIFT-128, stored widened.
 	keyU, keyV []uint32
 	// rkMask[r-1] is round r's full AddRoundKey state mask (key bits,
-	// round constant and the fixed 1), precomputed so both the scalar
-	// round and the bitsliced kernel XOR two words per round.
+	// round constant and the fixed 1), precomputed so the scalar round
+	// XORs two words per round.
 	rkMask []state
+	// rkSrc[r-1] is rkMask[r-1] in source order: bit i is the key bit
+	// XORed into the bit that PermBits moves bit i to, so the bitsliced
+	// round adds it to lane i before the move.
+	rkSrc []state
 }
 
 // New creates a GIFT instance. The key must be 16 bytes, interpreted in
@@ -159,14 +165,23 @@ func (c *Cipher) expandKey(key []byte) {
 		k[7] = n1
 	}
 	c.rkMask = make([]state, c.rounds)
+	perm := perm64[:]
+	if c.variant == GIFT128 {
+		perm = perm128[:]
+	}
+	c.rkSrc = make([]state, c.rounds)
 	for r := 1; r <= c.rounds; r++ {
+		m := &c.rkMask[r-1]
 		if c.variant == GIFT64 {
-			c.rkMask[r-1][0] = KeyMask64(uint16(c.keyU[r-1]), uint16(c.keyV[r-1])) | ConstMask64(r)
+			m[0] = KeyMask64(uint16(c.keyU[r-1]), uint16(c.keyV[r-1])) | ConstMask64(r)
 		} else {
 			klo, khi := KeyMask128(c.keyU[r-1], c.keyV[r-1])
 			clo, chi := ConstMask128(r)
-			c.rkMask[r-1][0] = klo | clo
-			c.rkMask[r-1][1] = khi | chi
+			m[0] = klo | clo
+			m[1] = khi | chi
+		}
+		for i, d := range perm {
+			c.rkSrc[r-1][i/64] |= m[d/64] >> (uint(d) % 64) & 1 << (uint(i) % 64)
 		}
 	}
 }

@@ -40,10 +40,16 @@ import (
 	"repro/internal/stats"
 )
 
+// maxSamples is the largest Samples value an engine accepts: 2^21 rows
+// is the count up to which stats.Accumulator.AddBlock guarantees exact
+// order-2 totals. Without a bound, RunSharded allocates one table entry
+// per 256-sample shard before any work, 2^32 entries for 2^40 samples.
+const maxSamples = 1 << 21
+
 // Config tunes an Engine. Zero values select paper defaults.
 type Config struct {
 	// Samples is the number of random plaintexts per assessment
-	// (default 2048).
+	// (default 2048, at most 2^21).
 	Samples int
 	// MaxOrder is the highest t-test order G (default 2, at most
 	// stats.MaxTestOrder).
@@ -127,8 +133,8 @@ func (cfg *Config) resolve(c ciphers.Cipher) error {
 	if cfg.RefSeed == 0 {
 		cfg.RefSeed = CanonicalRefSeed
 	}
-	if cfg.Samples < 2 {
-		return fmt.Errorf("evaluate: samples %d out of range (want 2 or more)", cfg.Samples)
+	if cfg.Samples < 2 || cfg.Samples > maxSamples {
+		return fmt.Errorf("evaluate: samples %d out of range (want 2..%d)", cfg.Samples, maxSamples)
 	}
 	if cfg.MaxOrder < 1 || cfg.MaxOrder > stats.MaxTestOrder {
 		return fmt.Errorf("evaluate: max order %d out of range (want 1..%d)", cfg.MaxOrder, stats.MaxTestOrder)
@@ -170,7 +176,7 @@ type Engine struct {
 }
 
 // New creates an engine for the given keyed cipher. It fails when a
-// knob is out of range: fewer than 2 samples, a maximum order outside
+// knob is out of range: samples outside 2..2^21, a maximum order outside
 // 1..stats.MaxTestOrder, or a group size other than 1, 2, 4 or 8 bits.
 func New(c ciphers.Cipher, cfg Config) (*Engine, error) {
 	if err := cfg.resolve(c); err != nil {

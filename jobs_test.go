@@ -580,6 +580,11 @@ func TestBadJobValuesFail(t *testing.T) {
 		{"discover", `{"cipher":"gift64","round":25,"episodes":-3}`, "Episodes -3 "},
 		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"episode_len":-5}`, "EpisodeLen -5 "},
 		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"max_harvest":-1}`, "MaxHarvest -1 "},
+		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"samples":2097153}`, "samples 2097153 "},
+		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"samples":1099511627776}`, "samples 1099511627776 "},
+		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":1099511627776}`, "samples 1099511627776 "},
+		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":1099511627776}`, "samples 1099511627776 "},
+		{"sweep", `{"cipher":"gift64","rounds":[25],"samples":1099511627776}`, "samples 1099511627776 "},
 	} {
 		j, err := s.Submit(JobSpec{Type: tc.typ, Config: json.RawMessage(tc.config)})
 		if err != nil {
@@ -623,6 +628,10 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 		_, err := Sweep(ctx, SweepConfig{Cipher: "gift64", Rounds: []int{25}, MaxOrder: maxOrder})
 		return err
 	}
+	sweepSamples := func(samples int) error {
+		_, err := Sweep(ctx, SweepConfig{Cipher: "gift64", Rounds: []int{25}, Samples: samples})
+		return err
+	}
 	one, both := PatternFromBits(64, 1), PatternFromBits(128, 1, 65)
 	verify := func(p Pattern, cfg VerifyConfig) error {
 		_, err := VerifyKeyRecovery(p, cfg)
@@ -662,6 +671,11 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 		"discover Episodes -3":   episodes(-3),
 		"discover EpisodeLen -5": discover(DiscoverConfig{EpisodeLen: -5}),
 		"discover MaxHarvest -1": discover(DiscoverConfig{MaxHarvest: -1}),
+		"assess samples 2^21+1":  assess(AssessContext, one, AssessConfig{Samples: 1<<21 + 1}),
+		"assess samples 2^40":    assess(AssessContext, one, AssessConfig{Samples: 1 << 40}),
+		"protected samples 2^40": assess(AssessProtectedContext, both, AssessConfig{Samples: 1 << 40}),
+		"discover samples 2^40":  discover(DiscoverConfig{Samples: 1 << 40}),
+		"sweep samples 2^40":     sweepSamples(1 << 40),
 	} {
 		if err == nil {
 			t.Errorf("%s: no error", name)
