@@ -9,7 +9,7 @@ package bitvec
 
 // transposeAsm is Transpose64's assembly body, set at init where this
 // GOARCH has one and the CPU can run it (transpose_amd64.go). While it is
-// nil, Transpose64 runs transpose64Go; tests set it to nil to force it.
+// nil, Transpose64 runs transpose64Go.
 var transposeAsm func(a *[64]uint64)
 
 // Transpose64 transposes the 64x64 bit matrix in place: bit k of word i

@@ -33,10 +33,6 @@ const bitsliceMin = 8
 // mask leaves every lane index below nbits as it is.
 const maxLanes = 128
 
-// lanePerm holds each variant's bit permutation as lane numbers: PermBits
-// moves lane i to lanePerm[variant][i] (set by init in gift.go).
-var lanePerm [2][maxLanes]uint8
-
 // kernel implements ciphers.BatchKernel for both GIFT variants.
 type kernel struct {
 	c     *Cipher
@@ -54,7 +50,7 @@ type kernel struct {
 
 // NewBatchKernel implements ciphers.BatchEncrypter.
 func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
-	k := &kernel{c: c, nbits: 8 * c.BlockBytes(), perm: &lanePerm[c.variant]}
+	k := &kernel{c: c, nbits: 8 * c.BlockBytes(), perm: &perms[c.variant]}
 	k.lanes, k.tmp = &k.buf[0], &k.buf[1]
 	return k
 }
@@ -86,7 +82,7 @@ func (k *kernel) subCellsLanes() {
 
 // roundLanes runs round r on the lanes in one pass: SubCells when sub is
 // set (otherwise subCellsLanes has run it), then PermBits and
-// AddRoundKey. Each output lane i is written straight to lanePerm[i],
+// AddRoundKey. Each output lane i is written straight to lane perm[i],
 // XORed with -(m>>i & 1) for the source-ordered round-key mask m: the
 // all-ones word where the key flips the bit and zero elsewhere, so the
 // loop has no data-dependent branch.
@@ -265,10 +261,7 @@ func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int
 	bb := c.BlockBytes()
 	nbits := 8 * bb
 	np := len(points)
-	perm := perm64[:]
-	if c.variant == GIFT128 {
-		perm = perm128[:]
-	}
+	perm := perms[c.variant][:]
 	for t := 0; t < bn; t++ {
 		i := base + t
 		var snap state

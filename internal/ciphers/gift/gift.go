@@ -45,23 +45,20 @@ var sbox = [16]byte{0x1, 0xa, 0x4, 0xc, 0x6, 0xf, 0x3, 0x9, 0x2, 0xd, 0xb, 0x7, 
 
 var invSbox [16]byte
 
-// perm64 and perm128 are the bit permutations: bit i moves to perm[i].
-var (
-	perm64  [64]int
-	perm128 [128]int
-)
+// perms[v] is variant v's bit permutation: PermBits moves bit i to
+// perms[v][i]. Both rows have maxLanes entries, so the bitsliced kernel's
+// masked lane indexes carry no bounds checks.
+var perms [2][maxLanes]uint8
 
 func init() {
 	for i, v := range sbox {
 		invSbox[v] = byte(i)
 	}
 	for i := 0; i < 64; i++ {
-		perm64[i] = 4*(i/16) + 16*((3*((i%16)/4)+i%4)%4) + i%4
-		lanePerm[GIFT64][i] = uint8(perm64[i])
+		perms[GIFT64][i] = uint8(4*(i/16) + 16*((3*((i%16)/4)+i%4)%4) + i%4)
 	}
 	for i := 0; i < 128; i++ {
-		perm128[i] = 4*(i/16) + 32*((3*((i%16)/4)+i%4)%4) + i%4
-		lanePerm[GIFT128][i] = uint8(perm128[i])
+		perms[GIFT128][i] = uint8(4*(i/16) + 32*((3*((i%16)/4)+i%4)%4) + i%4)
 	}
 }
 
@@ -72,10 +69,10 @@ func SBox(x byte) byte { return sbox[x&0xf] }
 func InvSBox(x byte) byte { return invSbox[x&0xf] }
 
 // Perm64 returns the destination of bit i under the GIFT-64 permutation.
-func Perm64(i int) int { return perm64[i] }
+func Perm64(i int) int { return int(perms[GIFT64][:64][i]) }
 
 // Perm128 returns the destination of bit i under the GIFT-128 permutation.
-func Perm128(i int) int { return perm128[i] }
+func Perm128(i int) int { return int(perms[GIFT128][i]) }
 
 // roundConstants holds the 6-bit LFSR constants for up to 48 rounds.
 var roundConstants = func() [48]byte {
@@ -165,10 +162,6 @@ func (c *Cipher) expandKey(key []byte) {
 		k[7] = n1
 	}
 	c.rkMask = make([]state, c.rounds)
-	perm := perm64[:]
-	if c.variant == GIFT128 {
-		perm = perm128[:]
-	}
 	c.rkSrc = make([]state, c.rounds)
 	for r := 1; r <= c.rounds; r++ {
 		m := &c.rkMask[r-1]
@@ -180,7 +173,7 @@ func (c *Cipher) expandKey(key []byte) {
 			m[0] = klo | clo
 			m[1] = khi | chi
 		}
-		for i, d := range perm {
+		for i, d := range perms[c.variant][:8*c.BlockBytes()] {
 			c.rkSrc[r-1][i/64] |= m[d/64] >> (uint(d) % 64) & 1 << (uint(i) % 64)
 		}
 	}
@@ -278,12 +271,12 @@ func (s *state) subCells(nbits int, box *[16]byte) {
 }
 
 // permBits applies the bit permutation table (bit i moves to perm[i]).
-func (s *state) permBits(nbits int, perm []int) {
+func (s *state) permBits(nbits int, perm []uint8) {
 	var out state
 	for i := 0; i < nbits; i++ {
 		if s[i/64]>>(uint(i)%64)&1 == 1 {
 			j := perm[i]
-			out[j/64] |= 1 << (uint(j) % 64)
+			out[j/64] |= 1 << (j % 64)
 		}
 	}
 	*s = out
@@ -314,10 +307,10 @@ func (c *Cipher) Encrypt(dst, src []byte, fault *ciphers.Fault, trace *ciphers.T
 			s.storeLE(trace.PostSub[r-1], nbytes)
 		}
 		if c.variant == GIFT64 {
-			s.permBits(64, perm64[:])
+			s.permBits(64, perms[GIFT64][:])
 			c.addRoundKey64(&s, r)
 		} else {
-			s.permBits(128, perm128[:])
+			s.permBits(128, perms[GIFT128][:])
 			c.addRoundKey128(&s, r)
 		}
 	}
@@ -363,14 +356,10 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 	s.storeBE(dst, nbytes)
 }
 
-func invPerm(nbits int, v Variant) []int {
-	out := make([]int, nbits)
-	for i := 0; i < nbits; i++ {
-		if v == GIFT64 {
-			out[perm64[i]] = i
-		} else {
-			out[perm128[i]] = i
-		}
+func invPerm(nbits int, v Variant) []uint8 {
+	out := make([]uint8, nbits)
+	for i, d := range perms[v][:nbits] {
+		out[d] = uint8(i)
 	}
 	return out
 }

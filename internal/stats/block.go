@@ -201,7 +201,7 @@ func (a *Accumulator) addNibbleBlock(b *Block) {
 			p += t.powers
 			u[r], v[r] = t.u, t.v
 		}
-		a.addPowers(j, int64(p&(1<<10-1)), int64(p>>10&(1<<14-1)), int64(p>>24&(1<<18-1)), int64(p>>42))
+		a.addPowers(j, p&(1<<10-1), p>>10&(1<<14-1), p>>24&(1<<18-1), p>>42)
 	}
 	if a.cross == nil {
 		return
@@ -211,7 +211,7 @@ func (a *Accumulator) addNibbleBlock(b *Block) {
 		ui := b.u[i*BlockRows:][:padded]
 		for j := i + 1; j < a.groups; j++ {
 			e, o := nibbleSums(ui, b.v[j*BlockRows:][:padded])
-			addPair(a.cross[c:c+4], int64(e&mask30), int64(o&mask30), int64(e>>30), int64(o>>30))
+			addPair(a.cross[c:c+4], e&mask30, o&mask30, e>>30, o>>30)
 			c += 4
 		}
 	}
@@ -263,7 +263,7 @@ func (a *Accumulator) addByteBlock(b *Block) {
 			v[r] = x * x
 		}
 		m, _, hi := byteSums(u, col, v)
-		a.addPowers(j, int64(s1), int64(m&mask27), int64(m>>27), int64(hi))
+		a.addPowers(j, s1, m&mask27, m>>27, hi)
 	}
 	if a.cross == nil {
 		return
@@ -273,7 +273,7 @@ func (a *Accumulator) addByteBlock(b *Block) {
 		ui := b.u[i*BlockRows:][:padded]
 		for j := i + 1; j < a.groups; j++ {
 			m, lo, hi := byteSums(ui, b.cols[j*BlockRows:][:padded], b.v[j*BlockRows:][:padded])
-			addPair(a.cross[c:c+4], int64(m&mask27), int64(m>>27), int64(lo), int64(hi))
+			addPair(a.cross[c:c+4], m&mask27, m>>27, lo, hi)
 			c += 4
 		}
 	}
@@ -297,19 +297,17 @@ func byteSums(u []uint64, x []uint8, q []uint64) (m, lo, hi uint64) {
 }
 
 // addPowers adds one block's Σx, Σx², Σx³ and Σx⁴ of column j to the
-// power totals the accumulator keeps (the first two for order 1). Every
-// sum is an exact integer far below 2^53, so each converts to float64
-// without rounding.
-func (a *Accumulator) addPowers(j int, s1, s2, s3, s4 int64) {
-	sums := [4]int64{s1, s2, s3, s4}
+// power totals the accumulator keeps (the first two for order 1).
+func (a *Accumulator) addPowers(j int, s1, s2, s3, s4 uint64) {
+	sums := [4]uint64{s1, s2, s3, s4}
 	for k, s := range sums[:a.powers] {
 		a.pow[j*a.powers+k] += float64(s)
 	}
 }
 
-// addPair adds one block's sums of a column pair to the first four cross
-// totals in cross, in the order Σx_i x_j, Σx_i² x_j, Σx_i x_j², Σx_i² x_j².
-func addPair(cross []float64, ij, iij, ijj, iijj int64) {
+// addPair adds one block's sums of a column pair to its four cross
+// totals, in the order Σx_i x_j, Σx_i² x_j, Σx_i x_j², Σx_i² x_j².
+func addPair(cross []float64, ij, iij, ijj, iijj uint64) {
 	cross = cross[:4]
 	cross[0] += float64(ij)
 	cross[1] += float64(iij)

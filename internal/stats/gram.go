@@ -63,10 +63,7 @@ func gram(g, sums []int32, a []int16, cols []uint8, groups, rows int, bytes bool
 //	Σx³ = 256·G[x][h] + G[x][l], Σx⁴ = 65536·G[h][h] + 512·G[h][l] + G[l][l].
 //
 // These are the integers addNibbleBlock and addByteBlock compute, added
-// to the same float64 totals, so both bodies leave the same bits. The
-// fold reads them off the rows of G and converts each to float64 once,
-// from int64: an entry of G is a non-negative int32 below 2^23, and a
-// width-8 combination, which can pass 2^31, is formed in int64 first.
+// to the same float64 totals, so both bodies leave the same bits.
 func (a *Accumulator) addGramBlock(b *Block) {
 	bytes := b.width == 8
 	m, mpad := gramShape(b.groups, bytes)
@@ -78,37 +75,33 @@ func (a *Accumulator) addGramBlock(b *Block) {
 	g, s := b.gramG, b.gramS
 	gram(g, s, b.gramA, b.cols, b.groups, b.rows, bytes)
 	n := a.groups
-	row := func(r int) []int32 { return g[r*mpad:][:mpad] }
-	cross := a.cross
+	at := func(r, c int) uint64 { return uint64(g[r*mpad+c]) }
 	if !bytes {
 		for j := 0; j < n; j++ {
-			xj, qj := row(j), row(n+j)
-			a.addPowers(j, int64(s[j]), int64(xj[j]), int64(xj[n+j]), int64(qj[n+j]))
+			a.addPowers(j, uint64(s[j]), at(j, j), at(j, n+j), at(n+j, n+j))
 		}
+		c := 0
 		for i := 0; i < n; i++ {
-			xi, qi := row(i), row(n+i)
 			for j := i + 1; j < n; j++ {
-				addPair(cross, int64(xi[j]), int64(row(j)[n+i]), int64(xi[n+j]), int64(qi[n+j]))
-				cross = cross[4:]
+				addPair(a.cross[c:c+4], at(i, j), at(j, n+i), at(i, n+j), at(n+i, n+j))
+				c += 4
 			}
 		}
 		return
 	}
 	h, l := n, 2*n
 	for j := 0; j < n; j++ {
-		xj, hj, lj := row(j), row(h+j), row(l+j)
-		a.addPowers(j, int64(s[j]), int64(xj[j]), int64(xj[h+j])<<8+int64(xj[l+j]),
-			int64(hj[h+j])<<16+int64(hj[l+j])<<9+int64(lj[l+j]))
+		a.addPowers(j, uint64(s[j]), at(j, j), at(j, h+j)<<8+at(j, l+j),
+			at(h+j, h+j)<<16+at(h+j, l+j)<<9+at(l+j, l+j))
 	}
+	c := 0
 	for i := 0; i < n; i++ {
-		xi, hi, li := row(i), row(h+i), row(l+i)
 		for j := i + 1; j < n; j++ {
-			xj, hj := row(j), row(h+j)
-			addPair(cross, int64(xi[j]),
-				int64(xj[h+i])<<8+int64(xj[l+i]),
-				int64(xi[h+j])<<8+int64(xi[l+j]),
-				int64(hi[h+j])<<16+(int64(hi[l+j])+int64(hj[l+i]))<<8+int64(li[l+j]))
-			cross = cross[4:]
+			addPair(a.cross[c:c+4], at(i, j),
+				at(j, h+i)<<8+at(j, l+i),
+				at(i, h+j)<<8+at(i, l+j),
+				at(h+i, h+j)<<16+(at(h+i, l+j)+at(h+j, l+i))<<8+at(l+i, l+j))
+			c += 4
 		}
 	}
 }
