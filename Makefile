@@ -1,6 +1,5 @@
 GO ?= go
-BENCH_OUT ?= BENCH_pr21.json
-BENCH_BASE ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr22.json
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 
@@ -41,9 +40,10 @@ loc:
 
 # Engine benchmarks (campaign, oracle, per-cipher fork kernels, DFA key
 # recovery, atlas sweeps), 5 repetitions recorded in $(BENCH_OUT) under
-# label $(BENCH_LABEL) as their mean, median and quartiles. Run with BENCH_LABEL=before on the parent commit
-# to record a baseline; entries of other labels in an existing file are
-# preserved.
+# label $(BENCH_LABEL) as their mean, median and quartiles. Run with
+# BENCH_LABEL=before on the parent commit, interleaved with this one's
+# runs, to record a baseline; entries of other labels in an existing file
+# are preserved.
 bench:
 	$(GO) test -run '^$$' -bench 'Campaign|Oracle|Encrypt|DFA|Sweep' -benchmem -count 5 . \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o $(BENCH_OUT)
@@ -52,11 +52,11 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# Compare this PR's benchmark record against the checked-in baseline;
+# Compare the "before" entries of $(BENCH_OUT) with its "after" entries;
 # exits nonzero when any shared benchmark's mean slowed down beyond 20%.
 # Each side's median and interquartile range are printed beside it.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) $(BENCH_OUT)
+	$(GO) run ./cmd/benchjson -compare $(BENCH_OUT)
 
 # Fuzz smoke: each native fuzz target for FUZZTIME (go test allows one
 # -fuzz target per invocation). The checked-in seed corpora under
@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStagesOpen$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultApply$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzMLPKernels$$' -fuzztime $(FUZZTIME) ./internal/nn
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) .
 
 # Kill-and-resume smoke: SIGINT a checkpointing discovery run mid-training,
 # verify the event log survived intact, resume, and compare against an

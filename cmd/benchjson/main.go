@@ -10,15 +10,19 @@
 // An existing output file is merged, not overwritten: only the entries of
 // the given label are replaced.
 //
-// -compare mode instead diffs two record files benchmark by benchmark and
+// -compare mode instead diffs benchmark sets benchmark by benchmark and
 // exits nonzero when any shared benchmark slowed down beyond the
-// threshold or any baseline benchmark is missing from the new record, so
-// CI (or a pre-merge checklist) can gate on "this PR did not regress the
-// kernels and did not silently drop coverage". The gate reads the means;
-// each side's median and interquartile range are printed beside them, so
-// a reader can tell a shift from the runs' own spread. Added and removed
-// benchmarks are listed in their own sections:
+// threshold or any baseline benchmark is missing from the new set, so
+// CI (or a pre-merge checklist) can gate on "this change did not regress
+// the kernels and did not silently drop coverage". The gate reads the
+// means; each side's median and interquartile range are printed beside
+// them, so a reader can tell a shift from the runs' own spread. Added and
+// removed benchmarks are listed in their own sections. Given one record,
+// it compares that record's "before" entries with its "after" entries,
+// two sets best recorded interleaved on one host so that host drift
+// falls on both; given two records, it compares them under -label:
 //
+//	go run ./cmd/benchjson -compare BENCH_pr22.json
 //	go run ./cmd/benchjson -compare BENCH_pr2.json BENCH_pr5.json
 package main
 
@@ -76,17 +80,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	label := fs.String("label", "after", "label for this run's entries (e.g. before, after); in -compare mode, the label to read from each file")
 	out := fs.String("o", "", "output JSON file (merged if it exists; default stdout)")
-	compare := fs.Bool("compare", false, "compare two record files: benchjson -compare old.json new.json")
+	compare := fs.Bool("compare", false, "compare one record's before and after entries (benchjson -compare rec.json) or two record files (benchjson -compare old.json new.json)")
 	threshold := fs.Float64("threshold", 0.20, "relative ns/op regression threshold for -compare (0.20 = 20%)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *compare {
-		if fs.NArg() != 2 {
-			return errors.New("-compare needs exactly two record files: old.json new.json")
+		switch fs.NArg() {
+		case 1:
+			return compareLabels(stdout, fs.Arg(0), *threshold)
+		case 2:
+			return compareRecords(stdout, fs.Arg(0), fs.Arg(1), *label, *threshold)
 		}
-		return compareRecords(stdout, fs.Arg(0), fs.Arg(1), *label, *threshold)
+		return errors.New("-compare needs one record file (rec.json, before against after) or two (old.json new.json)")
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v (reading bench output from stdin; did you mean -compare?)", fs.Args())
@@ -233,57 +240,96 @@ func pickLabel(entries map[string]*Metrics, label string) *Metrics {
 	return nil
 }
 
-// compareRecords prints per-benchmark ns/op deltas between two record
-// files, with each side's median and interquartile range, and returns an
+// loadRecord reads a record file that holds at least one benchmark.
+func loadRecord(path string) (*Record, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rec Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	if len(rec.Benchmarks) == 0 {
+		return nil, fmt.Errorf("%s: no benchmarks", path)
+	}
+	return &rec, nil
+}
+
+// labelSet maps each benchmark of rec to its entry under label. With
+// fallback set, a benchmark without that label contributes its sole entry
+// (see pickLabel).
+func labelSet(rec *Record, label string, fallback bool) map[string]*Metrics {
+	set := map[string]*Metrics{}
+	for name, entries := range rec.Benchmarks {
+		m := entries[label]
+		if fallback {
+			m = pickLabel(entries, label)
+		}
+		if m != nil {
+			set[name] = m
+		}
+	}
+	return set
+}
+
+// compareRecords compares two record files under label.
+func compareRecords(w io.Writer, oldPath, newPath string, label string, threshold float64) error {
+	oldRec, err := loadRecord(oldPath)
+	if err != nil {
+		return err
+	}
+	newRec, err := loadRecord(newPath)
+	if err != nil {
+		return err
+	}
+	return compareSets(w, oldPath, newPath, labelSet(oldRec, label, true), labelSet(newRec, label, true), threshold)
+}
+
+// compareLabels compares the "before" entries of one record file with its
+// "after" entries; a record that lacks either label fails.
+func compareLabels(w io.Writer, path string, threshold float64) error {
+	rec, err := loadRecord(path)
+	if err != nil {
+		return err
+	}
+	before, after := labelSet(rec, "before", false), labelSet(rec, "after", false)
+	switch {
+	case len(before) == 0:
+		return fmt.Errorf("%s has no %q entries to compare", path, "before")
+	case len(after) == 0:
+		return fmt.Errorf("%s has no %q entries to compare", path, "after")
+	}
+	return compareSets(w, path+" before", path+" after", before, after, threshold)
+}
+
+// compareSets prints per-benchmark ns/op deltas between two benchmark
+// sets, with each side's median and interquartile range, and returns an
 // error when any shared benchmark's mean regressed beyond threshold or
 // when any benchmark disappeared. Added and removed
 // benchmarks get their own sections after the shared table: additions are
 // informational, but a removed benchmark usually means lost coverage (a
 // rename or a dropped case), so it fails the comparison and must be
 // renamed in the baseline or acknowledged by regenerating it.
-func compareRecords(w io.Writer, oldPath, newPath string, label string, threshold float64) error {
-	load := func(path string) (*Record, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-		if len(rec.Benchmarks) == 0 {
-			return nil, fmt.Errorf("%s: no benchmarks", path)
-		}
-		return &rec, nil
-	}
-	oldRec, err := load(oldPath)
-	if err != nil {
-		return err
-	}
-	newRec, err := load(newPath)
-	if err != nil {
-		return err
-	}
-
-	names := make([]string, 0, len(oldRec.Benchmarks))
-	for name := range oldRec.Benchmarks {
+func compareSets(w io.Writer, oldName, newName string, oldSet, newSet map[string]*Metrics, threshold float64) error {
+	names := make([]string, 0, len(oldSet))
+	for name := range oldSet {
 		names = append(names, name)
 	}
-	for name := range newRec.Benchmarks {
-		if _, ok := oldRec.Benchmarks[name]; !ok {
+	for name := range newSet {
+		if _, ok := oldSet[name]; !ok {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 
 	fmt.Fprintf(w, "benchmark comparison: %s -> %s (regression threshold %+.0f%%)\n",
-		oldPath, newPath, 100*threshold)
+		oldName, newName, 100*threshold)
 	regressed := 0
 	compared := 0
 	var added, removed []string
 	for _, name := range names {
-		o := pickLabel(oldRec.Benchmarks[name], label)
-		n := pickLabel(newRec.Benchmarks[name], label)
+		o, n := oldSet[name], newSet[name]
 		short := strings.TrimPrefix(name, "Benchmark")
 		switch {
 		case o == nil:
@@ -317,13 +363,13 @@ func compareRecords(w io.Writer, oldPath, newPath string, label string, threshol
 		}
 	}
 	if compared == 0 {
-		// No overlap at all usually means the two files come from
+		// No overlap at all usually means the two sets come from
 		// different bench regexes (or one side was regenerated under new
 		// names); say so explicitly instead of printing an empty table.
 		fmt.Fprintf(w, "warning: %s and %s share no benchmarks (%d only in old, %d only in new) — were they produced by the same -bench pattern?\n",
-			oldPath, newPath, len(removed), len(added))
+			oldName, newName, len(removed), len(added))
 		return fmt.Errorf("no shared benchmarks to compare (%d only in %s, %d only in %s)",
-			len(removed), oldPath, len(added), newPath)
+			len(removed), oldName, len(added), newName)
 	}
 	var failures []string
 	if regressed > 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -253,11 +254,80 @@ func TestCompare(t *testing.T) {
 	t.Run("bad_inputs", func(t *testing.T) {
 		var sink bytes.Buffer
 		for _, args := range [][]string{
+			{"-compare"},
 			{"-compare", old},
 			{"-compare", old, filepath.Join(dir, "missing.json")},
+			{"-compare", old, old, old},
 		} {
 			if err := run(args, nil, &sink, &sink); err == nil {
 				t.Errorf("run(%v) should fail", args)
+			}
+		}
+	})
+}
+
+// TestCompareOneRecord covers -compare with one record: its "before"
+// entries against its "after" entries, through the same gate.
+func TestCompareOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, sides map[string]map[string]float64) string {
+		rec := Record{Benchmarks: map[string]map[string]*Metrics{}}
+		for label, set := range sides {
+			for bench, ns := range set {
+				if rec.Benchmarks[bench] == nil {
+					rec.Benchmarks[bench] = map[string]*Metrics{}
+				}
+				rec.Benchmarks[bench][label] = &Metrics{NsPerOp: ns, NsMedian: ns, NsQ1: ns - 1, NsQ3: ns + 1, Runs: 5}
+			}
+		}
+		path := filepath.Join(dir, name)
+		data, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	set := map[string]float64{"BenchmarkCampaign": 100, "BenchmarkOracle": 50}
+
+	t.Run("equal_sets_pass", func(t *testing.T) {
+		path := write("equal.json", map[string]map[string]float64{"before": set, "after": set})
+		var out bytes.Buffer
+		if err := run([]string{"-compare", path}, nil, &out, &out); err != nil {
+			t.Fatalf("equal before and after sets should pass: %v\n%s", err, out.String())
+		}
+		text := out.String()
+		for _, want := range []string{path + " before -> " + path + " after", "+0.0%  median 100 (IQR 2) -> 100 (IQR 2)", "ok: 2 benchmarks compared"} {
+			if !strings.Contains(text, want) {
+				t.Errorf("output lacks %q:\n%s", want, text)
+			}
+		}
+	})
+
+	t.Run("mean_rise_fails", func(t *testing.T) {
+		path := write("slow.json", map[string]map[string]float64{
+			"before": set, "after": {"BenchmarkCampaign": 125, "BenchmarkOracle": 50},
+		})
+		var out bytes.Buffer
+		err := run([]string{"-compare", path}, nil, &out, &out)
+		if err == nil || !strings.Contains(err.Error(), "1 benchmark(s) regressed") {
+			t.Fatalf("a 25%% rise of the mean should fail: %v\n%s", err, out.String())
+		}
+		if !strings.Contains(out.String(), "+25.0%") || !strings.Contains(out.String(), "REGRESSED") {
+			t.Errorf("regression not reported:\n%s", out.String())
+		}
+	})
+
+	t.Run("missing_label_fails", func(t *testing.T) {
+		for _, label := range []string{"before", "after"} {
+			other := map[string]string{"before": "after", "after": "before"}[label]
+			path := write("no-"+label+".json", map[string]map[string]float64{other: set})
+			var out bytes.Buffer
+			err := run([]string{"-compare", path}, nil, &out, &out)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("no %q entries", label)) {
+				t.Errorf("a record without %q entries: err = %v, want one naming the label", label, err)
 			}
 		}
 	})

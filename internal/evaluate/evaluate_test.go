@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -178,6 +179,66 @@ func TestReferenceShared(t *testing.T) {
 	c := Reference(128, 4, 16, 2, 77)
 	if c == a {
 		t.Error("distinct seeds shared an accumulator")
+	}
+}
+
+// TestReferenceFrozen: the shared reference is read-only, so a caller
+// that tried to change it would panic instead of corrupting every engine
+// of its shape.
+func TestReferenceFrozen(t *testing.T) {
+	ref := Reference(128, 4, 16, 2, CanonicalRefSeed)
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset on the shared reference did not panic")
+		}
+	}()
+	ref.Reset()
+}
+
+// TestReferenceConcurrentEngines runs engines of one shape at once, so
+// they build and read one shared Reference concurrently (make check runs
+// it under -race); each assessment must equal the same one run alone.
+func TestReferenceConcurrentEngines(t *testing.T) {
+	c := giftCipher(t)
+	// A sample count no other test uses, so the Reference of this shape
+	// is built while the engines race for it.
+	cfg := Config{Samples: ShardSize + 77, Seed: 21, Workers: 2}
+	const engines = 4
+	got := make([]Assessment, engines)
+	errs := make([]error, engines)
+	var wg sync.WaitGroup
+	for i := 0; i < engines; i++ {
+		e := newEngine(t, c, cfg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pattern := nibblePattern(64, i)
+			got[i], errs[i] = e.Assess(context.Background(), &pattern, 25)
+		}()
+	}
+	wg.Wait()
+	e := newEngine(t, c, cfg)
+	for i := 0; i < engines; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		pattern := nibblePattern(64, i)
+		want, err := e.Assess(context.Background(), &pattern, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("engine %d: concurrent assessment differs:\n%+v\n%+v", i, got[i], want)
+		}
+	}
+}
+
+// TestShardIsWholeBlocks pins a campaign shard as a whole number of
+// stats blocks, so CollectIntoContext folds each full shard's order-2
+// sums in whole blocks.
+func TestShardIsWholeBlocks(t *testing.T) {
+	if ShardSize%stats.BlockRows != 0 {
+		t.Fatalf("ShardSize %d is not a multiple of stats.BlockRows %d", ShardSize, stats.BlockRows)
 	}
 }
 

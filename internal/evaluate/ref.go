@@ -34,8 +34,9 @@ var (
 // random population — the t-test's null hypothesis — computing each
 // distinct (samples, groupBits, groups, maxOrder, seed) shape exactly once
 // per process under a sync.Once guard. The returned accumulator is shared
-// and must be treated as read-only; stats.Accumulator reads (T, MaxT) are
-// safe concurrently.
+// and frozen (stats.Accumulator.Freeze) before it is published: its
+// order-1 and order-2 moments are computed once per shape, its reads (T,
+// MaxT) are safe concurrently, and a call that would change it panics.
 func Reference(samples, groupBits, groups, maxOrder int, seed uint64) *stats.Accumulator {
 	key := refKey{samples, groupBits, groups, maxOrder, seed}
 	refMu.Lock()
@@ -56,6 +57,7 @@ func Reference(samples, groupBits, groups, maxOrder int, seed uint64) *stats.Acc
 			}
 			acc.Add(row)
 		}
+		acc.Freeze()
 		e.acc = acc
 	})
 	return e.acc

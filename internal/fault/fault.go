@@ -238,9 +238,10 @@ type Result struct {
 }
 
 // batchBlock is the number of traces drawn and encrypted per batch call:
-// the bitsliced GIFT kernel packs exactly this many traces per uint64
-// lane, and it divides evaluate.ShardSize so shards batch evenly. Each
-// block reaches the accumulators as one stats.Block, which sets its size.
+// a whole campaign shard (evaluate.ShardSize), which the bitsliced
+// kernels split into blocks of 64 traces per uint64 lane. Each call's
+// traces reach the accumulators as one stats.Block, which sets its size,
+// so the statistics layer folds its order-2 sums once per shard.
 const batchBlock = stats.BlockRows
 
 // Collect runs the campaign: for each of Samples random plaintexts it
@@ -289,7 +290,8 @@ func (cp *Campaign) CollectInto(rng *prng.Source, n int, accs []*stats.Accumulat
 }
 
 // CollectIntoContext is CollectInto with cancellation: between trace
-// blocks it checks ctx and returns ctx.Err() once the context is done.
+// blocks of stats.BlockRows traces (a whole evaluate shard) it checks ctx
+// and returns ctx.Err() once the context is done.
 // Cancellation never lands mid-trace — a block's plaintexts and fault
 // masks are drawn and encrypted as a unit — so an aborted shard simply
 // discards a whole number of traces and its PRNG substream is never split

@@ -62,12 +62,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// DecodeSpec reads a job spec from a POST /jobs body: at most 1 MiB of
+// JSON, unknown fields rejected.
+func DecodeSpec(body io.Reader) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("%w: decoding body: %v", ErrBadSpec, err))
+		return Spec{}, fmt.Errorf("%w: decoding body: %v", ErrBadSpec, err)
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := DecodeSpec(r.Body)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	j, err := s.Submit(spec)

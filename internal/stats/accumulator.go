@@ -35,7 +35,16 @@ type Accumulator struct {
 	n        int
 	pow      []float64 // pow[j*powers+k-1] = Σ x_j^k
 	cross    []float64 // 4 sums per pair i<j (see pairBase); nil for order 1
+	frozen   *refMoments
 }
+
+// refMoments holds the moments T reads of a frozen reference (see
+// Freeze): m1[j] of column j, and m2 of each pair i <= j in T's order.
+type refMoments struct {
+	m1, m2 []meanVar
+}
+
+type meanVar struct{ mean, variance float64 }
 
 // NewAccumulator returns an empty accumulator for rows of the given
 // column count supporting t-test orders 1..maxOrder.
@@ -83,8 +92,43 @@ func (a *Accumulator) RawSums() (pow, cross []float64) {
 	return pow, cross
 }
 
+// Freeze makes a a read-only reference population: it computes the
+// order-1 and order-2 moments that T reads of its reference once, so
+// every later T and MaxT against a computes only its own side. Add,
+// AddBlock, Merge and Reset panic on a frozen accumulator. The cached
+// moments come from the same functions on the same sums, so T returns
+// the same bits as against an unfrozen copy; orders >= 3 compute the
+// reference's moments per call as before.
+func (a *Accumulator) Freeze() {
+	if a.frozen != nil {
+		return
+	}
+	f := &refMoments{m1: make([]meanVar, a.groups)}
+	for j := range f.m1 {
+		f.m1[j].mean, f.m1[j].variance = a.moments1(j)
+	}
+	if a.maxOrder >= 2 {
+		f.m2 = make([]meanVar, 0, a.groups*(a.groups+1)/2)
+		for i := 0; i < a.groups; i++ {
+			for j := i; j < a.groups; j++ {
+				m, v := a.moments2(i, j)
+				f.m2 = append(f.m2, meanVar{m, v})
+			}
+		}
+	}
+	a.frozen = f
+}
+
+// mutable panics when a is frozen.
+func (a *Accumulator) mutable() {
+	if a.frozen != nil {
+		panic("stats: a frozen reference accumulator is read-only")
+	}
+}
+
 // Add folds one row of group values into the running sums.
 func (a *Accumulator) Add(row []float64) {
+	a.mutable()
 	if len(row) != a.groups {
 		panic(fmt.Sprintf("stats: row has %d columns, accumulator has %d", len(row), a.groups))
 	}
@@ -117,6 +161,7 @@ func (a *Accumulator) Add(row []float64) {
 
 // Reset empties the accumulator for reuse, keeping its shape.
 func (a *Accumulator) Reset() {
+	a.mutable()
 	a.n = 0
 	clear(a.pow)
 	clear(a.cross)
@@ -126,6 +171,7 @@ func (a *Accumulator) Reset() {
 // accumulators in a fixed order reproduces the serial accumulation
 // deterministically.
 func (a *Accumulator) Merge(o *Accumulator) {
+	a.mutable()
 	if a.groups != o.groups || a.maxOrder != o.maxOrder {
 		panic(fmt.Sprintf("stats: merging accumulator (%d groups, order %d) into (%d groups, order %d)",
 			o.groups, o.maxOrder, a.groups, a.maxOrder))
@@ -232,6 +278,24 @@ func (a *Accumulator) momentsPow(j, d int) (mean, variance float64) {
 	return mean, clampVar((sumY2 - sumY*sumY/n) / (n - 1))
 }
 
+// refMoments1 returns the order-1 moments of column j of a reference:
+// Freeze's copy when a is frozen.
+func (a *Accumulator) refMoments1(j int) (mean, variance float64) {
+	if f := a.frozen; f != nil {
+		return f.m1[j].mean, f.m1[j].variance
+	}
+	return a.moments1(j)
+}
+
+// refMoments2 is refMoments1 for the order-2 population of pair i <= j,
+// the c-th pair in T's order.
+func (a *Accumulator) refMoments2(i, j, c int) (mean, variance float64) {
+	if f := a.frozen; f != nil {
+		return f.m2[c].mean, f.m2[c].variance
+	}
+	return a.moments2(i, j)
+}
+
 func (a *Accumulator) compat(ref *Accumulator, order int) {
 	if ref.groups != a.groups {
 		panic(fmt.Sprintf("stats: column mismatch %d vs %d", a.groups, ref.groups))
@@ -255,19 +319,21 @@ func (a *Accumulator) T(order int, ref *Accumulator) TTestResult {
 	case order == 1:
 		for j := 0; j < a.groups; j++ {
 			ma, va := a.moments1(j)
-			mb, vb := ref.moments1(j)
+			mb, vb := ref.refMoments1(j)
 			if t := WelchFromMoments(a.n, ma, va, ref.n, mb, vb); t > best.T {
 				best.T, best.PosI, best.PosJ = t, j, j
 			}
 		}
 	case order == 2:
+		c := 0
 		for i := 0; i < a.groups; i++ {
 			for j := i; j < a.groups; j++ {
 				ma, va := a.moments2(i, j)
-				mb, vb := ref.moments2(i, j)
+				mb, vb := ref.refMoments2(i, j, c)
 				if t := WelchFromMoments(a.n, ma, va, ref.n, mb, vb); t > best.T {
 					best.T, best.PosI, best.PosJ = t, i, j
 				}
+				c++
 			}
 		}
 	default:

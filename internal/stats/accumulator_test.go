@@ -152,3 +152,73 @@ func TestAccumulatorDegenerate(t *testing.T) {
 		t.Errorf("n < 2 population: t = %v, want 0", tiny.T)
 	}
 }
+
+// TestFrozenReferenceT pins Freeze's moment cache: T at every order
+// 1..MaxTestOrder and MaxT up to every order against a frozen reference
+// return the same bits as against an unfrozen copy, for 1 to 32 groups at
+// every group width.
+func TestFrozenReferenceT(t *testing.T) {
+	rng := prng.New(11)
+	for _, width := range []int{1, 2, 4, 8} {
+		maxVal := 1<<width - 1
+		for groups := 1; groups <= 32; groups++ {
+			refRows := randomMatrix(rng, 40, groups, maxVal)
+			ref := fill(t, groups, MaxTestOrder, refRows)
+			frozen := fill(t, groups, MaxTestOrder, refRows)
+			frozen.Freeze()
+			// A cell skewed towards small values, so its statistics are
+			// neither zero nor the cap.
+			cellRows := randomMatrix(rng, 30, groups, maxVal)
+			for _, row := range cellRows[:10] {
+				for j := range row {
+					row[j] = math.Floor(row[j] / 2)
+				}
+			}
+			cell := fill(t, groups, MaxTestOrder, cellRows)
+			same := func(a, b TTestResult) bool {
+				return math.Float64bits(a.T) == math.Float64bits(b.T) &&
+					a.Order == b.Order && a.PosI == b.PosI && a.PosJ == b.PosJ
+			}
+			for order := 1; order <= MaxTestOrder; order++ {
+				if got, want := cell.T(order, frozen), cell.T(order, ref); !same(got, want) {
+					t.Fatalf("width %d, %d groups: T(%d) = %+v against the frozen reference, %+v against its copy",
+						width, groups, order, got, want)
+				}
+				if got, want := cell.MaxT(order, frozen), cell.MaxT(order, ref); !same(got, want) {
+					t.Fatalf("width %d, %d groups: MaxT(%d) = %+v against the frozen reference, %+v against its copy",
+						width, groups, order, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFrozenReferenceReadOnly: every call that would change a frozen
+// accumulator panics and leaves it as it was.
+func TestFrozenReferenceReadOnly(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(a *Accumulator)
+	}{
+		{"Add", func(a *Accumulator) { a.Add([]float64{1, 2}) }},
+		{"AddBlock", func(a *Accumulator) { a.AddBlock(NewBlock(2, 4)) }},
+		{"Merge", func(a *Accumulator) { a.Merge(NewAccumulator(2, 2)) }},
+		{"Reset", func(a *Accumulator) { a.Reset() }},
+	}
+	for _, c := range calls {
+		a := NewAccumulator(2, 2)
+		a.Add([]float64{3, 4})
+		a.Freeze()
+		want := NewAccumulator(2, 2)
+		want.Add([]float64{3, 4})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen accumulator did not panic", c.name)
+				}
+			}()
+			c.call(a)
+		}()
+		requireEqual(t, c.name, want, a)
+	}
+}

@@ -3,9 +3,9 @@ package stats
 import "fmt"
 
 // BlockRows is the capacity of a Block: the most rows one AddBlock call
-// folds. The fault campaign draws and encrypts traces in blocks of this
-// size.
-const BlockRows = 64
+// folds. It equals a campaign shard (evaluate.ShardSize), so the fault
+// campaign draws, encrypts and folds a shard's traces as one block.
+const BlockRows = 256
 
 // Block stages up to BlockRows rows of group values for
 // Accumulator.AddBlock. Values are unsigned integers of a fixed width of
@@ -110,11 +110,11 @@ func (b *Block) SetRows(src []byte, stride, rows int) {
 // For orders <= 2 it sums the block in integer arithmetic — per column the
 // powers Σx^k (k <= 4), per column pair Σx_i x_j, Σx_i² x_j, Σx_i x_j² and
 // Σx_i² x_j² — and adds each sum to its float64 total once. Values are at
-// most 255, so every term is below 2^32 and every block sum below 2^38,
-// and the integer arithmetic is exact. Add rounds nothing either while a
-// total stays below 2^53, that is for at least 2^21 rows: both paths then
-// hold the exact integer totals, so they produce the same float64 bits
-// for any split of the rows into blocks. Campaign shards hold 256 rows.
+// most 255, so every term is below 2^32 and every sum of a block of up to
+// 256 rows below 2^40, and the integer arithmetic is exact. Add rounds
+// nothing either while a total stays below 2^53, that is for at least
+// 2^21 rows: both paths then hold the exact integer totals, so they
+// produce the same float64 bits for any split of the rows into blocks.
 // Order 2 reads its sums off one Gram matrix per block where gramAsm has
 // a body (addGramBlock); order 1, and order 2 elsewhere, runs the
 // packed-lane Go bodies, which compute the same integers.
@@ -123,6 +123,7 @@ func (b *Block) SetRows(src []byte, stride, rows int) {
 // of x^6 and beyond are not exact in float64, so only the same sequence
 // of additions reproduces Add's bits.
 func (a *Accumulator) AddBlock(b *Block) {
+	a.mutable()
 	if b.groups != a.groups {
 		panic(fmt.Sprintf("stats: block has %d columns, accumulator has %d", b.groups, a.groups))
 	}
@@ -152,8 +153,13 @@ func (a *Accumulator) AddBlock(b *Block) {
 // The kernels sum rows in segments of segRows, which bounds each lane of
 // a packed product (see addNibbleBlock). A block is padded with
 // zero rows to a whole number of segments; zero rows add nothing to any
-// sum.
-const segRows = 8
+// sum. Sums whose lanes would overflow over a whole block run in chunks
+// of chunkRows rows: the Gram body's passes and addNibbleBlock's power
+// word.
+const (
+	segRows   = 8
+	chunkRows = 64
+)
 
 // padRows zeroes the rows of every column from the block's row count up to
 // the next segment boundary and returns that padded count. It also makes
@@ -188,20 +194,32 @@ const (
 // sum: e gathers the lanes at 0 and 30, o the lanes at 15 and 45.
 //
 // The power sums pack the same way: x + x²·2^10 + x³·2^24 + x⁴·2^42 summed
-// over a block of at most 64 rows keeps Σx, Σx², Σx³ and Σx⁴ below 2^10,
-// 2^14, 2^18 and 2^22, so one word per column holds all four.
+// over a chunk of at most 64 rows keeps Σx, Σx², Σx³ and Σx⁴ below 2^10,
+// 2^14, 2^18 and 2^22, so one word per column and chunk holds all four;
+// past 68 rows of 15 the Σx lane would carry, so each chunk's word is
+// split into the block's four sums.
 func (a *Accumulator) addNibbleBlock(b *Block) {
 	padded := b.padRows()
 	for j := 0; j < a.groups; j++ {
 		u := b.u[j*BlockRows:][:padded]
 		v := b.v[j*BlockRows:][:padded]
-		var p uint64
-		for r, c := range b.cols[j*BlockRows:][:padded] {
-			t := &nibbleTable[c&0xf]
-			p += t.powers
-			u[r], v[r] = t.u, t.v
+		col := b.cols[j*BlockRows:][:padded]
+		var s1, s2, s3, s4 uint64
+		for lo := 0; lo < padded; lo += chunkRows {
+			hi := min(lo+chunkRows, padded)
+			cu, cv := u[lo:hi], v[lo:hi]
+			var p uint64
+			for r, c := range col[lo:hi] {
+				t := &nibbleTable[c&0xf]
+				p += t.powers
+				cu[r], cv[r] = t.u, t.v
+			}
+			s1 += p & (1<<10 - 1)
+			s2 += p >> 10 & (1<<14 - 1)
+			s3 += p >> 24 & (1<<18 - 1)
+			s4 += p >> 42
 		}
-		a.addPowers(j, p&(1<<10-1), p>>10&(1<<14-1), p>>24&(1<<18-1), p>>42)
+		a.addPowers(j, s1, s2, s3, s4)
 	}
 	if a.cross == nil {
 		return
@@ -243,8 +261,8 @@ func nibbleSums(u, v []uint64) (e, o uint64) {
 
 // addByteBlock folds a block of 8-bit values, two multiplies per row and
 // column pair. With u = x + x²·2^27 the product u_i·x_j holds
-// x_i x_j and x_i² x_j in the lanes starting at 0 and 27; over a 64-row
-// block they sum to at most 64·255² < 2^23 and 64·255³ < 2^30, so the
+// x_i x_j and x_i² x_j in the lanes starting at 0 and 27; over a 256-row
+// block they sum to at most 256·255² < 2^24 and 256·255³ < 2^32, so the
 // block sum is exact. The product u_i·x_j² holds x_i x_j² and x_i² x_j² in
 // the same lanes; a segment of 8 rows sums at most 8·255³ < 2^27 and
 // 8·255⁴ < 2^35 into them, after which the lanes are split off. A column

@@ -96,11 +96,15 @@ func TestAddBlockConstantColumns(t *testing.T) {
 	}
 }
 
-// BenchmarkAccumulate times folding one 64-row block of a 16-column
+// BenchmarkAccumulate times folding one full block of a 16-column
 // observation point into an order-2 accumulator, row by row through Add
 // and at once through AddBlock under each of its bodies, for every group
-// width; ns/op is per block.
+// width. ns/op is per block; ns/row divides it by the block's BlockRows
+// rows, so blocks of different sizes compare.
 func BenchmarkAccumulate(b *testing.B) {
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*BlockRows), "ns/row")
+	}
 	for _, width := range []int{1, 2, 4, 8} {
 		const groups = 16
 		rowBytes := groups * width / 8
@@ -117,6 +121,7 @@ func BenchmarkAccumulate(b *testing.B) {
 					a.Add(row)
 				}
 			}
+			perRow(b)
 		})
 		forEachGramBody(func(body string) {
 			b.Run(fmt.Sprintf("addblock-w%d/%s", width, body), func(b *testing.B) {
@@ -126,6 +131,7 @@ func BenchmarkAccumulate(b *testing.B) {
 					blk.SetRows(src, rowBytes, BlockRows)
 					a.AddBlock(blk)
 				}
+				perRow(b)
 			})
 		})
 	}

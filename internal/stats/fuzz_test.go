@@ -83,23 +83,25 @@ func requireEqual(t *testing.T, label string, want, got *Accumulator) {
 // Add: rows of any group width (1, 2, 4 or 8 bits), order (1..3) and 1 to
 // 32 groups (GIFT-128's nibble count), cut into blocks of every size from
 // empty to full and split at an arbitrary point into two merged
-// accumulators, must leave N and the raw sums bit-identical to the same
-// rows fed one by one through Add, under every AddBlock body. Rows are
-// decoded for Add by a bit reader independent of Block.SetRows, so the
-// unpacking is checked too.
+// accumulators, and cut into whole blocks as a campaign shard is, must
+// leave N and the raw sums bit-identical to the same rows fed one by one
+// through Add, under every AddBlock body. Rows are decoded for Add by a
+// bit reader independent of Block.SetRows, so the unpacking is checked
+// too. The row count is rowsSel plus BlockRows times the bits of
+// groupsSel above the group count, 0 to 2,047 rows.
 func FuzzAccumulatorBlock(f *testing.F) {
 	// The largest value of every width in full blocks, where the packed
-	// lanes of the order-2 kernels come closest to overflowing, at 16
-	// groups here and at 32 groups below.
+	// lanes of the order-2 kernels come closest to overflowing: 512 rows
+	// of 16 groups here and of 32 groups below.
 	for widthSel := byte(0); widthSel < 4; widthSel++ {
-		f.Add(widthSel, byte(1), byte(15), byte(200), byte(64), []byte{0xff})
+		f.Add(widthSel, byte(1), byte(15+2*32), byte(0), byte(128), []byte{0xff})
 	}
 	f.Add(byte(2), byte(1), byte(15), byte(200), byte(3), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0xff})
 	f.Add(byte(3), byte(2), byte(7), byte(255), byte(200), []byte{0xff, 0x00, 0x80, 0x7f, 0x01})
 	f.Add(byte(0), byte(0), byte(12), byte(100), byte(9), []byte{0xa5, 0x3c})
 	f.Add(byte(1), byte(2), byte(5), byte(1), byte(0), []byte{0xe4})
 	for widthSel := byte(0); widthSel < 4; widthSel++ {
-		f.Add(widthSel, byte(1), byte(31), byte(200), byte(64), []byte{0xff})
+		f.Add(widthSel, byte(1), byte(31+2*32), byte(0), byte(128), []byte{0xff})
 	}
 	f.Fuzz(func(t *testing.T, widthSel, orderSel, groupsSel, rowsSel, splitSel byte, data []byte) {
 		if len(data) == 0 {
@@ -108,7 +110,7 @@ func FuzzAccumulatorBlock(f *testing.F) {
 		width := []int{1, 2, 4, 8}[widthSel%4]
 		maxOrder := 1 + int(orderSel)%3
 		groups := 1 + int(groupsSel)%32
-		rows := int(rowsSel)
+		rows := int(rowsSel) + BlockRows*int(groupsSel/32)
 		rowBytes := (groups*width + 7) / 8
 		packed := make([]byte, rows*rowBytes)
 		for i := range packed {
@@ -122,8 +124,8 @@ func FuzzAccumulatorBlock(f *testing.F) {
 			}
 		}
 		blk := NewBlock(groups, width)
-		// Block sizes cycle through 0..64 from a split-dependent start,
-		// so every run mixes empty, partial and full blocks.
+		// Block sizes cycle through 0..BlockRows from a split-dependent
+		// start, so every run mixes empty, partial and full blocks.
 		k := int(splitSel)
 		addBlocks := func(a *Accumulator, from, to int) {
 			for r := from; r < to; {
@@ -147,6 +149,13 @@ func FuzzAccumulatorBlock(f *testing.F) {
 			gotAll := NewAccumulator(groups, maxOrder)
 			addBlocks(gotAll, 0, rows)
 			requireEqual(t, body+": all rows", wantAll, gotAll)
+
+			gotShards := NewAccumulator(groups, maxOrder)
+			for r := 0; r < rows; r += BlockRows {
+				blk.SetRows(packed[r*rowBytes:], rowBytes, min(BlockRows, rows-r))
+				gotShards.AddBlock(blk)
+			}
+			requireEqual(t, body+": whole blocks", wantAll, gotShards)
 
 			gotL, gotR := NewAccumulator(groups, maxOrder), NewAccumulator(groups, maxOrder)
 			addBlocks(gotL, 0, split)

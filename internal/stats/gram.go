@@ -7,9 +7,11 @@ import "fmt"
 // AddBlock runs the packed-lane Go bodies, addNibbleBlock and
 // addByteBlock; tests set it to nil to force them.
 //
-// It computes the Gram matrix G = AᵀA of one block. A has 64 rows, one
-// per block row, zero past rows, so stale column bytes add nothing. Its
-// columns are small integers widened from the block's groups columns:
+// It adds the Gram matrix G = AᵀA of one chunk of a block to g. A has
+// chunkRows rows, one per chunk row, zero past rows, so stale column bytes
+// add nothing. cols starts at the chunk's first row, and column j at
+// cols[j*BlockRows:]. A's columns are small integers widened from the
+// block's groups columns:
 //
 //	widths 1, 2, 4: A = [x | q], q = x² <= 225
 //	width 8:        A = [x | h | l], x² = 256·h + l, h, l <= 255
@@ -18,12 +20,13 @@ import "fmt"
 // mpad, the next multiple of 4. Row a of g, at g[a*mpad:], receives
 // G[a][b] for every b from a&^3 up to mpad; G is symmetric, and the upper
 // triangle holds every sum AddBlock needs (see addGramBlock). sums[j]
-// receives Σx of column j.
+// receives Σx of column j. gram zeroes these entries and runs gramAsm
+// once per chunk, so they end up holding the block's sums.
 //
 // Every entry of A is at most 255, so one multiply-add lane (two
-// products) is at most 2·255² = 130,050 and a 64-row entry of G at most
-// 64·255² = 4,161,600 < 2^23: no int32 lane can overflow, and every
-// entry is the exact integer.
+// products) is at most 2·255² = 130,050 and an entry of G summed over a
+// whole block at most 256·255² = 16,646,400 < 2^24: no int32 lane can
+// overflow, and every entry is the exact integer.
 var gramAsm func(g, sums []int32, a []int16, cols []uint8, groups, rows int, bytes bool)
 
 // gramShape returns A's column count and its padded count for a block of
@@ -36,15 +39,22 @@ func gramShape(groups int, bytes bool) (m, mpad int) {
 	return m, (m + 3) &^ 3
 }
 
-// gram checks the operand lengths and runs gramAsm.
+// gram checks the operand lengths, zeroes the entries gramAsm adds into,
+// and runs gramAsm over the rows of cols in chunks of chunkRows.
 func gram(g, sums []int32, a []int16, cols []uint8, groups, rows int, bytes bool) {
 	m, mpad := gramShape(groups, bytes)
 	if groups < 1 || rows < 0 || rows > BlockRows || len(cols) < groups*BlockRows ||
-		len(a) < mpad*BlockRows || len(g) < m*mpad || len(sums) < groups {
+		len(a) < mpad*chunkRows || len(g) < m*mpad || len(sums) < groups {
 		panic(fmt.Sprintf("stats: gram of %d groups and %d rows with operands of %d, %d, %d and %d elements",
 			groups, rows, len(g), len(sums), len(a), len(cols)))
 	}
-	gramAsm(g, sums, a, cols, groups, rows, bytes)
+	clear(sums[:groups])
+	for r := 0; r < m; r++ {
+		clear(g[r*mpad+r&^3 : (r+1)*mpad])
+	}
+	for lo := 0; lo < rows; lo += chunkRows {
+		gramAsm(g, sums, a, cols[lo:], groups, min(chunkRows, rows-lo), bytes)
+	}
 }
 
 // addGramBlock folds an order-2 block through gramAsm. With G from gram,
@@ -68,7 +78,7 @@ func (a *Accumulator) addGramBlock(b *Block) {
 	bytes := b.width == 8
 	m, mpad := gramShape(b.groups, bytes)
 	if b.gramG == nil {
-		b.gramA = make([]int16, mpad*BlockRows)
+		b.gramA = make([]int16, mpad*chunkRows)
 		b.gramG = make([]int32, m*mpad)
 		b.gramS = make([]int32, b.groups)
 	}

@@ -1,3 +1,4 @@
+#include "go_asm.h"
 #include "textflag.h"
 
 // Row masks: byte r of the 64 bytes at gramMask<>+64-rows is 0xff when
@@ -26,13 +27,15 @@ GLOBL gramMask<>(SB), RODATA|NOPTR, $128
 // (VPMOVZXBW), rows past rows are cleared (VPAND with the row masks), and
 // x, then x² (VPMULLW) or its h = x² >> 8 (VPSRLW) and l = x² & 0xff
 // (VPAND) are stored as A's columns; the 16 word sums of a column
-// (at most 4·255 each) pair up into dwords (VPMADDWD by ones) and add
-// across the register into sums[j]. Columns m..mpad-1 of A are zeroed.
+// (at most 4·255 each) pair up into dwords (VPMADDWD by ones), add
+// across the register and are added to sums[j]. Column j of cols starts
+// j·BlockRows bytes after column 0. Columns m..mpad-1 of A are zeroed.
 //
 // Gram: row a of G holds A column a in Y0-Y3 and runs four columns b per
 // pass from a &^ 3 to mpad: per column four VPMADDWD and three VPADDD
 // leave eight dword partial sums, and a VPHADDD tree plus one fold of
-// the upper half leaves G[a][b..b+3] in one XMM register.
+// the upper half leaves the chunk's G[a][b..b+3] in one XMM register,
+// which a VPADDD from memory adds to the stored entries.
 TEXT ·gramAVX2(SB), NOSPLIT, $0-113
 	MOVQ    cols_base+72(FP), SI
 	MOVQ    a_base+48(FP), DI
@@ -74,7 +77,8 @@ widen:
 	VPADDD  X5, X4, X4
 	VPSHUFD $0xb1, X4, X5
 	VPADDD  X5, X4, X4
-	VMOVD   X4, (DX)
+	VMOVD   X4, R13
+	ADDL    R13, (DX)
 	VPMULLW Y0, Y0, Y0
 	VPMULLW Y1, Y1, Y1
 	VPMULLW Y2, Y2, Y2
@@ -106,7 +110,7 @@ split:
 	VMOVDQU Y3, 96(DI)(R8*2)
 
 next:
-	ADDQ $64, SI
+	ADDQ $const_BlockRows, SI
 	ADDQ $128, DI
 	ADDQ $4, DX
 	DECQ CX
@@ -200,6 +204,7 @@ quad:
 	VPHADDD  Y6, Y4, Y4
 	VEXTRACTI128 $1, Y4, X5
 	VPADDD   X5, X4, X4
+	VPADDD   (DX), X4, X4
 	VMOVDQU  X4, (DX)
 	ADDQ     $512, BX
 	ADDQ     $16, DX

@@ -42,21 +42,26 @@ func refGram(cols []uint8, groups, rows int, bytes bool) (g [][]int64, sums []in
 	g = make([][]int64, m)
 	for i := range g {
 		g[i] = make([]int64, m)
-		for j := range g[i] {
-			for r := 0; r < BlockRows; r++ {
+	}
+	for i := range g {
+		for j := i; j < m; j++ {
+			for r := 0; r < rows; r++ {
 				g[i][j] += a[i][r] * a[j][r]
 			}
+			g[j][i] = g[i][j]
 		}
 	}
 	return g, sums
 }
 
-// TestGramAVX2 checks the assembly body against refGram entry for entry:
-// 1 to 64 columns, so every count of pad columns; groups-1 live rows
-// (so 0 to 63) with stale bytes past them, and full blocks of random and
-// of maximal values (15 for the nibble split, 255 for the byte split).
-// Entries the body does not own — left of a&^3 in row a, past m·mpad,
-// past the groups sums — keep a guard.
+// TestGramAVX2 checks gram, the chunk loop over the assembly body,
+// against refGram entry for entry: 1 to 64 columns, so every count of pad
+// columns; groups-1 live rows (so 0 to 63, inside the first chunk), rows
+// that end just past a chunk (65), on a chunk boundary (128) and inside
+// the last chunk (255), with stale bytes past them, and full blocks of
+// random and of maximal values (15 for the nibble split, 255 for the byte
+// split). Entries the body does not own — left of a&^3 in row a, past
+// m·mpad, past the groups sums, past A's 64 rows — keep a guard.
 func TestGramAVX2(t *testing.T) {
 	if gramAsm == nil {
 		t.Skip("AddBlock has no Gram body on this CPU")
@@ -69,8 +74,9 @@ func TestGramAVX2(t *testing.T) {
 			max = 255
 		}
 		for groups := 1; groups <= 64; groups++ {
-			for trial, rows := range []int{groups - 1, BlockRows, BlockRows} {
-				full := trial == 2
+			counts := []int{groups - 1, chunkRows + 1, 2 * chunkRows, BlockRows - 1, BlockRows, BlockRows}
+			for trial, rows := range counts {
+				full := trial == len(counts)-1
 				cols := make([]uint8, groups*BlockRows)
 				for i := range cols {
 					cols[i] = uint8(rng.Uint64())
@@ -84,7 +90,7 @@ func TestGramAVX2(t *testing.T) {
 				m, mpad := gramShape(groups, bytes)
 				g := make([]int32, m*mpad+5)
 				sums := make([]int32, groups+3)
-				a := make([]int16, mpad*BlockRows+9)
+				a := make([]int16, mpad*chunkRows+9)
 				for _, s := range [][]int32{g, sums} {
 					for i := range s {
 						s[i] = guard
@@ -93,7 +99,7 @@ func TestGramAVX2(t *testing.T) {
 				for i := range a {
 					a[i] = guard
 				}
-				gram(g[:m*mpad], sums[:groups], a[:mpad*BlockRows], cols, groups, rows, bytes)
+				gram(g[:m*mpad], sums[:groups], a[:mpad*chunkRows], cols, groups, rows, bytes)
 				want, wantSums := refGram(cols, groups, rows, bytes)
 				name := fmt.Sprintf("bytes=%v groups=%d rows=%d", bytes, groups, rows)
 				for j, s := range sums {
@@ -119,7 +125,7 @@ func TestGramAVX2(t *testing.T) {
 						t.Fatalf("%s: G[%d][%d] = %d, want %d", name, r, c, v, w)
 					}
 				}
-				for _, v := range a[mpad*BlockRows:] {
+				for _, v := range a[mpad*chunkRows:] {
 					if v != guard {
 						t.Fatalf("%s: a written past its %d columns", name, mpad)
 					}
@@ -139,5 +145,5 @@ func TestGramRejectsShortOperands(t *testing.T) {
 		}
 	}()
 	m, mpad := gramShape(3, false)
-	gram(make([]int32, m*mpad-1), make([]int32, 3), make([]int16, mpad*BlockRows), make([]uint8, 3*BlockRows), 3, BlockRows, false)
+	gram(make([]int32, m*mpad-1), make([]int32, 3), make([]int16, mpad*chunkRows), make([]uint8, 3*BlockRows), 3, BlockRows, false)
 }

@@ -234,6 +234,20 @@ func TestJobServerSweepShardFanOut(t *testing.T) {
 	}
 }
 
+// badJobSpecs are specs the runner's Validate rejects, so Submit refuses
+// them.
+var badJobSpecs = []JobSpec{
+	{Type: "discover", Config: json.RawMessage(`{"cipher":"gift64","round":99}`)},
+	{Type: "discover", Config: json.RawMessage(`{"cipher":"nope","round":1}`)},
+	{Type: "discover", Config: json.RawMessage(`{"cipher":"gift64","round":25,"epsiodes":5}`)},
+	{Type: "assess", Config: json.RawMessage(`{"cipher":"gift64","round":25}`)},
+	{Type: "sweep", Config: json.RawMessage(`{"cipher":"gift64","key":"zz"}`)},
+}
+
+// speckAssessSpec is a small assess job that runs to completion.
+var speckAssessSpec = JobSpec{Type: "assess", Config: json.RawMessage(
+	`{"cipher":"speck64","round":25,"groups":[0],"samples":128,"seed":3}`)}
+
 // TestJobRunnerValidate pins submission-time validation: typos and
 // out-of-range configs are rejected before a worker ever runs.
 func TestJobRunnerValidate(t *testing.T) {
@@ -243,22 +257,14 @@ func TestJobRunnerValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	bad := []JobSpec{
-		{Type: "discover", Config: json.RawMessage(`{"cipher":"gift64","round":99}`)},
-		{Type: "discover", Config: json.RawMessage(`{"cipher":"nope","round":1}`)},
-		{Type: "discover", Config: json.RawMessage(`{"cipher":"gift64","round":25,"epsiodes":5}`)},
-		{Type: "assess", Config: json.RawMessage(`{"cipher":"gift64","round":25}`)},
-		{Type: "sweep", Config: json.RawMessage(`{"cipher":"gift64","key":"zz"}`)},
-	}
-	for i, spec := range bad {
+	for i, spec := range badJobSpecs {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("bad spec %d accepted: %s", i, spec.Config)
 		}
 	}
 	// Assess works end to end (speck64 included: every registered cipher
 	// is available to the daemon).
-	j, err := s.Submit(JobSpec{Type: "assess", Config: json.RawMessage(
-		fmt.Sprintf(`{"cipher":"speck64","round":25,"groups":[0],"samples":128,"seed":3}`))})
+	j, err := s.Submit(speckAssessSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,35 +563,7 @@ func TestBadJobValuesFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, tc := range []struct{ typ, config, want string }{
-		{"assess", `{"cipher":"gift64","round":25,"bits":[64]}`, "bit 64 "},
-		{"assess", `{"cipher":"gift64","round":25,"bits":[-1]}`, "bit -1 "},
-		{"assess", `{"cipher":"gift64","round":25,"groups":[16]}`, "group 16 "},
-		{"assess", `{"cipher":"gift64","round":25,"groups":[-1]}`, "group -1 "},
-		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[128]}`, "bit 128 "},
-		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":-1}`, "max order -1 "},
-		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"max_order":-1}`, "max order -1 "},
-		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":1}`, "samples 1 "},
-		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":-3}`, "samples -3 "},
-		{"sweep", `{"cipher":"gift64","rounds":[25],"max_order":-1}`, "max order -1 "},
-		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":1099511627776}`, "max order 1099511627776 "},
-		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":17}`, "max order 17 "},
-		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"max_order":17}`, "max order 17 "},
-		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"fixed_order":200}`, "fixed order 200 "},
-		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"fixed_order":-3}`, "fixed order -3 "},
-		{"sweep", `{"cipher":"gift64","rounds":[25],"max_order":1099511627776}`, "max order 1099511627776 "},
-		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"num_envs":-1}`, "NumEnvs -1 "},
-		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":1}`, "samples 1 "},
-		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":-4}`, "samples -4 "},
-		{"discover", `{"cipher":"gift64","round":25,"episodes":-3}`, "Episodes -3 "},
-		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"episode_len":-5}`, "EpisodeLen -5 "},
-		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"max_harvest":-1}`, "MaxHarvest -1 "},
-		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"samples":2097153}`, "samples 2097153 "},
-		{"assess", `{"cipher":"gift64","round":25,"bits":[1],"samples":1099511627776}`, "samples 1099511627776 "},
-		{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":1099511627776}`, "samples 1099511627776 "},
-		{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":1099511627776}`, "samples 1099511627776 "},
-		{"sweep", `{"cipher":"gift64","rounds":[25],"samples":1099511627776}`, "samples 1099511627776 "},
-	} {
+	for _, tc := range badJobValues {
 		j, err := s.Submit(JobSpec{Type: tc.typ, Config: json.RawMessage(tc.config)})
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.typ, tc.config, err)
@@ -603,6 +581,71 @@ func TestBadJobValuesFail(t *testing.T) {
 	if got := waitJobState(t, s, j.ID, func(j *JobRecord) bool { return j.State.Terminal() }); got.State != server.StateDone {
 		t.Fatalf("follow-up job state = %s (%s)", got.State, got.Error)
 	}
+}
+
+// badJobValues are job configs that Validate accepts and the run rejects,
+// each with the text its error must contain.
+var badJobValues = []struct{ typ, config, want string }{
+	{"assess", `{"cipher":"gift64","round":25,"bits":[64]}`, "bit 64 "},
+	{"assess", `{"cipher":"gift64","round":25,"bits":[-1]}`, "bit -1 "},
+	{"assess", `{"cipher":"gift64","round":25,"groups":[16]}`, "group 16 "},
+	{"assess", `{"cipher":"gift64","round":25,"groups":[-1]}`, "group -1 "},
+	{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[128]}`, "bit 128 "},
+	{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":-1}`, "max order -1 "},
+	{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"max_order":-1}`, "max order -1 "},
+	{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":1}`, "samples 1 "},
+	{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":-3}`, "samples -3 "},
+	{"sweep", `{"cipher":"gift64","rounds":[25],"max_order":-1}`, "max order -1 "},
+	{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":1099511627776}`, "max order 1099511627776 "},
+	{"assess", `{"cipher":"gift64","round":25,"bits":[1],"max_order":17}`, "max order 17 "},
+	{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"max_order":17}`, "max order 17 "},
+	{"assess", `{"cipher":"gift64","round":25,"bits":[1],"fixed_order":200}`, "fixed order 200 "},
+	{"assess", `{"cipher":"gift64","round":25,"bits":[1],"fixed_order":-3}`, "fixed order -3 "},
+	{"sweep", `{"cipher":"gift64","rounds":[25],"max_order":1099511627776}`, "max order 1099511627776 "},
+	{"discover", `{"cipher":"gift64","round":25,"episodes":8,"num_envs":-1}`, "NumEnvs -1 "},
+	{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":1}`, "samples 1 "},
+	{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":-4}`, "samples -4 "},
+	{"discover", `{"cipher":"gift64","round":25,"episodes":-3}`, "Episodes -3 "},
+	{"discover", `{"cipher":"gift64","round":25,"episodes":8,"episode_len":-5}`, "EpisodeLen -5 "},
+	{"discover", `{"cipher":"gift64","round":25,"episodes":8,"max_harvest":-1}`, "MaxHarvest -1 "},
+	{"assess", `{"cipher":"gift64","round":25,"bits":[1],"samples":2097153}`, "samples 2097153 "},
+	{"assess", `{"cipher":"gift64","round":25,"bits":[1],"samples":1099511627776}`, "samples 1099511627776 "},
+	{"assess", `{"cipher":"gift64","round":25,"protected":true,"bits":[1,65],"samples":1099511627776}`, "samples 1099511627776 "},
+	{"discover", `{"cipher":"gift64","round":25,"episodes":8,"samples":1099511627776}`, "samples 1099511627776 "},
+	{"sweep", `{"cipher":"gift64","rounds":[25],"samples":1099511627776}`, "samples 1099511627776 "},
+}
+
+// FuzzJobSpec feeds arbitrary POST /jobs bodies through the submit path's
+// decoding (server.DecodeSpec, which handleSubmit runs) and the runner's
+// Validate, which must return nil or an error and never panic. An input
+// is never submitted: an accepted job would run. The seeds are the four
+// job kinds of perfbench's jobserver mix and the documents of
+// TestJobRunnerValidate and TestBadJobValuesFail.
+func FuzzJobSpec(f *testing.F) {
+	body := func(spec JobSpec) []byte {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add([]byte(`{"type":"assess","tenant":"bench","name":"assess-welch","config":{"cipher":"gift64","round":24,"groups":[5],"samples":256,"workers":1,"seed":12345}}`))
+	f.Add([]byte(`{"type":"assess","tenant":"bench","name":"assess-sifa","config":{"cipher":"speck64","round":22,"groups":[3],"samples":256,"workers":1,"seed":12345,"oracle":"sifa","fault_model":"stuck-at-0"}}`))
+	f.Add([]byte(`{"type":"assess","tenant":"bench","name":"assess-protected","config":{"cipher":"aes128","round":8,"protected":true,"bits":[7,135],"samples":256,"workers":1,"seed":12345}}`))
+	f.Add([]byte(`{"type":"sweep","tenant":"bench","name":"sweep","shard_range":[0,1],"config":{"cipher":"gift64","rounds":[24],"samples":128,"workers":1,"seed":12345}}`))
+	for _, spec := range append(badJobSpecs, speckAssessSpec) {
+		f.Add(body(spec))
+	}
+	for _, tc := range badJobValues {
+		f.Add(body(JobSpec{Type: tc.typ, Config: json.RawMessage(tc.config)}))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		spec, err := server.DecodeSpec(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		_ = jobRunner{}.Validate(spec) // either result is fine; a panic fails
+	})
 }
 
 // TestEntryPointsRejectBadValues pins the library side of
