@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStagesOpen$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultApply$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzMLPKernels$$' -fuzztime $(FUZZTIME) ./internal/nn
+	$(GO) test -run '^$$' -fuzz '^FuzzVectorMath$$' -fuzztime $(FUZZTIME) ./internal/nn
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) .
 
 # Kill-and-resume smoke: SIGINT a checkpointing discovery run mid-training,

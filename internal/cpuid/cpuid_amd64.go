@@ -2,9 +2,9 @@ package cpuid
 
 // init probes the CPU: CPUID leaf 1 must set OSXSAVE and AVX, and XCR0
 // must enable both the SSE and the YMM state. AVX2 further needs leaf 7,
-// sub-leaf 0, to set EBX bit 5.
+// sub-leaf 0, to set EBX bit 5, and FMA leaf 1 to set ECX bit 12.
 func init() {
-	const osxsave, avxBit = 1 << 27, 1 << 28
+	const osxsave, avxBit, fmaBit = 1 << 27, 1 << 28, 1 << 12
 	const avx2Bit = 1 << 5
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, ecx1, _ := cpuid(1, 0)
@@ -12,6 +12,7 @@ func init() {
 		return
 	}
 	avx = true
+	fma = ecx1&fmaBit != 0
 	if maxLeaf >= 7 {
 		_, ebx7, _, _ := cpuid(7, 0)
 		avx2 = ebx7&avx2Bit != 0

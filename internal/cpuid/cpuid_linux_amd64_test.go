@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestProbeMatchesCPUInfo requires the probe to report AVX and AVX2
+// TestProbeMatchesCPUInfo requires the probe to report AVX, AVX2 and FMA
 // exactly when the kernel lists them among the CPU's flags. The kernel
 // drops a flag the OS cannot save state for, so the flags answer the same
 // question the probe asks. A probe reading the wrong CPUID leaf or
@@ -36,7 +36,7 @@ func TestProbeMatchesCPUInfo(t *testing.T) {
 	for _, c := range []struct {
 		flag string
 		got  bool
-	}{{"avx", AVX()}, {"avx2", AVX2()}} {
+	}{{"avx", AVX()}, {"avx2", AVX2()}, {"fma", FMA()}} {
 		if want := slices.Contains(flags, c.flag); c.got != want {
 			t.Errorf("probe reports %s = %v, /proc/cpuinfo lists it: %v", c.flag, c.got, want)
 		}

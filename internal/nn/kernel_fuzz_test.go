@@ -78,16 +78,23 @@ func (r refMLP) Backward(x, gradOut []float64) {
 	}
 }
 
-// forEachBody runs f under the Go bodies of gemm and adamStep and then,
-// where the init probe selected them, under their assembly bodies. It
-// restores the probe's choice when f returns or fails.
+// forEachBody runs f under the Go bodies of gemm, adamStep and
+// transpose and package math's exp, log and tanh, and then, where the
+// init probe selected them, under their assembly bodies. It restores the
+// probe's choice when f returns or fails.
 func forEachBody(f func(body string)) {
-	gemmA, adamA := gemmAsm, adamAsm
-	defer func() { gemmAsm, adamAsm = gemmA, adamA }()
-	gemmAsm, adamAsm = nil, nil
+	gemmA, adamA, transposeA := gemmAsm, adamAsm, transposeAsm
+	expA, logA, tanhA := expAsm, logAsm, tanhAsm
+	restore := func() {
+		gemmAsm, adamAsm, transposeAsm = gemmA, adamA, transposeA
+		expAsm, logAsm, tanhAsm = expA, logA, tanhA
+	}
+	defer restore()
+	gemmAsm, adamAsm, transposeAsm = nil, nil, nil
+	expAsm, logAsm, tanhAsm = nil, nil, nil
 	f("go")
-	if gemmA != nil || adamA != nil {
-		gemmAsm, adamAsm = gemmA, adamA
+	if gemmA != nil || adamA != nil || transposeA != nil || expA != nil || logA != nil || tanhA != nil {
+		restore()
 		f("asm")
 	}
 }

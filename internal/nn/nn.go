@@ -18,7 +18,10 @@
 // every element whichever body runs it. On amd64 CPUs with AVX, gemm
 // keeps two-row, 16-column tiles of C in vector registers and Adam runs
 // four elements at a time, on lanes that round exactly as the Go bodies
-// do.
+// do. The tanh activation, Softmax's exponentials and LogSlice run four
+// elements at a time too, on AVX2 lanes that replay package math's amd64
+// instruction sequences and so return math's bits, and the layout
+// transposes move 4×4 blocks.
 //
 // The first layer is sparse: policy observations are 0/1 bit-selection
 // vectors, mostly zeros, so both passes collect the nonzero inputs once
@@ -60,6 +63,17 @@ func (a Activation) apply(x float64) float64 {
 		return x
 	}
 	return math.Tanh(x)
+}
+
+// applyAll replaces every element of y by its activation.
+func (a Activation) applyAll(y []float64) {
+	if a == Tanh {
+		tanhSlice(y, y)
+		return
+	}
+	for i, v := range y {
+		y[i] = a.apply(v)
+	}
 }
 
 // derivFromOut computes the activation derivative from the activation
@@ -295,9 +309,7 @@ func (m *MLP) Forward(x []float64) []float64 {
 			l.forward(m.outs[k-1], m.outs[k])
 		}
 		if k < len(m.layers)-1 {
-			for i, v := range m.outs[k] {
-				m.outs[k][i] = m.act.apply(v)
-			}
+			m.act.applyAll(m.outs[k])
 		}
 	}
 	return m.outs[len(m.outs)-1]
@@ -336,9 +348,20 @@ func resize(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
+// transposeAsm is transpose's assembly body for rows and cols positive
+// multiples of 4, set at init where this GOARCH has one and the CPU can
+// run it. While it is nil, and for other shapes, transpose runs its loop;
+// tests set it to nil to force that.
+var transposeAsm func(dst, src []float64, rows, cols int)
+
 // transpose writes the rows × cols matrix src to dst as cols × rows, both
-// row-major.
+// row-major. It only moves values, so both bodies write the same bits.
 func transpose(dst, src []float64, rows, cols int) {
+	dst, src = dst[:rows*cols], src[:rows*cols]
+	if transposeAsm != nil && rows > 0 && cols > 0 && rows%4 == 0 && cols%4 == 0 {
+		transposeAsm(dst, src, rows, cols)
+		return
+	}
 	for r := 0; r < rows; r++ {
 		for c, v := range src[r*cols:][:cols] {
 			dst[c*rows+r] = v
@@ -384,9 +407,7 @@ func (m *MLP) ForwardBatch(ws *Workspace, xs [][]float64) []float64 {
 			l.forwardBatch(ws.outs[k-1], y, n)
 		}
 		if k < len(m.layers)-1 {
-			for i, v := range y {
-				y[i] = m.act.apply(v)
-			}
+			m.act.applyAll(y)
 		}
 	}
 	ws.out = resize(ws.out, m.OutSize()*n)
@@ -593,10 +614,13 @@ func Softmax(logits, probs []float64) []float64 {
 			maxL = l
 		}
 	}
-	var sum float64
 	for i, l := range logits {
-		probs[i] = math.Exp(l - maxL)
-		sum += probs[i]
+		probs[i] = l - maxL
+	}
+	expSlice(probs, probs[:len(logits)])
+	var sum float64
+	for _, p := range probs[:len(logits)] {
+		sum += p
 	}
 	for i := range probs {
 		probs[i] /= sum

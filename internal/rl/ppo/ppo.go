@@ -269,10 +269,13 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 				// One log per action serves the ratio, the entropy and
 				// its gradient; each equals what nn.LogProb and
 				// nn.Entropy compute.
+				for j, p := range a.probs {
+					logProbs[j] = math.Max(p, 1e-12)
+				}
+				nn.LogSlice(logProbs, logProbs)
 				var ent, dot float64
 				for j, p := range a.probs {
-					lp := math.Log(math.Max(p, 1e-12))
-					logProbs[j] = lp
+					lp := logProbs[j]
 					if p > 1e-12 {
 						ent -= p * lp
 					}

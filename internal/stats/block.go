@@ -22,7 +22,7 @@ type Block struct {
 	cols     []uint8
 	// Packed operands of the pair products, per column like cols and
 	// filled by AddBlock (see addNibbleBlock and addByteBlock); made on
-	// their first use.
+	// first use by an accumulator that reads them.
 	u, v []uint64
 	// A, G and the column sums of the Gram body (see gramAsm); made on
 	// its first use.
@@ -162,10 +162,10 @@ const (
 )
 
 // padRows zeroes the rows of every column from the block's row count up to
-// the next segment boundary and returns that padded count. It also makes
-// the packed operands u and v on their first use.
-func (b *Block) padRows() int {
-	if b.u == nil {
+// the next segment boundary and returns that padded count. With operands
+// set it also makes the packed operands u and v on their first use.
+func (b *Block) padRows(operands bool) int {
+	if operands && b.u == nil {
 		b.u = make([]uint64, b.groups*BlockRows)
 		b.v = make([]uint64, b.groups*BlockRows)
 	}
@@ -197,22 +197,28 @@ const (
 // over a chunk of at most 64 rows keeps Σx, Σx², Σx³ and Σx⁴ below 2^10,
 // 2^14, 2^18 and 2^22, so one word per column and chunk holds all four;
 // past 68 rows of 15 the Σx lane would carry, so each chunk's word is
-// split into the block's four sums.
+// split into the block's four sums. Order 1 reads no pair products, so it
+// packs no operands.
 func (a *Accumulator) addNibbleBlock(b *Block) {
-	padded := b.padRows()
+	pairs := a.cross != nil
+	padded := b.padRows(pairs)
 	for j := 0; j < a.groups; j++ {
-		u := b.u[j*BlockRows:][:padded]
-		v := b.v[j*BlockRows:][:padded]
 		col := b.cols[j*BlockRows:][:padded]
 		var s1, s2, s3, s4 uint64
 		for lo := 0; lo < padded; lo += chunkRows {
 			hi := min(lo+chunkRows, padded)
-			cu, cv := u[lo:hi], v[lo:hi]
 			var p uint64
-			for r, c := range col[lo:hi] {
-				t := &nibbleTable[c&0xf]
-				p += t.powers
-				cu[r], cv[r] = t.u, t.v
+			if pairs {
+				cu, cv := b.u[j*BlockRows:][lo:hi], b.v[j*BlockRows:][lo:hi]
+				for r, c := range col[lo:hi] {
+					t := &nibbleTable[c&0xf]
+					p += t.powers
+					cu[r], cv[r] = t.u, t.v
+				}
+			} else {
+				for _, c := range col[lo:hi] {
+					p += nibbleTable[c&0xf].powers
+				}
 			}
 			s1 += p & (1<<10 - 1)
 			s2 += p >> 10 & (1<<14 - 1)
@@ -221,7 +227,7 @@ func (a *Accumulator) addNibbleBlock(b *Block) {
 		}
 		a.addPowers(j, s1, s2, s3, s4)
 	}
-	if a.cross == nil {
+	if !pairs {
 		return
 	}
 	c := 0
@@ -268,7 +274,7 @@ func nibbleSums(u, v []uint64) (e, o uint64) {
 // 8·255⁴ < 2^35 into them, after which the lanes are split off. A column
 // paired with itself yields Σx², Σx³ and Σx⁴ the same way.
 func (a *Accumulator) addByteBlock(b *Block) {
-	padded := b.padRows()
+	padded := b.padRows(true)
 	for j := 0; j < a.groups; j++ {
 		u := b.u[j*BlockRows:][:padded]
 		v := b.v[j*BlockRows:][:padded]

@@ -136,3 +136,28 @@ func BenchmarkAccumulate(b *testing.B) {
 		})
 	}
 }
+
+// TestOrderOneNibbleBlockPacksNoOperands requires an order-1 AddBlock of
+// nibbles to leave a fresh Block's packed pair operands unmade, and an
+// order-2 AddBlock of the same Block afterwards, under each AddBlock
+// body, to equal the rows fed one by one through Add.
+func TestOrderOneNibbleBlockPacksNoOperands(t *testing.T) {
+	const groups, rows, stride = 16, 200, 8
+	src := make([]byte, rows*stride)
+	prng.New(7).Fill(src)
+	want := NewAccumulator(groups, 2)
+	for r := 0; r < rows; r++ {
+		want.Add(unpackRow(src[r*stride:(r+1)*stride], groups, 4))
+	}
+	forEachGramBody(func(body string) {
+		blk := NewBlock(groups, 4)
+		blk.SetRows(src, stride, rows)
+		NewAccumulator(groups, 1).AddBlock(blk)
+		if blk.u != nil || blk.v != nil {
+			t.Fatalf("%s: an order-1 nibble AddBlock made the pair operands", body)
+		}
+		got := NewAccumulator(groups, 2)
+		got.AddBlock(blk)
+		requireEqual(t, body+": order 2 after order 1", want, got)
+	})
+}
