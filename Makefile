@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_OUT ?= BENCH_pr22.json
+BENCH_OUT ?= BENCH_pr24.json
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 

@@ -17,6 +17,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -115,12 +116,7 @@ func (v *Vector) Count() int {
 
 // IsZero reports whether no bit is set.
 func (v *Vector) IsZero() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
+	return v.words[0]|v.words[1]|v.words[2]|v.words[3] == 0
 }
 
 // Equal reports whether v and o have identical width and contents.
@@ -218,7 +214,11 @@ func (v *Vector) PutBytes(dst []byte) {
 	if len(dst) < nb {
 		panic(fmt.Sprintf("bitvec: destination %d bytes, need %d", len(dst), nb))
 	}
-	for i := 0; i < nb; i++ {
+	i := 0
+	for ; i+8 <= nb; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], v.words[i/8])
+	}
+	for ; i < nb; i++ {
 		dst[i] = byte(v.words[i/8] >> (8 * uint(i%8)))
 	}
 }
@@ -265,48 +265,4 @@ func (v *Vector) String() string {
 	}
 	fmt.Fprintf(&sb, "}/%d", v.n)
 	return sb.String()
-}
-
-// RandomSource is the subset of prng.Source that bitvec needs; it is an
-// interface so bitvec does not depend on the prng package.
-type RandomSource interface {
-	Uint64() uint64
-	Intn(n int) int
-}
-
-// RandomMask returns a uniformly random non-zero sub-mask of pattern: each
-// set bit of pattern is kept with probability 1/2, re-drawing until at
-// least one bit survives. This models a random fault confined to the
-// pattern. It panics if pattern is all-zero.
-func RandomMask(pattern *Vector, src RandomSource) Vector {
-	if pattern.IsZero() {
-		panic("bitvec: RandomMask of empty pattern")
-	}
-	for {
-		m := *pattern
-		for i := range m.words {
-			if m.words[i] != 0 {
-				m.words[i] &= src.Uint64()
-			}
-		}
-		if !m.IsZero() {
-			return m
-		}
-	}
-}
-
-// RandomSubset returns a uniformly random sub-mask of pattern: each set bit
-// is kept with probability 1/2. Unlike RandomMask the empty sub-mask is
-// allowed — there is no redraw, so a draw consumes exactly one Uint64 per
-// nonzero pattern word. Fault models that can leave the state untouched
-// (biased-AND, random byte/nibble values) use this; the resulting
-// ineffective traces are what SIFA-style analyses condition on.
-func RandomSubset(pattern *Vector, src RandomSource) Vector {
-	m := *pattern
-	for i := range m.words {
-		if m.words[i] != 0 {
-			m.words[i] &= src.Uint64()
-		}
-	}
-	return m
 }

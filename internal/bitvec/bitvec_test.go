@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/prng"
 )
 
 func TestNewWidths(t *testing.T) {
@@ -207,43 +205,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestRandomMaskStaysInPattern(t *testing.T) {
-	src := prng.New(99)
-	pattern := FromBits(128, 3, 17, 76, 77, 120)
-	for i := 0; i < 500; i++ {
-		m := RandomMask(&pattern, src)
-		if m.IsZero() {
-			t.Fatal("RandomMask returned zero mask")
-		}
-		if !m.SubsetOf(&pattern) {
-			t.Fatalf("mask %v escapes pattern %v", m.String(), pattern.String())
-		}
-	}
-}
-
-func TestRandomMaskCoversAllSubsets(t *testing.T) {
-	src := prng.New(5)
-	pattern := FromBits(64, 0, 1)
-	seen := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		m := RandomMask(&pattern, src)
-		seen[m.String()] = true
-	}
-	if len(seen) != 3 { // {0}, {1}, {0,1}
-		t.Errorf("expected 3 distinct non-zero masks, saw %d", len(seen))
-	}
-}
-
-func TestRandomMaskPanicsOnEmptyPattern(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RandomMask of empty pattern did not panic")
-		}
-	}()
-	p := New(64)
-	RandomMask(&p, prng.New(1))
-}
-
 func TestCountMatchesBitsLength(t *testing.T) {
 	f := func(a [4]uint64) bool {
 		v := New(256)
@@ -260,13 +221,5 @@ func BenchmarkXor(b *testing.B) {
 	y := FromBits(128, 2, 61, 71, 126)
 	for i := 0; i < b.N; i++ {
 		x.Xor(&y)
-	}
-}
-
-func BenchmarkRandomMask(b *testing.B) {
-	src := prng.New(1)
-	pattern := FromBits(128, 16, 17, 18, 19, 60, 61, 62, 63)
-	for i := 0; i < b.N; i++ {
-		_ = RandomMask(&pattern, src)
 	}
 }

@@ -94,23 +94,23 @@ func (k *kernel) addRoundKeyLanes(rk uint64) {
 // loadRowsBE gathers the block's plaintext state words into k.rows,
 // zero-padding past bn.
 func (k *kernel) loadRowsBE(pts []byte, base, bn int) {
-	for t := 0; t < bn; t++ {
-		k.rows[t] = loadBE(pts[(base+t)*BlockBytes:])
+	o := base * BlockBytes
+	for t := range k.rows[:bn] {
+		k.rows[t] = binary.BigEndian.Uint64(pts[o : o+8])
+		o += BlockBytes
 	}
-	for t := bn; t < laneBlock; t++ {
-		k.rows[t] = 0
-	}
+	clear(k.rows[bn:])
 }
 
 // loadRowsLE gathers each trace's little-endian (repository bit order)
 // mask word — the layout of fault masks — into k.rows.
 func (k *kernel) loadRowsLE(masks []byte, base, bn int) {
-	for t := 0; t < bn; t++ {
-		k.rows[t] = loadLE(masks[(base+t)*BlockBytes:])
+	o := base * BlockBytes
+	for t := range k.rows[:bn] {
+		k.rows[t] = binary.LittleEndian.Uint64(masks[o : o+8])
+		o += BlockBytes
 	}
-	for t := bn; t < laneBlock; t++ {
-		k.rows[t] = 0
-	}
+	clear(k.rows[bn:])
 }
 
 // captureLanes transposes the current lanes back to per-trace words and
@@ -119,15 +119,19 @@ func (k *kernel) loadRowsLE(masks []byte, base, bn int) {
 func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian bool) {
 	copy(k.rows[:], k.lanes)
 	bitvec.Transpose64(&k.rows)
-	for t := 0; t < bn; t++ {
-		at := dst[(base+t)*stride+off:]
-		if bigEndian {
-			storeBE(at, k.rows[t])
-		} else {
-			// The transposed row already is the repository-order (LE)
-			// state: state bit i = bit i%8 of byte i/8.
-			binary.LittleEndian.PutUint64(at, k.rows[t])
+	o := base*stride + off
+	if bigEndian {
+		for _, v := range k.rows[:bn] {
+			binary.BigEndian.PutUint64(dst[o:o+8], v)
+			o += stride
 		}
+		return
+	}
+	// The transposed row already is the repository-order (LE) state:
+	// state bit i = bit i%8 of byte i/8.
+	for _, v := range k.rows[:bn] {
+		binary.LittleEndian.PutUint64(dst[o:o+8], v)
+		o += stride
 	}
 }
 

@@ -95,26 +95,24 @@ func (k *kernel) roundLanes(rk uint32) {
 // k.rows, zero-padding past bn.
 func (k *kernel) loadRowsBE(pts []byte, base, bn int) {
 	bb := k.c.BlockBytes()
-	for t := 0; t < bn; t++ {
-		x, y := k.c.loadBE(pts[(base+t)*bb:])
-		k.rows[t] = k.pack(x, y)
+	o := base * bb
+	for t := range k.rows[:bn] {
+		k.rows[t] = k.pack(k.c.loadBE(pts[o : o+bb]))
+		o += bb
 	}
-	for t := bn; t < laneBlock; t++ {
-		k.rows[t] = 0
-	}
+	clear(k.rows[bn:])
 }
 
 // loadRowsLE gathers each trace's little-endian (repository bit order)
 // mask as packed state words into k.rows.
 func (k *kernel) loadRowsLE(masks []byte, base, bn int) {
 	bb := k.c.BlockBytes()
-	for t := 0; t < bn; t++ {
-		x, y := k.c.maskLE(masks[(base+t)*bb:])
-		k.rows[t] = k.pack(x, y)
+	o := base * bb
+	for t := range k.rows[:bn] {
+		k.rows[t] = k.pack(k.c.maskLE(masks[o : o+bb]))
+		o += bb
 	}
-	for t := bn; t < laneBlock; t++ {
-		k.rows[t] = 0
-	}
+	clear(k.rows[bn:])
 }
 
 // rowsToLanes transposes k.rows into k.lanes (only the first nbits lanes
@@ -129,23 +127,28 @@ func (k *kernel) rowsToLanes() {
 // stride*traceIndex+off, in trace (LE) or ciphertext (BE) byte order.
 func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian bool) {
 	copy(k.rows[:k.nbits], k.lanes)
-	for b := k.nbits; b < laneBlock; b++ {
-		k.rows[b] = 0
-	}
+	clear(k.rows[k.nbits:])
 	bitvec.Transpose64(&k.rows)
 	bb := k.nbits / 8
-	for t := 0; t < bn; t++ {
-		at := dst[(base+t)*stride+off:]
-		switch {
-		case bigEndian:
-			x, y := k.unpack(k.rows[t])
-			k.c.storeBE(at, x, y)
-		case bb == 8:
-			// The packed word already is the repository-order (LE) state:
-			// state bit i = bit i%8 of byte i/8.
-			binary.LittleEndian.PutUint64(at, k.rows[t])
-		default:
-			binary.LittleEndian.PutUint32(at, uint32(k.rows[t]))
+	o := base*stride + off
+	switch {
+	case bigEndian:
+		for _, v := range k.rows[:bn] {
+			x, y := k.unpack(v)
+			k.c.storeBE(dst[o:o+bb], x, y)
+			o += stride
+		}
+	case bb == 8:
+		// The packed word already is the repository-order (LE) state:
+		// state bit i = bit i%8 of byte i/8.
+		for _, v := range k.rows[:bn] {
+			binary.LittleEndian.PutUint64(dst[o:o+8], v)
+			o += stride
+		}
+	default:
+		for _, v := range k.rows[:bn] {
+			binary.LittleEndian.PutUint32(dst[o:o+4], uint32(v))
+			o += stride
 		}
 	}
 }

@@ -365,7 +365,7 @@ func (cp *Campaign) forEachBlock(ctx context.Context, rng *prng.Source, n int, b
 	if sifa {
 		cts = [][]byte{buf.ct0, buf.ct1}
 	}
-	kern := ciphers.NewKernel(cp.Cipher, cp.NoBatch)
+	kern := buf.kernel(cp.Cipher, cp.NoBatch)
 	// One collect span per call (one per shard under the evaluate
 	// engine); nil and free unless the caller's ctx carries a span.
 	sp, _ := trace.StartSpan(ctx, trace.SpanCollect)
@@ -426,17 +426,33 @@ func (cp *Campaign) forEachBlock(ctx context.Context, rng *prng.Source, n int, b
 }
 
 // collectBuffers is the scratch of one collection call: the trace block's
-// plaintexts, injection masks, states and ciphertexts, the batch points
-// and the stats.Block that CollectIntoContext stages observations in.
-// Campaign shards are small — a 512-sample assessment is two of them — so
-// allocating these per call would dominate a sweep's garbage; they are
-// pooled per shape instead.
+// plaintexts, injection masks, states and ciphertexts, the batch points,
+// the stats.Block that CollectIntoContext stages observations in, and the
+// fork kernel of the last collection. Campaign shards are small — a
+// 512-sample assessment is two of them — so allocating these per call
+// would dominate a sweep's garbage; they are pooled per shape instead.
 type collectBuffers struct {
 	pts, xor, and []byte
 	clean, faulty []byte
 	ct0, ct1      []byte
 	bpts          []ciphers.BatchPoint
 	blk           *stats.Block // created on first use by CollectIntoContext
+	// kern is ciphers.NewKernel(kernFor, kernNoBatch); kernFor is nil
+	// until the first collection.
+	kern        ciphers.BatchKernel
+	kernFor     ciphers.Cipher
+	kernNoBatch bool
+}
+
+// kernel returns ciphers.NewKernel(c, noBatch), reusing the kernel of the
+// buffers' last collection when it was built for the same cipher and
+// path. Registered ciphers are pointers, so == on the interface tests
+// identity, and a cipher's key is fixed when it is made.
+func (b *collectBuffers) kernel(c ciphers.Cipher, noBatch bool) ciphers.BatchKernel {
+	if b.kernFor != c || b.kernNoBatch != noBatch {
+		b.kern, b.kernFor, b.kernNoBatch = ciphers.NewKernel(c, noBatch), c, noBatch
+	}
+	return b.kern
 }
 
 // collectShape keys the buffer pools: it fixes every buffer size.

@@ -10,9 +10,11 @@
 package fault
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitvec"
+	"repro/internal/prng"
 )
 
 // Model is a typed fault model: the function family applied to the bits
@@ -136,10 +138,18 @@ type Injector struct {
 	// after group widening (== pattern except for RandomByte/Nibble).
 	pattern, eff bitvec.Vector
 	// xorConst/andConst hold the constant halves (nil = that half is
-	// inactive or per-trace random); invEff is ^eff, the AND base of the
-	// value-replacement models.
-	xorConst, andConst, invEff []byte
+	// inactive or per-trace random); for the value-replacement models
+	// andConst is ^eff.
+	xorConst, andConst []byte
+	// words holds the little-endian 64-bit words of the bits a random
+	// model draws from (eff for the value-replacement models, pattern
+	// otherwise), nw of them spanning the state's bb bytes.
+	words  [maxWords]uint64
+	nw, bb int
 }
+
+// maxWords is the most 64-bit words a state of bitvec.MaxBits bits has.
+const maxWords = bitvec.MaxBits / 64
 
 // NewInjector precomputes the injector for a pattern of width 8*blockBytes.
 func NewInjector(pattern bitvec.Vector, model Model, mode Mode) *Injector {
@@ -159,8 +169,6 @@ func NewInjector(pattern bitvec.Vector, model Model, mode Mode) *Injector {
 	case StuckAtOne:
 		in.andConst = inv(pb)
 		in.xorConst = pb
-	case BiasedAnd:
-		in.invEff = inv(pb)
 	case RandomByte, RandomNibble:
 		eff := make([]byte, bb)
 		for i, b := range pb {
@@ -178,8 +186,13 @@ func NewInjector(pattern bitvec.Vector, model Model, mode Mode) *Injector {
 			}
 		}
 		in.eff = bitvec.FromBytes(eff)
-		in.invEff = inv(eff)
-		in.andConst = in.invEff
+		in.andConst = inv(eff)
+	}
+	in.bb, in.nw = bb, (bb+7)/8
+	var src [8 * maxWords]byte
+	in.eff.PutBytes(src[:])
+	for i := range in.words[:in.nw] {
+		in.words[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
 	return in
 }
@@ -206,15 +219,26 @@ func (in *Injector) Effective() bitvec.Vector { return in.eff }
 // Draw fills the active halves of one trace's injection pair. xor and and
 // must be blockBytes-long when the corresponding Has half reports true and
 // are ignored otherwise.
-func (in *Injector) Draw(xor, and []byte, rng bitvec.RandomSource) {
+//
+// The random models draw a word at a time: each nonzero word of the bits
+// they draw from is ANDed with one rng.Uint64(), in word order, which
+// keeps each bit with probability 1/2. XorFlip's RandomMask mode redraws
+// until the mask is nonzero; the others keep an empty draw, whose
+// ineffective traces are what SIFA conditions on.
+func (in *Injector) Draw(xor, and []byte, rng *prng.Source) {
 	switch in.model {
 	case XorFlip:
 		if in.mode == FlipAll {
 			in.pattern.PutBytes(xor)
 			return
 		}
-		m := bitvec.RandomMask(&in.pattern, rng)
-		m.PutBytes(xor)
+		var m [maxWords]uint64
+		for in.subset(&m, rng) == 0 {
+			if in.pattern.IsZero() {
+				panic("fault: random mask of an empty pattern")
+			}
+		}
+		in.put(xor, &m)
 	case StuckAtZero:
 		copy(and, in.andConst)
 	case StuckAtOne:
@@ -223,16 +247,44 @@ func (in *Injector) Draw(xor, and []byte, rng bitvec.RandomSource) {
 	case BiasedAnd:
 		// Keep each pattern bit with probability 1/2; kept bits stay
 		// transparent (AND 1), dropped bits are forced to 0.
-		keep := bitvec.RandomSubset(&in.pattern, rng)
-		keep.PutBytes(and)
-		for i := range and {
-			and[i] |= in.invEff[i]
+		var m [maxWords]uint64
+		in.subset(&m, rng)
+		for i, w := range in.words[:in.nw] {
+			m[i] |= ^w
 		}
+		in.put(and, &m)
 	case RandomByte, RandomNibble:
 		copy(and, in.andConst)
-		v := bitvec.RandomSubset(&in.eff, rng)
-		v.PutBytes(xor)
+		var m [maxWords]uint64
+		in.subset(&m, rng)
+		in.put(xor, &m)
 	default:
 		panic(fmt.Sprintf("fault: Draw on invalid model %d", int(in.model)))
+	}
+}
+
+// subset sets m to the injector's words with each nonzero one ANDed with
+// one rng.Uint64(), in word order: a uniformly random sub-mask. It
+// returns the OR of m's words, zero for an empty draw.
+func (in *Injector) subset(m *[maxWords]uint64, rng *prng.Source) (or uint64) {
+	for i, w := range in.words[:in.nw] {
+		if w != 0 {
+			m[i] = w & rng.Uint64()
+			or |= m[i]
+		}
+	}
+	return or
+}
+
+// put stores the first bb bytes of m into dst, little-endian, a whole
+// word at a time and the bytes of a partial last word one at a time.
+func (in *Injector) put(dst []byte, m *[maxWords]uint64) {
+	dst = dst[:in.bb]
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], m[i/8])
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = byte(m[i/8] >> (8 * (i % 8)))
 	}
 }

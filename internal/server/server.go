@@ -83,7 +83,10 @@ type Server struct {
 	q       *queue
 	cancels map[string]context.CancelFunc
 	nextSeq uint64
-	closed  bool
+	// storedSeq is the ID counter last persisted; Submit leaves it
+	// behind and a purge catches it up when it must (persistSeqPast).
+	storedSeq uint64
+	closed    bool
 
 	// Per-job metric attribution (nil-free even with Metrics disabled).
 	// Each running job writes into its own registry; scrape-time folding
@@ -143,12 +146,9 @@ func New(cfg Config) (*Server, error) {
 	s.cond = sync.NewCond(&s.mu)
 
 	jobs, seq := st.load()
-	s.nextSeq = seq
+	s.storedSeq, s.nextSeq = seq, max(seq, st.seqAfterRecords())
 	now := time.Now().UTC()
 	for _, j := range jobs {
-		if j.Seq >= s.nextSeq {
-			s.nextSeq = j.Seq + 1
-		}
 		j.cancelRequested = false
 		switch j.State {
 		case StateQueued:
@@ -212,9 +212,6 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		State:       StateQueued,
 		SubmittedAt: now,
 		enqueuedAt:  now,
-	}
-	if err := s.store.putSeq(s.nextSeq); err != nil {
-		return nil, err
 	}
 	if err := s.store.putJob(j); err != nil {
 		return nil, err
@@ -295,6 +292,10 @@ func (s *Server) Delete(id string) (job *Job, purged bool, err error) {
 		s.cfg.Events.Emit(obs.EventJobCancelled, map[string]any{"id": id, "state": "running"})
 		return job, false, nil
 	default: // terminal: purge record and files
+		if err := s.persistSeqPast(j.Seq); err != nil {
+			s.mu.Unlock()
+			return nil, false, err
+		}
 		if err := s.store.deleteJob(id); err != nil {
 			s.mu.Unlock()
 			return nil, false, err
@@ -307,6 +308,29 @@ func (s *Server) Delete(id string) (job *Job, purged bool, err error) {
 		}
 		return nil, true, nil
 	}
+}
+
+// persistSeqPast makes sure that purging the record of the job with
+// sequence seq cannot lead a restarted daemon to issue its ID again. New
+// takes the next ID as the larger of the stored counter and the highest
+// stored sequence + 1, and Submit does not write the counter, so a purge
+// writes it, fsynced and before the delete, only when no remaining record
+// has a higher sequence and the stored counter is not already past seq.
+// The caller holds s.mu.
+func (s *Server) persistSeqPast(seq uint64) error {
+	if s.storedSeq > seq {
+		return nil
+	}
+	for _, j := range s.jobs {
+		if j.Seq > seq {
+			return nil
+		}
+	}
+	if err := s.store.putSeq(s.nextSeq); err != nil {
+		return err
+	}
+	s.storedSeq = s.nextSeq
+	return nil
 }
 
 // Close stops the scheduler: no new jobs are accepted or started,

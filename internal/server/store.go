@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/checkpoint"
@@ -50,7 +51,10 @@ func (st *store) deleteJob(id string) error {
 }
 
 // putSeq persists the ID counter so purged jobs never lead to ID reuse
-// (their on-disk event logs and checkpoints must stay theirs).
+// (their on-disk event logs and checkpoints must stay theirs). Submit
+// does not write it: a stored record's own sequence already keeps its ID
+// (see seqAfterRecords), so only a purge that leaves no higher record
+// needs it (Server.persistSeqPast).
 func (st *store) putSeq(seq uint64) error {
 	return st.stages.Put(seqStage, seq)
 }
@@ -74,4 +78,21 @@ func (st *store) load() ([]*Job, uint64) {
 	}
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].Seq < jobs[k].Seq })
 	return jobs, seq
+}
+
+// seqAfterRecords returns one past the highest sequence among the stored
+// job records, read from the job ID in each record's name, so a record
+// that no longer decodes keeps its ID too.
+func (st *store) seqAfterRecords() uint64 {
+	var next uint64
+	for _, name := range st.stages.Names() {
+		id, ok := strings.CutPrefix(name, jobPrefix)
+		if !ok {
+			continue
+		}
+		if seq, err := strconv.ParseUint(strings.TrimPrefix(id, "j-"), 10, 64); err == nil && seq >= next {
+			next = seq + 1
+		}
+	}
+	return next
 }

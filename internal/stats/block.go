@@ -1,6 +1,9 @@
 package stats
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // BlockRows is the capacity of a Block: the most rows one AddBlock call
 // folds. It equals a campaign shard (evaluate.ShardSize), so the fault
@@ -24,10 +27,13 @@ type Block struct {
 	// filled by AddBlock (see addNibbleBlock and addByteBlock); made on
 	// first use by an accumulator that reads them.
 	u, v []uint64
-	// A, G and the column sums of the Gram body (see gramAsm); made on
-	// its first use.
+	// A and G of the byte body (see gramAsm), the staged lanes and pair
+	// sums of the nibble body (see laneGramAsm), and the column sums of
+	// either; made on their first use.
 	gramA        []int16
 	gramG, gramS []int32
+	lanes        []uint8
+	laneT        []int32
 	row          []float64 // one row, for the float path of orders >= 3
 }
 
@@ -56,6 +62,14 @@ func NewBlock(groups, width int) *Block {
 // little-endian bit order: value j occupies bits j*width..(j+1)*width-1,
 // counting from the least significant bit of the row's first byte. This
 // is the layout of a cipher state split into width-bit groups.
+//
+// Rows go eight at a time through each whole 8-byte word of a row that
+// holds only column values: the word of the eight rows is read as eight
+// little-endian uint64 and transposed as an 8×8 byte matrix
+// (transpose8), so word k then holds source byte k of the eight rows,
+// and masking and shifting it yields the eight rows of each column that
+// byte holds, stored as one uint64. Rows past the last multiple of 8,
+// and bytes past those words, go one byte at a time.
 func (b *Block) SetRows(src []byte, stride, rows int) {
 	if rows < 0 || rows > BlockRows {
 		panic(fmt.Sprintf("stats: SetRows of %d rows, a block holds 0..%d", rows, BlockRows))
@@ -64,45 +78,128 @@ func (b *Block) SetRows(src []byte, stride, rows int) {
 		panic(fmt.Sprintf("stats: SetRows source of %d bytes is too short for %d rows of stride %d", len(src), rows, stride))
 	}
 	b.rows = rows
-	switch b.width {
-	case 8:
-		for j := 0; j < b.groups; j++ {
-			col, off := b.cols[j*BlockRows:][:rows], j
-			for r := range col {
-				col[r] = src[off]
-				off += stride
-			}
-		}
-	case 4:
-		// Both nibbles of a source byte in one pass.
-		for j := 0; j < b.groups; j += 2 {
-			lo := b.cols[j*BlockRows:][:rows]
-			if j+1 == b.groups {
-				for r := range lo {
-					lo[r] = src[r*stride+j/2] & 0xf
+	w := uint(b.width)
+	per := 8 / b.width // values per source byte
+	lanes := ^uint64(0) / 0xff * (1<<w - 1)
+	words := min(b.rowBytes, b.groups/per) / 8
+	full := rows &^ 7
+	for wi := 0; wi < words; wi++ {
+		cols, o := b.cols[8*wi*per*BlockRows:], 8*wi
+		switch b.width {
+		case 8:
+			bytesTiles((*[8 * BlockRows]uint8)(cols), src, o, stride, full)
+		case 4:
+			nibbleTiles((*[16 * BlockRows]uint8)(cols), src, o, stride, full)
+		default:
+			for r := 0; r < full; r += 8 {
+				t0, t1, t2, t3, t4, t5, t6, t7 := transpose8(src, o+r*stride, stride)
+				for k, x := range [8]uint64{t0, t1, t2, t3, t4, t5, t6, t7} {
+					col := cols[k*per*BlockRows+r:]
+					for s := 0; s < per; s++ {
+						binary.LittleEndian.PutUint64(col[s*BlockRows:], x>>(uint(s)*w)&lanes)
+					}
 				}
-				break
-			}
-			hi := b.cols[(j+1)*BlockRows:][:rows]
-			off := j / 2
-			for r := range lo {
-				v := src[off]
-				lo[r], hi[r] = v&0xf, v>>4
-				off += stride
-			}
-		}
-	default:
-		w := uint(b.width)
-		mask := uint8(1)<<w - 1
-		perByte := 8 / b.width
-		for j := 0; j < b.groups; j++ {
-			col := b.cols[j*BlockRows:][:rows]
-			k, shift := j/perByte, uint(j%perByte)*w
-			for r := range col {
-				col[r] = src[r*stride+k] >> shift & mask
 			}
 		}
 	}
+	mask := uint8(1)<<w - 1
+	for k := 0; k < b.rowBytes; k++ {
+		r0 := 0
+		if k < 8*words {
+			r0 = full
+		}
+		if r0 == rows {
+			continue
+		}
+		for s, j := 0, k*per; s < per && j < b.groups; s, j = s+1, j+1 {
+			col, shift, off := b.cols[j*BlockRows:][:rows], uint(s)*w, r0*stride+k
+			for r := r0; r < rows; r++ {
+				col[r] = src[off] >> shift & mask
+				off += stride
+			}
+		}
+	}
+}
+
+// bytesTiles stages the first full rows, a multiple of 8, of the 8-byte
+// word at src[o:] of each row, stride bytes apart, into the eight byte
+// columns of c.
+func bytesTiles(c *[8 * BlockRows]uint8, src []byte, o, stride, full int) {
+	for r := 0; r < full; r += 8 {
+		t0, t1, t2, t3, t4, t5, t6, t7 := transpose8(src, o+r*stride, stride)
+		putRows(c[:], r, t0)
+		putRows(c[:], BlockRows+r, t1)
+		putRows(c[:], 2*BlockRows+r, t2)
+		putRows(c[:], 3*BlockRows+r, t3)
+		putRows(c[:], 4*BlockRows+r, t4)
+		putRows(c[:], 5*BlockRows+r, t5)
+		putRows(c[:], 6*BlockRows+r, t6)
+		putRows(c[:], 7*BlockRows+r, t7)
+	}
+}
+
+// putRows stores v, eight rows of a column, little-endian at c[off:].
+func putRows(c []uint8, off int, v uint64) {
+	binary.LittleEndian.PutUint64(c[off:off+8:off+8], v)
+}
+
+// nibbleTiles is bytesTiles for the sixteen nibble columns of c: source
+// byte k holds columns 2k (low nibble) and 2k+1.
+func nibbleTiles(c *[16 * BlockRows]uint8, src []byte, o, stride, full int) {
+	const lo = 0x0f0f0f0f0f0f0f0f
+	for r := 0; r < full; r += 8 {
+		t0, t1, t2, t3, t4, t5, t6, t7 := transpose8(src, o+r*stride, stride)
+		putRows(c[:], r, t0&lo)
+		putRows(c[:], BlockRows+r, t0>>4&lo)
+		putRows(c[:], 2*BlockRows+r, t1&lo)
+		putRows(c[:], 3*BlockRows+r, t1>>4&lo)
+		putRows(c[:], 4*BlockRows+r, t2&lo)
+		putRows(c[:], 5*BlockRows+r, t2>>4&lo)
+		putRows(c[:], 6*BlockRows+r, t3&lo)
+		putRows(c[:], 7*BlockRows+r, t3>>4&lo)
+		putRows(c[:], 8*BlockRows+r, t4&lo)
+		putRows(c[:], 9*BlockRows+r, t4>>4&lo)
+		putRows(c[:], 10*BlockRows+r, t5&lo)
+		putRows(c[:], 11*BlockRows+r, t5>>4&lo)
+		putRows(c[:], 12*BlockRows+r, t6&lo)
+		putRows(c[:], 13*BlockRows+r, t6>>4&lo)
+		putRows(c[:], 14*BlockRows+r, t7&lo)
+		putRows(c[:], 15*BlockRows+r, t7>>4&lo)
+	}
+}
+
+// transpose8 reads the little-endian words at src[o:], src[o+stride:],
+// ..., src[o+7*stride:] as the rows of an 8×8 byte matrix, byte c of row
+// r being entry (r, c), and returns its transpose: t_c holds byte c of
+// every row, row r in byte r. It swaps the off-diagonal 4×4, then 2×2,
+// then 1×1 blocks.
+func transpose8(src []byte, o, stride int) (t0, t1, t2, t3, t4, t5, t6, t7 uint64) {
+	const m32, m16, m8 = 0x00000000ffffffff, 0x0000ffff0000ffff, 0x00ff00ff00ff00ff
+	le := binary.LittleEndian
+	row := func(i int) uint64 {
+		p := o + i*stride
+		return le.Uint64(src[p : p+8 : p+8])
+	}
+	m0, m4 := swapBlocks(row(0), row(4), 32, m32)
+	m1, m5 := swapBlocks(row(1), row(5), 32, m32)
+	m2, m6 := swapBlocks(row(2), row(6), 32, m32)
+	m3, m7 := swapBlocks(row(3), row(7), 32, m32)
+	m0, m2 = swapBlocks(m0, m2, 16, m16)
+	m1, m3 = swapBlocks(m1, m3, 16, m16)
+	m4, m6 = swapBlocks(m4, m6, 16, m16)
+	m5, m7 = swapBlocks(m5, m7, 16, m16)
+	t0, t1 = swapBlocks(m0, m1, 8, m8)
+	t2, t3 = swapBlocks(m2, m3, 8, m8)
+	t4, t5 = swapBlocks(m4, m5, 8, m8)
+	t6, t7 = swapBlocks(m6, m7, 8, m8)
+	return
+}
+
+// swapBlocks exchanges the bits of a selected by mask<<shift with the bits
+// of b selected by mask.
+func swapBlocks(a, b uint64, shift uint, mask uint64) (uint64, uint64) {
+	t := (a>>shift ^ b) & mask
+	return a ^ t<<shift, b ^ t
 }
 
 // AddBlock folds the block's rows into the running sums.
@@ -115,9 +212,11 @@ func (b *Block) SetRows(src []byte, stride, rows int) {
 // nothing either while a total stays below 2^53, that is for at least
 // 2^21 rows: both paths then hold the exact integer totals, so they
 // produce the same float64 bits for any split of the rows into blocks.
-// Order 2 reads its sums off one Gram matrix per block where gramAsm has
-// a body (addGramBlock); order 1, and order 2 elsewhere, runs the
-// packed-lane Go bodies, which compute the same integers.
+// Where this GOARCH and CPU have them, order 2 reads its sums off the
+// assembly bodies, once per block: byte-lane products for widths up to 4
+// (addLaneBlock) and one Gram matrix of 16-bit operands for width 8
+// (addGramBlock). Order 1, and order 2 elsewhere, runs the packed-lane Go
+// bodies, which compute the same integers.
 //
 // Orders >= 3 keep Add's row-wise float path, in row order: their sums
 // of x^6 and beyond are not exact in float64, so only the same sequence
@@ -140,7 +239,9 @@ func (a *Accumulator) AddBlock(b *Block) {
 			a.Add(b.row)
 		}
 		return
-	case a.cross != nil && gramAsm != nil:
+	case a.cross != nil && b.width <= 4 && laneGramAsm != nil:
+		a.addLaneBlock(b)
+	case a.cross != nil && b.width == 8 && gramAsm != nil:
 		a.addGramBlock(b)
 	case b.width <= 4:
 		a.addNibbleBlock(b)

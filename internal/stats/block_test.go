@@ -27,6 +27,72 @@ func TestSetRowsStride(t *testing.T) {
 	}
 }
 
+// TestSetRowsMatchesBitReader checks SetRows against unpackRow, the bit
+// reader FuzzAccumulatorBlock feeds Add with: widths 1, 2, 4 and 8, 1 to
+// 40 groups, every stride from the row size to 48 bytes more, and row
+// counts cycling through 0 to 256, so whole words, partial words, odd
+// group counts and tail rows all occur. Rows past the count keep a
+// guard.
+func TestSetRowsMatchesBitReader(t *testing.T) {
+	const guard = 0xa5
+	rng := prng.New(4)
+	src := make([]byte, BlockRows*(40+48))
+	rng.Fill(src)
+	rows := 0
+	for _, width := range []int{1, 2, 4, 8} {
+		for groups := 1; groups <= 40; groups++ {
+			blk := NewBlock(groups, width)
+			for stride := blk.rowBytes; stride <= blk.rowBytes+48; stride++ {
+				rows = (rows + 37) % (BlockRows + 1)
+				for i := range blk.cols {
+					blk.cols[i] = guard
+				}
+				blk.SetRows(src[:max(0, (rows-1)*stride+blk.rowBytes)], stride, rows)
+				for r := 0; r < BlockRows; r++ {
+					var want []float64
+					if r < rows {
+						want = unpackRow(src[r*stride:], groups, width)
+					}
+					for j := 0; j < groups; j++ {
+						w := uint8(guard)
+						if r < rows {
+							w = uint8(want[j])
+						}
+						if got := blk.cols[j*BlockRows+r]; got != w {
+							t.Fatalf("width %d, %d groups, stride %d, %d rows: row %d group %d = %#x, want %#x",
+								width, groups, stride, rows, r, j, got, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSetRows times staging a full block in the sweep's shape (16
+// nibbles of a 56-byte stride: seven GIFT-64 observation points per
+// trace) and AES-128's (16 bytes at stride 16). ns/row divides ns/op by
+// the block's BlockRows rows.
+func BenchmarkSetRows(b *testing.B) {
+	for _, c := range []struct {
+		name                  string
+		groups, width, stride int
+	}{
+		{"nibbles-stride56", 16, 4, 56},
+		{"bytes-stride16", 16, 8, 16},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			src := make([]byte, BlockRows*c.stride)
+			prng.New(1).Fill(src)
+			blk := NewBlock(c.groups, c.width)
+			for i := 0; i < b.N; i++ {
+				blk.SetRows(src, c.stride, BlockRows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*BlockRows), "ns/row")
+		})
+	}
+}
+
 // TestAddBlockEmptyIsNoOp pins that a block of zero rows changes nothing,
 // including on an accumulator that already holds rows.
 func TestAddBlockEmptyIsNoOp(t *testing.T) {
