@@ -18,7 +18,7 @@ import (
 	explorefault "repro"
 	"repro/internal/ciphers"
 	_ "repro/internal/ciphers/present"
-	_ "repro/internal/ciphers/simon"
+	_ "repro/internal/ciphers/simonspeck"
 	"repro/internal/coverage"
 	"repro/internal/prng"
 )

@@ -6,9 +6,8 @@
 package all
 
 import (
-	_ "repro/internal/ciphers/aes"     // register aes128
-	_ "repro/internal/ciphers/gift"    // register gift64, gift128
-	_ "repro/internal/ciphers/present" // register present80
-	_ "repro/internal/ciphers/simon"   // register simon64, simon32
-	_ "repro/internal/ciphers/speck"   // register speck64, speck32
+	_ "repro/internal/ciphers/aes"        // register aes128
+	_ "repro/internal/ciphers/gift"       // register gift64, gift128
+	_ "repro/internal/ciphers/present"    // register present80
+	_ "repro/internal/ciphers/simonspeck" // register simon32, simon64, speck32, speck64
 )

@@ -25,7 +25,8 @@ type Cipher interface {
 	// trace indices are 1-based: round r for r in 1..Rounds().
 	Rounds() int
 	// GroupBits returns the natural substitution-word width in bits:
-	// 8 for AES (byte S-boxes), 4 for GIFT and PRESENT (nibble S-boxes).
+	// 8 for AES (byte S-boxes), 4 for GIFT and PRESENT (nibble S-boxes),
+	// and 8 for SIMON and SPECK, which have no S-boxes and group by byte.
 	// Fault-model abstraction and t-test grouping default to this size.
 	GroupBits() int
 	// Encrypt encrypts the BlockBytes()-byte block src into dst

@@ -5,11 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ciphers"
-	_ "repro/internal/ciphers/aes"     // register aes128
-	_ "repro/internal/ciphers/gift"    // register gift64, gift128
-	_ "repro/internal/ciphers/present" // register present80
-	_ "repro/internal/ciphers/simon"   // register simon64, simon32
-	_ "repro/internal/ciphers/speck"   // register speck64, speck32
+	_ "repro/internal/ciphers/all" // register every cipher
 )
 
 // decrypter is the inverse-permutation capability every concrete cipher

@@ -1,16 +1,21 @@
-// The batched SIMON fork kernel: a lane-packed bitsliced implementation
-// with shared-prefix forking, 64 traces per uint64 lane.
+// The batched SIMON/SPECK fork kernel: a lane-packed bitsliced
+// implementation with shared-prefix forking, 64 traces per uint64 lane.
 //
-// SIMON's round function is pure AND/XOR/rotate, which bitslices with no
-// table or carry logic at all: a rotation of the x word is a lane index
-// remap (free at codegen time), the AND and XORs act lane-wise, and the
+// Both families bitslice without tables: a rotation of a word is a lane
+// index remap (free at codegen time), XOR and AND act lane-wise, and the
 // round-key XOR complements the lanes selected by the key's set bits.
-// One round of 64 traces therefore costs ~4 word ops per state bit. The
-// fault injection point matches Encrypt: masks apply at the top of the
-// faulted round, before the round function. Blocks smaller than eight
-// traces take a per-trace path reusing the scalar round function with
-// prefix sharing; both paths are bit-identical to Encrypt.
-package simon
+// SIMON's round is pure AND/XOR/rotate, ~4 word ops per state bit for 64
+// traces. SPECK's modular addition runs as the bitsliced ripple-carry
+// adder bitvec.RippleAdd, whose carry recurrence evaluates 64 independent
+// additions per lane word (5 ops per bit position for the whole block),
+// so the carry chain costs O(n) word ops instead of n sequential scalar
+// adds. Only the lane round differs between the families; the loads,
+// transposes, captures and prefix sharing are shared. The fault injection
+// point matches Encrypt: masks apply at the top of the faulted round.
+// Blocks smaller than eight traces take a per-trace path reusing the
+// scalar round function with prefix sharing; both paths are bit-identical
+// to Encrypt.
+package simonspeck
 
 import (
 	"encoding/binary"
@@ -25,7 +30,7 @@ const laneBlock = 64
 // bitsliceMin is the smallest block worth transposing into lanes.
 const bitsliceMin = 8
 
-// kernel implements ciphers.BatchKernel for both SIMON variants. The 2n
+// kernel implements ciphers.BatchKernel for all four variants. The 2n
 // state bits map to lanes in repository order: lane i holds y bit i for
 // i < n and x bit i-n otherwise.
 type kernel struct {
@@ -33,23 +38,33 @@ type kernel struct {
 	n     int // word bits
 	nbits int // state bits (2n)
 	// lanes/tmp/snap are the bitsliced state, the round double buffer,
-	// and the fork snapshot.
-	lanes, tmp, snap []uint64
+	// and the fork snapshot; xrot (SPECK only) is the gathered
+	// rotr(x, alpha) operand fed to the ripple-carry adder.
+	lanes, tmp, snap, xrot []uint64
 	// rows is the transpose scratch: one packed state word per trace.
 	rows [laneBlock]uint64
+	// laneRound is the family's lane round, chosen once at construction
+	// so that roundLanes inlines into the fork loops with no family test.
+	laneRound func(k *kernel, rk uint32)
 }
 
 // NewBatchKernel implements ciphers.BatchEncrypter.
 func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
 	n := int(c.wordBits)
-	return &kernel{
-		c:     c,
-		n:     n,
-		nbits: 2 * n,
-		lanes: make([]uint64, 2*n),
-		tmp:   make([]uint64, 2*n),
-		snap:  make([]uint64, 2*n),
+	k := &kernel{
+		c:         c,
+		n:         n,
+		nbits:     2 * n,
+		lanes:     make([]uint64, 2*n),
+		tmp:       make([]uint64, 2*n),
+		snap:      make([]uint64, 2*n),
+		laneRound: (*kernel).simonLanes,
 	}
+	if c.speck {
+		k.xrot = make([]uint64, n)
+		k.laneRound = (*kernel).speckLanes
+	}
+	return k
 }
 
 // pack places the (x, y) word pair into a single uint64 in repository bit
@@ -64,14 +79,20 @@ func (k *kernel) unpack(w uint64) (x, y uint32) {
 	return uint32(w>>uint(k.n)) & m, uint32(w) & m
 }
 
-// roundLanes applies one SIMON round across all lanes: the rotations of x
-// become lane index remaps, the Feistel swap lands old x in the new y
-// lanes, and the round key complements the selected new-x lanes. The
+// roundLanes applies one round of the cipher's family across all lanes.
+func (k *kernel) roundLanes(rk uint32) {
+	k.laneRound(k, rk)
+	k.lanes, k.tmp = k.tmp, k.lanes
+}
+
+// simonLanes writes one SIMON round of k.lanes into k.tmp: the rotations
+// of x become lane index remaps, the Feistel swap lands old x in the new
+// y lanes, and the round key complements the selected new-x lanes. The
 // rotation remaps i-1, i-2 and i-8 (mod n) wrap only below i = 8, so the
 // loop splits at that boundary into wrap-free runs the compiler can
 // bounds-check-eliminate, and the key complement is a branchless XOR with
 // an all-ones lane derived from the key bit.
-func (k *kernel) roundLanes(rk uint32) {
+func (k *kernel) simonLanes(rk uint32) {
 	n := k.n
 	y := k.lanes[:n:n]
 	x := k.lanes[n : 2*n : 2*n]
@@ -88,7 +109,34 @@ func (k *kernel) roundLanes(rk uint32) {
 		tx[i] = y[i] ^ x[i-1]&x[i-8] ^ x[i-2] ^ (^(uint64(rk>>uint(i)&1) - 1))
 	}
 	copy(ty, x)
-	k.lanes, k.tmp = k.tmp, k.lanes
+}
+
+// speckLanes writes one SPECK round of k.lanes into k.tmp: gather the
+// rotated x lanes, ripple-carry add the old y lanes, complement the key
+// bits, and build the new y from the rotated old y XOR the fresh x.
+func (k *kernel) speckLanes(rk uint32) {
+	n := k.n
+	alpha, beta := int(k.c.alpha), int(k.c.beta)
+	y := k.lanes[:n:n]
+	x := k.lanes[n : 2*n : 2*n]
+	// rotr(x, alpha) is a lane remap: two contiguous copies.
+	copy(k.xrot[:n-alpha], x[alpha:])
+	copy(k.xrot[n-alpha:n], x[:alpha])
+	newX := k.tmp[n : 2*n : 2*n]
+	bitvec.RippleAdd(newX, k.xrot[:n], y)
+	// One fused pass: branchless key complement on the sum, then new y =
+	// rotl(y, beta) ^ new x, split at the rotation's wrap boundary.
+	ty := k.tmp[:n:n]
+	for i := 0; i < beta; i++ {
+		v := newX[i] ^ (^(uint64(rk>>uint(i)&1) - 1))
+		newX[i] = v
+		ty[i] = y[i+n-beta] ^ v
+	}
+	for i := beta; i < n; i++ {
+		v := newX[i] ^ (^(uint64(rk>>uint(i)&1) - 1))
+		newX[i] = v
+		ty[i] = y[i-beta] ^ v
+	}
 }
 
 // loadRowsBE gathers the block's plaintexts as packed state words into
@@ -246,7 +294,7 @@ func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int
 		i := base + t
 		sx, sy := c.loadBE(pts[i*bb:])
 		for r := 1; r < round; r++ {
-			sx, sy = sy^c.f(sx)^c.roundKeys[r-1], sx
+			sx, sy = c.round(sx, sy, c.roundKeys[r-1])
 		}
 		for f := range masks {
 			x, y := sx, sy
@@ -269,7 +317,7 @@ func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int
 						}
 					}
 				}
-				x, y = y^c.f(x)^c.roundKeys[r-1], x
+				x, y = c.round(x, y, c.roundKeys[r-1])
 				if st != nil {
 					for j, p := range points {
 						if p.Round == r && p.PostSub {

@@ -1,4 +1,4 @@
-package simon
+package simonspeck
 
 import (
 	"bytes"
@@ -10,22 +10,16 @@ import (
 )
 
 // TestBatchKernelMatchesScalar cross-checks the lane-packed fork kernel
-// of both variants against the scalar reference path, covering the
+// of all four variants against the scalar reference path, covering the
 // bitsliced block path, the small-block scalar path (n < 8), ragged
-// tails, and the generalized (AND, XOR) injection op.
+// tails, and the generalized (AND, XOR) injection op. The "carry" mode
+// forces an all-ones faulted branch (stuck-at-1 over the whole block),
+// which for SPECK is the carry-heaviest adder operand and for SIMON
+// saturates the AND of the round function.
 func TestBatchKernelMatchesScalar(t *testing.T) {
-	rng := prng.New(17)
-	for _, variant := range []Variant{Simon64_128, Simon32_64} {
-		keyLen := 16
-		if variant == Simon32_64 {
-			keyLen = 8
-		}
-		key := make([]byte, keyLen)
-		rng.Fill(key)
-		c, err := New(variant, key)
-		if err != nil {
-			t.Fatal(err)
-		}
+	rng := prng.New(19)
+	for _, variant := range allVariants {
+		c := newRandom(t, variant, rng)
 		kern := c.NewBatchKernel()
 		bb := c.BlockBytes()
 		last := c.Rounds()
@@ -38,21 +32,27 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 			}
 			np := len(points)
 			for _, n := range []int{1, 3, 8, 64, 72, 130} {
-				for _, withAnds := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%v/round=%d/n=%d/ands=%v", variant, round, n, withAnds), func(t *testing.T) {
+				for _, mode := range []string{"xor", "ands", "carry"} {
+					t.Run(fmt.Sprintf("%s/round=%d/n=%d/%s", c.Name(), round, n, mode), func(t *testing.T) {
 						pts := make([]byte, n*bb)
 						rng.Fill(pts)
 						maskA := make([]byte, n*bb)
 						maskB := make([]byte, n*bb)
 						rng.Fill(maskA)
 						rng.Fill(maskB)
-						masks := [][]byte{nil, maskA, maskB}
 						var ands [][]byte
-						if withAnds {
+						switch mode {
+						case "ands":
 							andB := make([]byte, n*bb)
 							rng.Fill(andB)
 							ands = [][]byte{nil, nil, andB}
+						case "carry":
+							for i := range maskB {
+								maskB[i] = 0xff
+							}
+							ands = [][]byte{nil, nil, make([]byte, n*bb)}
 						}
+						masks := [][]byte{nil, maskA, maskB}
 						mkBufs := func() ([][]byte, [][]byte) {
 							states := make([][]byte, len(masks))
 							cts := make([][]byte, len(masks))

@@ -92,33 +92,8 @@ func WelchFromMoments(na int, meanA, varA float64, nb int, meanB, varB float64) 
 	return t
 }
 
-// WelchDF returns the Welch–Satterthwaite degrees of freedom for the two
-// samples, used when converting the statistic to a confidence statement.
-func WelchDF(a, b *Moments) float64 {
-	if a.n < 2 || b.n < 2 {
-		return 1
-	}
-	va := a.Variance() / float64(a.n)
-	vb := b.Variance() / float64(b.n)
-	den := va*va/float64(a.n-1) + vb*vb/float64(b.n-1)
-	if den <= 0 {
-		return float64(a.n + b.n - 2)
-	}
-	return (va + vb) * (va + vb) / den
-}
-
 // DefaultThreshold is the leakage-classification threshold θ from the
 // paper: |t| > 4.5 rejects the same-population null hypothesis with
-// confidence > 99.999% for the sample sizes in use.
+// confidence > 99.999% for the sample sizes in use, where the t
+// distribution is effectively normal and P(|Z| > 4.5) ≈ 6.8·10⁻⁶.
 const DefaultThreshold = 4.5
-
-// NormalTailBound returns an upper bound on P(|Z| > t) for standard normal
-// Z, using the standard Mills-ratio bound. For the large degrees of
-// freedom in our experiments the t distribution is effectively normal,
-// so this quantifies the confidence behind DefaultThreshold.
-func NormalTailBound(t float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	return 2 * math.Exp(-t*t/2) / (t * math.Sqrt(2*math.Pi))
-}

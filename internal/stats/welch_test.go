@@ -139,33 +139,6 @@ func TestWelchSymmetric(t *testing.T) {
 	}
 }
 
-func TestWelchDF(t *testing.T) {
-	src := prng.New(3)
-	var a, b Moments
-	for i := 0; i < 1000; i++ {
-		a.Add(src.NormFloat64())
-		b.Add(src.NormFloat64())
-	}
-	df := WelchDF(&a, &b)
-	if df < 500 || df > 2000 {
-		t.Errorf("WelchDF = %v, expected near 2000 for equal-variance samples", df)
-	}
-}
-
-func TestNormalTailBoundAtThreshold(t *testing.T) {
-	// The paper's θ = 4.5 corresponds to confidence > 99.999%.
-	p := NormalTailBound(DefaultThreshold)
-	if p > 1e-5 {
-		t.Errorf("tail bound at 4.5 = %v, want < 1e-5", p)
-	}
-	if NormalTailBound(0) != 1 {
-		t.Error("tail bound at 0 should be 1")
-	}
-	if NormalTailBound(2) >= NormalTailBound(1) {
-		t.Error("tail bound should decrease in t")
-	}
-}
-
 func BenchmarkMomentsAdd(b *testing.B) {
 	var m Moments
 	for i := 0; i < b.N; i++ {

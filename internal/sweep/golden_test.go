@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	_ "repro/internal/ciphers/aes"   // register aes128
-	_ "repro/internal/ciphers/speck" // register speck64
+	_ "repro/internal/ciphers/aes"        // register aes128
+	_ "repro/internal/ciphers/simonspeck" // register speck64
 	"repro/internal/fault"
 )
 
