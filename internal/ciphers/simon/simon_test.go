@@ -1,3 +1,6 @@
+// Package simon holds the tests of the SIMON family. The cipher lives in
+// package simonspeck beside SPECK; these tests drive it through
+// simonspeck's exported API and the cipher registry.
 package simon
 
 import (
@@ -6,8 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/ciphers"
+	"repro/internal/ciphers/simonspeck"
 	"repro/internal/prng"
 )
+
+// variants lists the SIMON members with their key lengths in bytes.
+var variants = []struct {
+	v      simonspeck.Variant
+	keyLen int
+}{{simonspeck.Simon64_128, 16}, {simonspeck.Simon32_64, 8}}
 
 func unhex(t *testing.T, s string) []byte {
 	t.Helper()
@@ -18,9 +28,21 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
+// newRandom keys variant v with a keyLen-byte key drawn from src.
+func newRandom(t *testing.T, v simonspeck.Variant, keyLen int, src *prng.Source) *simonspeck.Cipher {
+	t.Helper()
+	key := make([]byte, keyLen)
+	src.Fill(key)
+	c, err := simonspeck.New(v, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // Official test vectors from the SIMON and SPECK specification.
 func TestSimon64_128Vector(t *testing.T) {
-	c, err := New64(unhex(t, "1b1a1918131211100b0a090803020100"))
+	c, err := simonspeck.New(simonspeck.Simon64_128, unhex(t, "1b1a1918131211100b0a090803020100"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +54,7 @@ func TestSimon64_128Vector(t *testing.T) {
 }
 
 func TestSimon32_64Vector(t *testing.T) {
-	c, err := New32(unhex(t, "1918111009080100"))
+	c, err := simonspeck.New(simonspeck.Simon32_64, unhex(t, "1918111009080100"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,18 +67,9 @@ func TestSimon32_64Vector(t *testing.T) {
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	src := prng.New(41)
-	for _, v := range []Variant{Simon64_128, Simon32_64} {
-		keyLen := 16
-		if v == Simon32_64 {
-			keyLen = 8
-		}
-		key := make([]byte, keyLen)
+	for _, p := range variants {
 		for trial := 0; trial < 50; trial++ {
-			src.Fill(key)
-			c, err := New(v, key)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newRandom(t, p.v, p.keyLen, src)
 			pt := make([]byte, c.BlockBytes())
 			ct := make([]byte, c.BlockBytes())
 			got := make([]byte, c.BlockBytes())
@@ -71,40 +84,55 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 }
 
 func TestNewRejectsBadInput(t *testing.T) {
-	if _, err := New64(make([]byte, 8)); err == nil {
-		t.Error("New64 accepted 8-byte key")
-	}
-	if _, err := New32(make([]byte, 16)); err == nil {
-		t.Error("New32 accepted 16-byte key")
-	}
-	if _, err := New(Variant(7), make([]byte, 16)); err == nil {
-		t.Error("New accepted unknown variant")
+	for _, p := range variants {
+		for _, n := range []int{0, p.keyLen - 1, p.keyLen + 1} {
+			if _, err := simonspeck.New(p.v, make([]byte, n)); err == nil {
+				t.Errorf("variant %d accepted a %d-byte key", p.v, n)
+			}
+		}
 	}
 }
 
+// TestFaultTraceSemantics checks the injection point: rounds before the
+// faulted one are untouched, and the faulted round's recorded input is
+// (clean AND And) XOR Mask.
 func TestFaultTraceSemantics(t *testing.T) {
-	c, _ := New64(unhex(t, "1b1a1918131211100b0a090803020100"))
-	pt := unhex(t, "0123456789abcdef")
-	cleanTr := ciphers.NewTrace(c)
-	faultTr := ciphers.NewTrace(c)
-	out := make([]byte, 8)
-	c.Encrypt(out, pt, nil, cleanTr)
-
-	mask := make([]byte, 8)
-	mask[1] = 0x80 // bit 15 (word y)
-	mask[5] = 0x01 // bit 40 (word x)
-	c.Encrypt(out, pt, &ciphers.Fault{Round: 40, Mask: mask}, faultTr)
-	for r := 1; r < 40; r++ {
-		if !bytes.Equal(cleanTr.Inputs[r-1], faultTr.Inputs[r-1]) {
-			t.Errorf("round %d input differs before injection", r)
+	src := prng.New(42)
+	for _, p := range variants {
+		c := newRandom(t, p.v, p.keyLen, src)
+		bb := c.BlockBytes()
+		round := c.Rounds() - 4
+		pt := make([]byte, bb)
+		src.Fill(pt)
+		cleanTr := ciphers.NewTrace(c)
+		c.Encrypt(make([]byte, bb), pt, nil, cleanTr)
+		mask := make([]byte, bb)
+		and := make([]byte, bb)
+		src.Fill(mask)
+		src.Fill(and)
+		for _, f := range []ciphers.Fault{
+			{Round: round, Mask: mask},
+			{Round: round, Mask: mask, And: and},
+		} {
+			faultTr := ciphers.NewTrace(c)
+			c.Encrypt(make([]byte, bb), pt, &f, faultTr)
+			for r := 1; r < round; r++ {
+				if !bytes.Equal(cleanTr.Inputs[r-1], faultTr.Inputs[r-1]) {
+					t.Errorf("%s: round %d input differs before injection", c.Name(), r)
+				}
+			}
+			want := make([]byte, bb)
+			for i := range want {
+				s := cleanTr.Inputs[round-1][i]
+				if f.And != nil {
+					s &= and[i]
+				}
+				want[i] = s ^ mask[i]
+			}
+			if got := faultTr.Inputs[round-1]; !bytes.Equal(got, want) {
+				t.Errorf("%s: round-%d input = %x, want %x (and=%v)", c.Name(), round, got, want, f.And != nil)
+			}
 		}
-	}
-	diff := make([]byte, 8)
-	for i := range diff {
-		diff[i] = cleanTr.Inputs[39][i] ^ faultTr.Inputs[39][i]
-	}
-	if !bytes.Equal(diff, mask) {
-		t.Errorf("round-40 input differential = %x, want mask %x", diff, mask)
 	}
 }
 
@@ -113,7 +141,7 @@ func TestFeistelSlowDiffusion(t *testing.T) {
 	// the next swap: one round later the differential is confined to
 	// the x word. This Feistel property distinguishes SIMON from the
 	// SPN ciphers in this repository.
-	c, _ := New64(make([]byte, 16))
+	c, _ := simonspeck.New(simonspeck.Simon64_128, make([]byte, 16))
 	pt := unhex(t, "00112233aabbccdd")
 	cleanTr := ciphers.NewTrace(c)
 	faultTr := ciphers.NewTrace(c)
@@ -140,30 +168,31 @@ func TestFeistelSlowDiffusion(t *testing.T) {
 
 func TestAvalanche(t *testing.T) {
 	src := prng.New(43)
-	key := make([]byte, 16)
-	src.Fill(key)
-	c, _ := New64(key)
-	pt := make([]byte, 8)
-	ct0 := make([]byte, 8)
-	ct1 := make([]byte, 8)
-	total := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		src.Fill(pt)
-		c.Encrypt(ct0, pt, nil, nil)
-		pt[src.Intn(8)] ^= 1 << uint(src.Intn(8))
-		c.Encrypt(ct1, pt, nil, nil)
-		for j := 0; j < 8; j++ {
-			b := ct0[j] ^ ct1[j]
-			for b != 0 {
-				total++
-				b &= b - 1
+	for _, p := range variants {
+		c := newRandom(t, p.v, p.keyLen, src)
+		bb := c.BlockBytes()
+		pt := make([]byte, bb)
+		ct0 := make([]byte, bb)
+		ct1 := make([]byte, bb)
+		total := 0
+		const trials = 200
+		for i := 0; i < trials; i++ {
+			src.Fill(pt)
+			c.Encrypt(ct0, pt, nil, nil)
+			pt[src.Intn(bb)] ^= 1 << uint(src.Intn(8))
+			c.Encrypt(ct1, pt, nil, nil)
+			for j := range ct0 {
+				b := ct0[j] ^ ct1[j]
+				for b != 0 {
+					total++
+					b &= b - 1
+				}
 			}
 		}
-	}
-	avg := float64(total) / trials
-	if avg < 64*0.4 || avg > 64*0.6 {
-		t.Errorf("avalanche: avg %.1f flipped bits of 64", avg)
+		avg := float64(total) / trials
+		if bits := float64(8 * bb); avg < bits*0.4 || avg > bits*0.6 {
+			t.Errorf("%s avalanche: avg %.1f flipped bits of %v", c.Name(), avg, bits)
+		}
 	}
 }
 
@@ -181,29 +210,5 @@ func TestRegistryIntegration(t *testing.T) {
 	}
 	if c32.Rounds() != 32 || c32.BlockBytes() != 4 {
 		t.Error("simon32 registry metadata wrong")
-	}
-}
-
-func TestRoundKeyAccessor(t *testing.T) {
-	c, _ := New64(unhex(t, "1b1a1918131211100b0a090803020100"))
-	// k[0] is the last key word in spec byte order.
-	if got := c.RoundKey(1); got != 0x03020100 {
-		t.Errorf("round key 1 = %08x, want 03020100", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("RoundKey(0) did not panic")
-		}
-	}()
-	c.RoundKey(0)
-}
-
-func BenchmarkEncryptSimon64(b *testing.B) {
-	c, _ := New64(make([]byte, 16))
-	pt := make([]byte, 8)
-	ct := make([]byte, 8)
-	b.SetBytes(8)
-	for i := 0; i < b.N; i++ {
-		c.Encrypt(ct, pt, nil, nil)
 	}
 }

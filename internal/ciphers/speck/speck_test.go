@@ -1,3 +1,6 @@
+// Package speck holds the tests of the SPECK family. The cipher lives in
+// package simonspeck beside SIMON; these tests drive it through
+// simonspeck's exported API and the cipher registry.
 package speck
 
 import (
@@ -6,8 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/ciphers"
+	"repro/internal/ciphers/simonspeck"
 	"repro/internal/prng"
 )
+
+// variants lists the SPECK members with their key lengths in bytes.
+var variants = []struct {
+	v      simonspeck.Variant
+	keyLen int
+}{{simonspeck.Speck64_128, 16}, {simonspeck.Speck32_64, 8}}
 
 func unhex(t *testing.T, s string) []byte {
 	t.Helper()
@@ -18,9 +28,21 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
+// newRandom keys variant v with a keyLen-byte key drawn from src.
+func newRandom(t *testing.T, v simonspeck.Variant, keyLen int, src *prng.Source) *simonspeck.Cipher {
+	t.Helper()
+	key := make([]byte, keyLen)
+	src.Fill(key)
+	c, err := simonspeck.New(v, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // Official test vectors from the SIMON and SPECK specification.
 func TestSpeck64_128Vector(t *testing.T) {
-	c, err := New64(unhex(t, "1b1a1918131211100b0a090803020100"))
+	c, err := simonspeck.New(simonspeck.Speck64_128, unhex(t, "1b1a1918131211100b0a090803020100"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +54,7 @@ func TestSpeck64_128Vector(t *testing.T) {
 }
 
 func TestSpeck32_64Vector(t *testing.T) {
-	c, err := New32(unhex(t, "1918111009080100"))
+	c, err := simonspeck.New(simonspeck.Speck32_64, unhex(t, "1918111009080100"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,18 +67,9 @@ func TestSpeck32_64Vector(t *testing.T) {
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	src := prng.New(61)
-	for _, v := range []Variant{Speck64_128, Speck32_64} {
-		keyLen := 16
-		if v == Speck32_64 {
-			keyLen = 8
-		}
-		key := make([]byte, keyLen)
+	for _, p := range variants {
 		for trial := 0; trial < 50; trial++ {
-			src.Fill(key)
-			c, err := New(v, key)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newRandom(t, p.v, p.keyLen, src)
 			pt := make([]byte, c.BlockBytes())
 			ct := make([]byte, c.BlockBytes())
 			got := make([]byte, c.BlockBytes())
@@ -70,49 +83,56 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInvRoundFunc(t *testing.T) {
-	src := prng.New(62)
-	c, _ := New64(make([]byte, 16))
-	for trial := 0; trial < 200; trial++ {
-		x, y, k := src.Uint32(), src.Uint32(), src.Uint32()
-		fx, fy := c.roundFunc(x, y, k)
-		gx, gy := c.invRoundFunc(fx, fy, k)
-		if gx != x || gy != y {
-			t.Fatalf("round inversion failed for %08x %08x", x, y)
-		}
-	}
-}
-
 func TestNewRejectsBadInput(t *testing.T) {
-	if _, err := New64(make([]byte, 8)); err == nil {
-		t.Error("New64 accepted 8-byte key")
-	}
-	if _, err := New(Variant(5), make([]byte, 16)); err == nil {
-		t.Error("New accepted unknown variant")
+	for _, p := range variants {
+		for _, n := range []int{0, p.keyLen - 1, p.keyLen + 1} {
+			if _, err := simonspeck.New(p.v, make([]byte, n)); err == nil {
+				t.Errorf("variant %d accepted a %d-byte key", p.v, n)
+			}
+		}
 	}
 }
 
+// TestFaultTraceSemantics checks the injection point: rounds before the
+// faulted one are untouched, and the faulted round's recorded input is
+// (clean AND And) XOR Mask.
 func TestFaultTraceSemantics(t *testing.T) {
-	c, _ := New64(unhex(t, "1b1a1918131211100b0a090803020100"))
-	pt := unhex(t, "0123456789abcdef")
-	cleanTr := ciphers.NewTrace(c)
-	faultTr := ciphers.NewTrace(c)
-	out := make([]byte, 8)
-	c.Encrypt(out, pt, nil, cleanTr)
-	mask := make([]byte, 8)
-	mask[2] = 0x40 // bit 22 (y word)
-	c.Encrypt(out, pt, &ciphers.Fault{Round: 24, Mask: mask}, faultTr)
-	for r := 1; r < 24; r++ {
-		if !bytes.Equal(cleanTr.Inputs[r-1], faultTr.Inputs[r-1]) {
-			t.Errorf("round %d input differs before injection", r)
+	src := prng.New(60)
+	for _, p := range variants {
+		c := newRandom(t, p.v, p.keyLen, src)
+		bb := c.BlockBytes()
+		round := c.Rounds() - 4
+		pt := make([]byte, bb)
+		src.Fill(pt)
+		cleanTr := ciphers.NewTrace(c)
+		c.Encrypt(make([]byte, bb), pt, nil, cleanTr)
+		mask := make([]byte, bb)
+		and := make([]byte, bb)
+		src.Fill(mask)
+		src.Fill(and)
+		for _, f := range []ciphers.Fault{
+			{Round: round, Mask: mask},
+			{Round: round, Mask: mask, And: and},
+		} {
+			faultTr := ciphers.NewTrace(c)
+			c.Encrypt(make([]byte, bb), pt, &f, faultTr)
+			for r := 1; r < round; r++ {
+				if !bytes.Equal(cleanTr.Inputs[r-1], faultTr.Inputs[r-1]) {
+					t.Errorf("%s: round %d input differs before injection", c.Name(), r)
+				}
+			}
+			want := make([]byte, bb)
+			for i := range want {
+				s := cleanTr.Inputs[round-1][i]
+				if f.And != nil {
+					s &= and[i]
+				}
+				want[i] = s ^ mask[i]
+			}
+			if got := faultTr.Inputs[round-1]; !bytes.Equal(got, want) {
+				t.Errorf("%s: round-%d input = %x, want %x (and=%v)", c.Name(), round, got, want, f.And != nil)
+			}
 		}
-	}
-	diff := make([]byte, 8)
-	for i := range diff {
-		diff[i] = cleanTr.Inputs[23][i] ^ faultTr.Inputs[23][i]
-	}
-	if !bytes.Equal(diff, mask) {
-		t.Errorf("round-24 input differential = %x, want %x", diff, mask)
 	}
 }
 
@@ -120,7 +140,7 @@ func TestCarryChainDiffusion(t *testing.T) {
 	// ARX-specific: a low-bit fault in x propagates upward through the
 	// modular addition's carry chain, so the one-round differential is
 	// typically wider than one bit but confined to x-derived positions.
-	c, _ := New64(make([]byte, 16))
+	c, _ := simonspeck.New(simonspeck.Speck64_128, make([]byte, 16))
 	pt := unhex(t, "00112233aabbccdd")
 	cleanTr := ciphers.NewTrace(c)
 	faultTr := ciphers.NewTrace(c)
@@ -144,30 +164,31 @@ func TestCarryChainDiffusion(t *testing.T) {
 
 func TestAvalanche(t *testing.T) {
 	src := prng.New(63)
-	key := make([]byte, 16)
-	src.Fill(key)
-	c, _ := New64(key)
-	pt := make([]byte, 8)
-	ct0 := make([]byte, 8)
-	ct1 := make([]byte, 8)
-	total := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		src.Fill(pt)
-		c.Encrypt(ct0, pt, nil, nil)
-		pt[src.Intn(8)] ^= 1 << uint(src.Intn(8))
-		c.Encrypt(ct1, pt, nil, nil)
-		for j := 0; j < 8; j++ {
-			b := ct0[j] ^ ct1[j]
-			for b != 0 {
-				total++
-				b &= b - 1
+	for _, p := range variants {
+		c := newRandom(t, p.v, p.keyLen, src)
+		bb := c.BlockBytes()
+		pt := make([]byte, bb)
+		ct0 := make([]byte, bb)
+		ct1 := make([]byte, bb)
+		total := 0
+		const trials = 200
+		for i := 0; i < trials; i++ {
+			src.Fill(pt)
+			c.Encrypt(ct0, pt, nil, nil)
+			pt[src.Intn(bb)] ^= 1 << uint(src.Intn(8))
+			c.Encrypt(ct1, pt, nil, nil)
+			for j := range ct0 {
+				b := ct0[j] ^ ct1[j]
+				for b != 0 {
+					total++
+					b &= b - 1
+				}
 			}
 		}
-	}
-	avg := float64(total) / trials
-	if avg < 64*0.4 || avg > 64*0.6 {
-		t.Errorf("avalanche: avg %.1f flipped bits of 64", avg)
+		avg := float64(total) / trials
+		if bits := float64(8 * bb); avg < bits*0.4 || avg > bits*0.6 {
+			t.Errorf("%s avalanche: avg %.1f flipped bits of %v", c.Name(), avg, bits)
+		}
 	}
 }
 
@@ -181,15 +202,5 @@ func TestRegistryIntegration(t *testing.T) {
 	}
 	if _, err := ciphers.New("speck32", make([]byte, 8)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkEncryptSpeck64(b *testing.B) {
-	c, _ := New64(make([]byte, 16))
-	pt := make([]byte, 8)
-	ct := make([]byte, 8)
-	b.SetBytes(8)
-	for i := 0; i < b.N; i++ {
-		c.Encrypt(ct, pt, nil, nil)
 	}
 }
