@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	_ "repro/internal/ciphers/aes"        // register aes128
+	_ "repro/internal/ciphers/present"    // register present80
 	_ "repro/internal/ciphers/simonspeck" // register speck64
 	"repro/internal/fault"
 )
@@ -31,6 +32,13 @@ var goldenConfigs = map[string]Config{
 	"gift64-r25.atlas.json": {
 		Cipher:  "gift64",
 		Rounds:  []int{25},
+		Samples: 128,
+		Models:  []fault.Model{fault.XorFlip, fault.StuckAtZero},
+		Seed:    7,
+	},
+	"present80-r28.atlas.json": {
+		Cipher:  "present80",
+		Rounds:  []int{28},
 		Samples: 128,
 		Models:  []fault.Model{fault.XorFlip, fault.StuckAtZero},
 		Seed:    7,
