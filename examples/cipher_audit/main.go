@@ -17,7 +17,7 @@ import (
 
 	explorefault "repro"
 	"repro/internal/ciphers"
-	_ "repro/internal/ciphers/present"
+	_ "repro/internal/ciphers/gift" // register present80
 	_ "repro/internal/ciphers/simonspeck"
 	"repro/internal/coverage"
 	"repro/internal/prng"

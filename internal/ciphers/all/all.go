@@ -7,7 +7,6 @@ package all
 
 import (
 	_ "repro/internal/ciphers/aes"        // register aes128
-	_ "repro/internal/ciphers/gift"       // register gift64, gift128
-	_ "repro/internal/ciphers/present"    // register present80
+	_ "repro/internal/ciphers/gift"       // register gift64, gift128, present80
 	_ "repro/internal/ciphers/simonspeck" // register simon32, simon64, speck32, speck64
 )

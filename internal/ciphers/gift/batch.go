@@ -1,15 +1,17 @@
-// The batched GIFT fork kernel: a bitsliced implementation packing 64
-// traces per uint64 lane, with shared-prefix forking.
+// The batched fork kernel of all three variants: a bitsliced
+// implementation packing 64 traces per uint64 lane, with shared-prefix
+// forking.
 //
 // In bitsliced form lane b holds state bit b of 64 traces at once, so one
 // round costs a fixed number of word operations for the whole block. A
-// round is one pass over the lanes: each nibble's four lanes go through
-// the S-box's boolean circuit, and each output lane is written straight
-// to its place under PermBits with its AddRoundKey bit XORed in as an
-// all-ones or all-zeros word. Blocks smaller than eight traces (and the
-// tail of a ragged batch) take a per-trace path that reuses the scalar
-// round functions with prefix sharing, so both paths are bit-identical
-// to Encrypt.
+// GIFT round is one pass over the lanes: each nibble's four lanes go
+// through the S-box's boolean circuit, and each output lane is written
+// straight to its place under PermBits with its AddRoundKey bit XORed in
+// as an all-ones or all-zeros word. PRESENT's circuit runs as a pass of
+// its own, followed by the same permutation and key pass. Blocks smaller
+// than eight traces (and the tail of a ragged batch) take a per-trace
+// path that reuses the scalar round functions with prefix sharing, so
+// both paths are bit-identical to Encrypt.
 package gift
 
 import (
@@ -27,17 +29,19 @@ const laneBlock = 64
 // it the per-trace fork path wins.
 const bitsliceMin = 8
 
-// maxLanes is the lane count of the larger variant. Lane buffers and
-// permutation tables have this size for both variants, so the compiler
+// maxLanes is the lane count of the largest variant. Lane buffers and
+// permutation tables have this size for every variant, so the compiler
 // drops the bounds checks of an index masked into 0..maxLanes-1; the
 // mask leaves every lane index below nbits as it is.
 const maxLanes = 128
 
-// kernel implements ciphers.BatchKernel for both GIFT variants.
+// kernel implements ciphers.BatchKernel for every variant.
 type kernel struct {
 	c     *Cipher
 	nbits int
-	perm  *[maxLanes]uint8
+	// present selects PRESENT's S-box circuit, which runs as its own pass
+	// before roundLanes' permutation and key pass.
+	present bool
 	// lanes is the bitsliced state, nbits lanes of 64 traces each, and
 	// tmp the buffer a round writes into before the two swap; both point
 	// into buf. snap is the fork snapshot.
@@ -50,15 +54,15 @@ type kernel struct {
 
 // NewBatchKernel implements ciphers.BatchEncrypter.
 func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
-	k := &kernel{c: c, nbits: 8 * c.BlockBytes(), perm: &perms[c.variant]}
+	k := &kernel{c: c, nbits: 8 * c.BlockBytes(), present: c.variant == PRESENT80}
 	k.lanes, k.tmp = &k.buf[0], &k.buf[1]
 	return k
 }
 
-// sboxLanes applies the GIFT S-box to one bitsliced nibble. The circuit
-// is the standard software bitslice of GS (Banik et al.); it is verified
-// against the lookup table by the test suite.
-func sboxLanes(s0, s1, s2, s3 uint64) (y0, y1, y2, y3 uint64) {
+// giftSboxLanes applies the GIFT S-box to one bitsliced nibble. The
+// circuit is the standard software bitslice of GS (Banik et al.); it is
+// verified against the lookup table by the test suite.
+func giftSboxLanes(s0, s1, s2, s3 uint64) (y0, y1, y2, y3 uint64) {
 	s1 ^= s0 & s2
 	s0 ^= s1 & s3
 	s2 ^= s0 | s1
@@ -69,14 +73,37 @@ func sboxLanes(s0, s1, s2, s3 uint64) (y0, y1, y2, y3 uint64) {
 	return s3, s1, s2, s0
 }
 
+// presentSboxLanes applies the PRESENT S-box to one bitsliced nibble. The
+// circuit is the algebraic normal form of the lookup table with shared
+// subterms; it is verified against the table by the test suite.
+func presentSboxLanes(x0, x1, x2, x3 uint64) (y0, y1, y2, y3 uint64) {
+	t01 := x0 & x1
+	t02 := x0 & x2
+	t12 := x1 & x2
+	t012 := t01 & x2
+	a := t01 & x3
+	b := t02 & x3
+	y0 = x0 ^ x2 ^ t12 ^ x3
+	y1 = x1 ^ t012 ^ x3 ^ x1&x3 ^ a ^ x2&x3 ^ b
+	y2 = ^(t01 ^ x2 ^ x3 ^ x0&x3 ^ x1&x3 ^ a ^ b)
+	y3 = ^(x0 ^ x1 ^ t12 ^ t012 ^ x3 ^ a ^ b)
+	return y0, y1, y2, y3
+}
+
 // subCellsLanes applies the S-box circuit to every nibble of the lanes,
 // in place: the first half of a round whose post-S-box state is
-// captured.
+// captured, and every round's S-box layer on PRESENT.
 func (k *kernel) subCellsLanes() {
 	l := k.lanes
+	if k.present {
+		for i := 0; i < 64; i += 4 {
+			l[i], l[i+1], l[i+2], l[i+3] = presentSboxLanes(l[i], l[i+1], l[i+2], l[i+3])
+		}
+		return
+	}
 	for nib := 0; nib < k.nbits; nib += 4 {
 		i := nib & (maxLanes - 4)
-		l[i], l[i+1], l[i+2], l[i+3] = sboxLanes(l[i], l[i+1], l[i+2], l[i+3])
+		l[i], l[i+1], l[i+2], l[i+3] = giftSboxLanes(l[i], l[i+1], l[i+2], l[i+3])
 	}
 }
 
@@ -85,15 +112,19 @@ func (k *kernel) subCellsLanes() {
 // AddRoundKey. Each output lane i is written straight to lane perm[i],
 // XORed with -(m>>i & 1) for the source-ordered round-key mask m: the
 // all-ones word where the key flips the bit and zero elsewhere, so the
-// loop has no data-dependent branch.
+// loop has no data-dependent branch. PRESENT runs its S-box pass first.
 func (k *kernel) roundLanes(r int, sub bool) {
-	src, dst, perm := k.lanes, k.tmp, k.perm
+	if sub && k.present {
+		k.subCellsLanes()
+		sub = false
+	}
+	src, dst, perm := k.lanes, k.tmp, k.c.perm
 	key := &k.c.rkSrc[r-1]
 	for nib := 0; nib < k.nbits; nib += 4 {
 		i := nib & (maxLanes - 4)
 		y0, y1, y2, y3 := src[i], src[i+1], src[i+2], src[i+3]
 		if sub {
-			y0, y1, y2, y3 = sboxLanes(y0, y1, y2, y3)
+			y0, y1, y2, y3 = giftSboxLanes(y0, y1, y2, y3)
 		}
 		m := key[i/64%2] >> (uint(i) % 64)
 		dst[perm[i]&(maxLanes-1)] = y0 ^ -(m & 1)
@@ -183,9 +214,12 @@ func (k *kernel) forkBlock(round int, points []ciphers.BatchPoint, base, bn int,
 	np := len(points)
 	words := k.nbits / 64
 
-	// Transpose the block's plaintexts into lanes.
+	// Transpose the block's whitened plaintexts into lanes.
 	for wi := 0; wi < words; wi++ {
 		k.loadRows(pts, base, bn, wi, true)
+		for t := range k.rows[:bn] {
+			k.rows[t] ^= c.white[wi]
+		}
 		bitvec.Transpose64(&k.rows)
 		copy(k.lanes[64*wi:64*wi+64], k.rows[:])
 	}
@@ -261,14 +295,14 @@ func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int
 	bb := c.BlockBytes()
 	nbits := 8 * bb
 	np := len(points)
-	perm := perms[c.variant][:]
 	for t := 0; t < bn; t++ {
 		i := base + t
 		var snap state
 		snap.loadBE(pts[i*bb:(i+1)*bb], bb)
+		snap.xorState(&c.white)
 		for r := 1; r < round; r++ {
-			snap.subCells(nbits, &sbox)
-			snap.permBits(nbits, perm)
+			snap.subCells(nbits, c.sbox)
+			snap.permBits(nbits, c.perm)
 			snap.xorState(&c.rkMask[r-1])
 		}
 		for f := range masks {
@@ -288,7 +322,7 @@ func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int
 						}
 					}
 				}
-				s.subCells(nbits, &sbox)
+				s.subCells(nbits, c.sbox)
 				if st != nil {
 					for j, p := range points {
 						if p.Round == r && p.PostSub {
@@ -296,7 +330,7 @@ func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int
 						}
 					}
 				}
-				s.permBits(nbits, perm)
+				s.permBits(nbits, c.perm)
 				s.xorState(&c.rkMask[r-1])
 			}
 			if st != nil {
@@ -311,10 +345,4 @@ func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int
 			}
 		}
 	}
-}
-
-// xorState XORs another state in place.
-func (s *state) xorState(o *state) {
-	s[0] ^= o[0]
-	s[1] ^= o[1]
 }

@@ -9,35 +9,40 @@ import (
 	"repro/internal/prng"
 )
 
-// TestSboxLanesMatchesTable runs the bitsliced S-box circuit on all 16
-// inputs replicated across lanes and compares against the lookup table.
+// TestSboxLanesMatchesTable runs each bitsliced S-box circuit on all 16
+// inputs replicated across lanes and compares against its lookup table.
 func TestSboxLanesMatchesTable(t *testing.T) {
-	for x := 0; x < 16; x++ {
-		var l [4]uint64
-		for b := 0; b < 4; b++ {
-			if x>>uint(b)&1 == 1 {
-				l[b] = ^uint64(0)
+	for _, tc := range []struct {
+		v       Variant
+		circuit func(x0, x1, x2, x3 uint64) (y0, y1, y2, y3 uint64)
+	}{{GIFT64, giftSboxLanes}, {PRESENT80, presentSboxLanes}} {
+		for x := 0; x < 16; x++ {
+			var l [4]uint64
+			for b := 0; b < 4; b++ {
+				if x>>uint(b)&1 == 1 {
+					l[b] = ^uint64(0)
+				}
 			}
-		}
-		l[0], l[1], l[2], l[3] = sboxLanes(l[0], l[1], l[2], l[3])
-		got := 0
-		for b := 0; b < 4; b++ {
-			switch l[b] {
-			case ^uint64(0):
-				got |= 1 << uint(b)
-			case 0:
-			default:
-				t.Fatalf("sboxLanes(%#x): lane %d not constant: %#x", x, b, l[b])
+			l[0], l[1], l[2], l[3] = tc.circuit(l[0], l[1], l[2], l[3])
+			got := 0
+			for b := 0; b < 4; b++ {
+				switch l[b] {
+				case ^uint64(0):
+					got |= 1 << uint(b)
+				case 0:
+				default:
+					t.Fatalf("variant %d circuit(%#x): lane %d not constant: %#x", tc.v, x, b, l[b])
+				}
 			}
-		}
-		if got != int(sbox[x]) {
-			t.Fatalf("sboxLanes(%#x) = %#x, want %#x", x, got, sbox[x])
+			if want := variants[tc.v].sbox[x]; got != int(want) {
+				t.Fatalf("variant %d circuit(%#x) = %#x, want %#x", tc.v, x, got, want)
+			}
 		}
 	}
 }
 
 // TestBatchKernelMatchesScalar cross-checks the bitsliced fork kernel of
-// both variants against the scalar reference path, forking at every round
+// every variant against the scalar reference path, forking at every round
 // 1..R. Each fork observes what a sweep observes, the inputs and
 // post-S-box states of the last three rounds (those from the fork round
 // on) and the ciphertext, so every round with a post-S-box capture runs
@@ -49,8 +54,8 @@ func TestSboxLanesMatchesTable(t *testing.T) {
 // one pass, and the AND branch has no ciphertext buffer.
 func TestBatchKernelMatchesScalar(t *testing.T) {
 	rng := prng.New(11)
-	for _, variant := range []Variant{GIFT64, GIFT128} {
-		key := make([]byte, KeyBytes)
+	for _, variant := range []Variant{GIFT64, GIFT128, PRESENT80} {
+		key := make([]byte, variants[variant].keyBytes)
 		rng.Fill(key)
 		c, err := New(variant, key)
 		if err != nil {

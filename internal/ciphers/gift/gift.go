@@ -1,10 +1,11 @@
-// Package gift implements the GIFT family of lightweight block ciphers
-// (Banik et al., CHES 2017) at trace level: GIFT-64 (28 rounds) and
-// GIFT-128 (40 rounds), both with a 128-bit key.
+// Package gift implements the bit-permutation SPN ciphers at trace level:
+// GIFT-64 (28 rounds) and GIFT-128 (40 rounds), both with a 128-bit key
+// (Banik et al., CHES 2017), and PRESENT-80 (31 rounds, 80-bit key;
+// Bogdanov et al., CHES 2007), the cipher GIFT was designed to refine.
 //
 // # State layout
 //
-// The GIFT specification numbers state bits b_{n-1}...b_0 with b_{n-1} the
+// The specifications number state bits b_{n-1}...b_0 with b_{n-1} the
 // most significant bit of the first plaintext byte. Internally the state is
 // a uint64 pair/single with spec bit i at machine bit i; the repository
 // bit-numbering (bit i = bit i%8 of byte i/8) therefore matches the spec's
@@ -15,58 +16,87 @@
 // # Round structure
 //
 // Each round is SubCells (the 4-bit S-box on every nibble), PermBits (the
-// GIFT bit permutation), and AddRoundKey (round-key bits, the round
-// constant, and the fixed 1 bit). The paper injects faults at the input of
-// round 25 of GIFT-64 and observes the post-S-box state of round 27
-// onwards; both hooks are provided via the ciphers.Trace mechanism.
+// bit permutation), and AddRoundKey: for GIFT the round-key bits, the
+// round constant, and the fixed 1 bit. PRESENT XORs round key K_r before
+// round r's S-box layer and a whitening key K_32 after the last round.
+// That is the same cipher as K_1 XORed into the plaintext followed by
+// GIFT's round order with K_{r+1} ending round r, which is how it runs
+// here; the input of round r, where faults inject and traces capture, is
+// the same state in both. So the variants differ only in data (S-box,
+// permutation, round-key masks, whitening key) and in the bitsliced
+// S-box circuit. The paper injects faults at the input of round 25 of
+// GIFT-64 and observes the post-S-box state of round 27 onwards; both
+// hooks are provided via the ciphers.Trace mechanism.
 package gift
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ciphers"
 )
 
-// Variant selects a member of the GIFT family.
+// Variant selects a cipher of the package.
 type Variant int
 
 const (
-	// GIFT64 is the 64-bit-block, 28-round variant.
+	// GIFT64 is the 64-bit-block, 28-round GIFT variant.
 	GIFT64 Variant = iota
-	// GIFT128 is the 128-bit-block, 40-round variant.
+	// GIFT128 is the 128-bit-block, 40-round GIFT variant.
 	GIFT128
+	// PRESENT80 is PRESENT with an 80-bit key: 64-bit block, 31 rounds.
+	PRESENT80
 )
 
-// KeyBytes is the key size of both variants.
-const KeyBytes = 16
+// giftSbox is the GIFT S-box GS; presentSbox is PRESENT's S.
+var (
+	giftSbox    = [16]byte{0x1, 0xa, 0x4, 0xc, 0x6, 0xf, 0x3, 0x9, 0x2, 0xd, 0xb, 0x7, 0x5, 0x0, 0x8, 0xe}
+	presentSbox = [16]byte{0xc, 0x5, 0x6, 0xb, 0x9, 0x0, 0xa, 0xd, 0x3, 0xe, 0xf, 0x8, 0x4, 0x7, 0x1, 0x2}
+)
 
-// sbox is the GIFT S-box GS; invSbox its inverse.
-var sbox = [16]byte{0x1, 0xa, 0x4, 0xc, 0x6, 0xf, 0x3, 0x9, 0x2, 0xd, 0xb, 0x7, 0x5, 0x0, 0x8, 0xe}
-
-var invSbox [16]byte
+// variants holds each cipher's parameters. New, Name, BlockBytes and the
+// registry entries all read them from here; init fills in invSbox.
+var variants = [...]struct {
+	name       string
+	blockBytes int
+	keyBytes   int
+	rounds     int
+	sbox       [16]byte
+	invSbox    [16]byte
+}{
+	GIFT64:    {name: "gift64", blockBytes: 8, keyBytes: 16, rounds: 28, sbox: giftSbox},
+	GIFT128:   {name: "gift128", blockBytes: 16, keyBytes: 16, rounds: 40, sbox: giftSbox},
+	PRESENT80: {name: "present80", blockBytes: 8, keyBytes: 10, rounds: 31, sbox: presentSbox},
+}
 
 // perms[v] is variant v's bit permutation: PermBits moves bit i to
-// perms[v][i]. Both rows have maxLanes entries, so the bitsliced kernel's
+// perms[v][i]. Every row has maxLanes entries, so the bitsliced kernel's
 // masked lane indexes carry no bounds checks.
-var perms [2][maxLanes]uint8
+var perms [len(variants)][maxLanes]uint8
 
 func init() {
-	for i, v := range sbox {
-		invSbox[v] = byte(i)
+	for v := range variants {
+		p := &variants[v]
+		for i, x := range p.sbox {
+			p.invSbox[x] = byte(i)
+		}
 	}
 	for i := 0; i < 64; i++ {
 		perms[GIFT64][i] = uint8(4*(i/16) + 16*((3*((i%16)/4)+i%4)%4) + i%4)
+		perms[PRESENT80][i] = uint8(16 * i % 63)
 	}
+	perms[PRESENT80][63] = 63
 	for i := 0; i < 128; i++ {
 		perms[GIFT128][i] = uint8(4*(i/16) + 32*((3*((i%16)/4)+i%4)%4) + i%4)
 	}
 }
 
 // SBox returns the GIFT S-box value of a 4-bit input.
-func SBox(x byte) byte { return sbox[x&0xf] }
+func SBox(x byte) byte { return variants[GIFT64].sbox[x&0xf] }
 
-// InvSBox returns the inverse S-box value of a 4-bit input.
-func InvSBox(x byte) byte { return invSbox[x&0xf] }
+// InvSBox returns the inverse GIFT S-box value of a 4-bit input.
+func InvSBox(x byte) byte { return variants[GIFT64].invSbox[x&0xf] }
 
 // Perm64 returns the destination of bit i under the GIFT-64 permutation.
 func Perm64(i int) int { return int(perms[GIFT64][:64][i]) }
@@ -86,7 +116,7 @@ var roundConstants = func() [48]byte {
 	return rc
 }()
 
-// RoundConstant returns the constant of round r (1-based).
+// RoundConstant returns the GIFT constant of round r (1-based).
 func RoundConstant(r int) byte {
 	if r < 1 || r > len(roundConstants) {
 		panic("gift: round constant index out of range")
@@ -94,16 +124,22 @@ func RoundConstant(r int) byte {
 	return roundConstants[r-1]
 }
 
-// Cipher is a GIFT instance with a precomputed per-round key schedule.
+// Cipher is a keyed instance of one variant with a precomputed key
+// schedule.
 type Cipher struct {
 	variant Variant
 	rounds  int
-	// keyU and keyV are the per-round key words: 16-bit for GIFT-64,
-	// 32-bit for GIFT-128, stored widened.
+	sbox    *[16]byte
+	perm    *[maxLanes]uint8
+	// keyU and keyV are GIFT's per-round key words: 16-bit for GIFT-64,
+	// 32-bit for GIFT-128, stored widened. PRESENT leaves them nil.
 	keyU, keyV []uint32
-	// rkMask[r-1] is round r's full AddRoundKey state mask (key bits,
-	// round constant and the fixed 1), precomputed so the scalar round
-	// XORs two words per round.
+	// white is XORed into the plaintext before round 1: PRESENT's first
+	// round key, zero for GIFT.
+	white state
+	// rkMask[r-1] is the full AddRoundKey state mask that ends round r
+	// (GIFT: key bits, round constant and the fixed 1; PRESENT: K_{r+1}),
+	// so the scalar round XORs two words per round.
 	rkMask []state
 	// rkSrc[r-1] is rkMask[r-1] in source order: bit i is the key bit
 	// XORed into the bit that PermBits moves bit i to, so the bitsliced
@@ -111,22 +147,35 @@ type Cipher struct {
 	rkSrc []state
 }
 
-// New creates a GIFT instance. The key must be 16 bytes, interpreted in
-// the spec's big-endian order (k7 first).
+// New creates an instance of variant v. The key is in the spec's
+// big-endian byte order: 16 bytes for GIFT (k7 first), 10 for PRESENT-80
+// (k79 first).
 func New(v Variant, key []byte) (*Cipher, error) {
-	if len(key) != KeyBytes {
-		return nil, fmt.Errorf("gift: key must be %d bytes, got %d", KeyBytes, len(key))
-	}
-	c := &Cipher{variant: v}
-	switch v {
-	case GIFT64:
-		c.rounds = 28
-	case GIFT128:
-		c.rounds = 40
-	default:
+	if v < 0 || int(v) >= len(variants) {
 		return nil, fmt.Errorf("gift: unknown variant %d", v)
 	}
-	c.expandKey(key)
+	p := &variants[v]
+	if len(key) != p.keyBytes {
+		return nil, fmt.Errorf("%s: key must be %d bytes, got %d", p.name, p.keyBytes, len(key))
+	}
+	c := &Cipher{
+		variant: v,
+		rounds:  p.rounds,
+		sbox:    &p.sbox,
+		perm:    &perms[v],
+		rkMask:  make([]state, p.rounds),
+		rkSrc:   make([]state, p.rounds),
+	}
+	if v == PRESENT80 {
+		c.presentSchedule(key)
+	} else {
+		c.giftSchedule(key)
+	}
+	for r, m := range c.rkMask {
+		for i, d := range c.perm[:8*p.blockBytes] {
+			c.rkSrc[r][i/64] |= m[d/64] >> (uint(d) % 64) & 1 << (uint(i) % 64)
+		}
+	}
 	return c, nil
 }
 
@@ -136,9 +185,10 @@ func New64(key []byte) (*Cipher, error) { return New(GIFT64, key) }
 // New128 creates a GIFT-128 instance.
 func New128(key []byte) (*Cipher, error) { return New(GIFT128, key) }
 
-// expandKey walks the key state (k7..k0, 16-bit words, k7 from the first
-// two key bytes) and extracts the per-round words.
-func (c *Cipher) expandKey(key []byte) {
+// giftSchedule walks GIFT's key state (k7..k0, 16-bit words, k7 from the
+// first two key bytes), extracts the per-round words and builds each
+// round's AddRoundKey mask.
+func (c *Cipher) giftSchedule(key []byte) {
 	var k [8]uint16
 	for i := 0; i < 8; i++ {
 		// key[0] is the high byte of k7 (spec order).
@@ -146,13 +196,17 @@ func (c *Cipher) expandKey(key []byte) {
 	}
 	c.keyU = make([]uint32, c.rounds)
 	c.keyV = make([]uint32, c.rounds)
-	for r := 0; r < c.rounds; r++ {
+	for r := 1; r <= c.rounds; r++ {
+		m := &c.rkMask[r-1]
 		if c.variant == GIFT64 {
-			c.keyU[r] = uint32(k[1])
-			c.keyV[r] = uint32(k[0])
+			c.keyU[r-1], c.keyV[r-1] = uint32(k[1]), uint32(k[0])
+			m[0] = KeyMask64(k[1], k[0]) | ConstMask64(r)
 		} else {
-			c.keyU[r] = uint32(k[5])<<16 | uint32(k[4])
-			c.keyV[r] = uint32(k[1])<<16 | uint32(k[0])
+			c.keyU[r-1] = uint32(k[5])<<16 | uint32(k[4])
+			c.keyV[r-1] = uint32(k[1])<<16 | uint32(k[0])
+			klo, khi := KeyMask128(c.keyU[r-1], c.keyV[r-1])
+			clo, chi := ConstMask128(r)
+			m[0], m[1] = klo|clo, khi|chi
 		}
 		// Key state update: (k7..k0) <- (k1 >>> 2, k0 >>> 12, k7..k2).
 		n1 := k[1]>>2 | k[1]<<14
@@ -161,26 +215,33 @@ func (c *Cipher) expandKey(key []byte) {
 		k[6] = n0
 		k[7] = n1
 	}
-	c.rkMask = make([]state, c.rounds)
-	c.rkSrc = make([]state, c.rounds)
-	for r := 1; r <= c.rounds; r++ {
-		m := &c.rkMask[r-1]
-		if c.variant == GIFT64 {
-			m[0] = KeyMask64(uint16(c.keyU[r-1]), uint16(c.keyV[r-1])) | ConstMask64(r)
+}
+
+// presentSchedule runs PRESENT-80's 80-bit key register: round key K_r is
+// its top 64 bits, and each update rotates it left by 61, S-boxes its top
+// nibble and XORs the round counter into bits 19..15. K_1 becomes the
+// whitening key and K_{r+1} the mask that ends round r.
+func (c *Cipher) presentSchedule(key []byte) {
+	// hi holds register bits 79..16, lo bits 15..0.
+	hi := binary.BigEndian.Uint64(key)
+	lo := uint64(binary.BigEndian.Uint16(key[8:]))
+	for r := 1; r <= c.rounds+1; r++ {
+		if r == 1 {
+			c.white[0] = hi
 		} else {
-			klo, khi := KeyMask128(c.keyU[r-1], c.keyV[r-1])
-			clo, chi := ConstMask128(r)
-			m[0] = klo | clo
-			m[1] = khi | chi
+			c.rkMask[r-2][0] = hi
 		}
-		for i, d := range perms[c.variant][:8*c.BlockBytes()] {
-			c.rkSrc[r-1][i/64] |= m[d/64] >> (uint(d) % 64) & 1 << (uint(i) % 64)
-		}
+		hi, lo = hi<<61|lo<<45|hi>>19, hi>>3&0xffff
+		hi = hi&^(0xf<<60) | uint64(presentSbox[hi>>60])<<60
+		// Bits 19..16 of the register are the low nibble of hi, bit 15
+		// the top bit of lo.
+		hi ^= uint64(r) >> 1
+		lo ^= uint64(r) & 1 << 15
 	}
 }
 
-// RoundKeyWords returns the (U, V) round-key words of round r (1-based),
-// exported for the DFA analyzer.
+// RoundKeyWords returns GIFT's (U, V) round-key words of round r
+// (1-based), exported for the DFA analyzer.
 func (c *Cipher) RoundKeyWords(r int) (u, v uint32) {
 	if r < 1 || r > c.rounds {
 		panic("gift: round key index out of range")
@@ -189,25 +250,15 @@ func (c *Cipher) RoundKeyWords(r int) (u, v uint32) {
 }
 
 // Name implements ciphers.Cipher.
-func (c *Cipher) Name() string {
-	if c.variant == GIFT64 {
-		return "gift64"
-	}
-	return "gift128"
-}
+func (c *Cipher) Name() string { return variants[c.variant].name }
 
 // BlockBytes implements ciphers.Cipher.
-func (c *Cipher) BlockBytes() int {
-	if c.variant == GIFT64 {
-		return 8
-	}
-	return 16
-}
+func (c *Cipher) BlockBytes() int { return variants[c.variant].blockBytes }
 
 // Rounds implements ciphers.Cipher.
 func (c *Cipher) Rounds() int { return c.rounds }
 
-// GroupBits implements ciphers.Cipher: GIFT substitutes nibbles.
+// GroupBits implements ciphers.Cipher: every variant substitutes nibbles.
 func (c *Cipher) GroupBits() int { return 4 }
 
 // state holds up to 128 bits, spec bit i at word i/64, machine bit i%64.
@@ -258,9 +309,15 @@ func (s *state) andLE(mask []byte) {
 	s[1] &= m[1]
 }
 
+// xorState XORs another state in place.
+func (s *state) xorState(o *state) {
+	s[0] ^= o[0]
+	s[1] ^= o[1]
+}
+
 // subCells applies the S-box to every nibble of the first nbits bits.
 func (s *state) subCells(nbits int, box *[16]byte) {
-	for w := 0; w < (nbits+63)/64; w++ {
+	for w := 0; w < nbits/64; w++ {
 		v := s[w]
 		var out uint64
 		for n := 0; n < 16; n++ {
@@ -270,13 +327,14 @@ func (s *state) subCells(nbits int, box *[16]byte) {
 	}
 }
 
-// permBits applies the bit permutation table (bit i moves to perm[i]).
-func (s *state) permBits(nbits int, perm []uint8) {
+// permBits applies the bit permutation table (bit i moves to perm[i]) to
+// the first nbits bits, visiting only the set bits of each word.
+func (s *state) permBits(nbits int, perm *[maxLanes]uint8) {
 	var out state
-	for i := 0; i < nbits; i++ {
-		if s[i/64]>>(uint(i)%64)&1 == 1 {
-			j := perm[i]
-			out[j/64] |= 1 << (j % 64)
+	for w := 0; w < nbits/64; w++ {
+		for v := s[w]; v != 0; v &= v - 1 {
+			j := perm[(64*w+bits.TrailingZeros64(v))&(maxLanes-1)]
+			out[j/64%2] |= 1 << (j % 64)
 		}
 	}
 	*s = out
@@ -290,6 +348,7 @@ func (c *Cipher) Encrypt(dst, src []byte, fault *ciphers.Fault, trace *ciphers.T
 	nbits := 8 * nbytes
 	var s state
 	s.loadBE(src, nbytes)
+	s.xorState(&c.white)
 	for r := 1; r <= c.rounds; r++ {
 		if fault != nil && fault.Round == r {
 			if fault.And != nil {
@@ -302,17 +361,12 @@ func (c *Cipher) Encrypt(dst, src []byte, fault *ciphers.Fault, trace *ciphers.T
 		if trace != nil {
 			s.storeLE(trace.Inputs[r-1], nbytes)
 		}
-		s.subCells(nbits, &sbox)
+		s.subCells(nbits, c.sbox)
 		if trace != nil {
 			s.storeLE(trace.PostSub[r-1], nbytes)
 		}
-		if c.variant == GIFT64 {
-			s.permBits(64, perms[GIFT64][:])
-			c.addRoundKey64(&s, r)
-		} else {
-			s.permBits(128, perms[GIFT128][:])
-			c.addRoundKey128(&s, r)
-		}
+		s.permBits(nbits, c.perm)
+		s.xorState(&c.rkMask[r-1])
 	}
 	s.storeBE(dst, nbytes)
 	if trace != nil {
@@ -320,48 +374,24 @@ func (c *Cipher) Encrypt(dst, src []byte, fault *ciphers.Fault, trace *ciphers.T
 	}
 }
 
-// addRoundKey64 XORs round r's precomputed state mask: U bits at
-// positions 4i+1, V bits at 4i, the round constant at bits
-// 23,19,15,11,7,3 and the fixed 1 at bit 63 (see KeyMask64/ConstMask64).
-func (c *Cipher) addRoundKey64(s *state, r int) {
-	s[0] ^= c.rkMask[r-1][0]
-}
-
-// addRoundKey128 XORs round r's precomputed state mask: U bits at
-// positions 4i+2, V bits at 4i+1, the round constant at bits
-// 23,19,15,11,7,3 and the fixed 1 at bit 127 (see
-// KeyMask128/ConstMask128).
-func (c *Cipher) addRoundKey128(s *state, r int) {
-	s[0] ^= c.rkMask[r-1][0]
-	s[1] ^= c.rkMask[r-1][1]
-}
-
 // Decrypt inverts Encrypt (no fault/trace support; used in tests and
 // key-recovery verification).
 func (c *Cipher) Decrypt(dst, src []byte) {
 	nbytes := c.BlockBytes()
 	nbits := 8 * nbytes
+	var inv [maxLanes]uint8
+	for i, d := range c.perm[:nbits] {
+		inv[d] = uint8(i)
+	}
 	var s state
 	s.loadBE(src, nbytes)
-	inv := invPerm(nbits, c.variant)
 	for r := c.rounds; r >= 1; r-- {
-		if c.variant == GIFT64 {
-			c.addRoundKey64(&s, r)
-		} else {
-			c.addRoundKey128(&s, r)
-		}
-		s.permBits(nbits, inv)
-		s.subCells(nbits, &invSbox)
+		s.xorState(&c.rkMask[r-1])
+		s.permBits(nbits, &inv)
+		s.subCells(nbits, &variants[c.variant].invSbox)
 	}
+	s.xorState(&c.white)
 	s.storeBE(dst, nbytes)
-}
-
-func invPerm(nbits int, v Variant) []uint8 {
-	out := make([]uint8, nbits)
-	for i, d := range perms[v][:nbits] {
-		out[d] = uint8(i)
-	}
-	return out
 }
 
 // ConstMask128 returns the known (key-independent) part of GIFT-128's
@@ -421,24 +451,17 @@ func KeyMask64(u, v uint16) uint64 {
 }
 
 func init() {
-	ciphers.Register(ciphers.Info{
-		Name:       "gift64",
-		BlockBytes: 8,
-		KeyBytes:   KeyBytes,
-		Rounds:     28,
-		GroupBits:  4,
-		New: func(key []byte) (ciphers.Cipher, error) {
-			return New(GIFT64, key)
-		},
-	})
-	ciphers.Register(ciphers.Info{
-		Name:       "gift128",
-		BlockBytes: 16,
-		KeyBytes:   KeyBytes,
-		Rounds:     40,
-		GroupBits:  4,
-		New: func(key []byte) (ciphers.Cipher, error) {
-			return New(GIFT128, key)
-		},
-	})
+	for v := range variants {
+		p := &variants[v]
+		ciphers.Register(ciphers.Info{
+			Name:       p.name,
+			BlockBytes: p.blockBytes,
+			KeyBytes:   p.keyBytes,
+			Rounds:     p.rounds,
+			GroupBits:  4,
+			New: func(key []byte) (ciphers.Cipher, error) {
+				return New(Variant(v), key)
+			},
+		})
+	}
 }

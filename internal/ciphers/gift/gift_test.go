@@ -52,23 +52,30 @@ func TestGIFT128Vector(t *testing.T) {
 }
 
 func TestSBoxBijection(t *testing.T) {
-	seen := map[byte]bool{}
-	for i := byte(0); i < 16; i++ {
-		s := SBox(i)
-		if s > 0xf {
-			t.Fatalf("SBox(%d) = %d exceeds nibble range", i, s)
-		}
-		if seen[s] {
-			t.Fatalf("S-box not a bijection at %d", i)
-		}
-		seen[s] = true
-		if InvSBox(s) != i {
-			t.Fatalf("InvSBox(SBox(%d)) = %d", i, InvSBox(s))
+	for v := range variants {
+		p := &variants[v]
+		seen := map[byte]bool{}
+		for i := byte(0); i < 16; i++ {
+			s := p.sbox[i]
+			if s > 0xf {
+				t.Fatalf("%s: S(%d) = %d exceeds nibble range", p.name, i, s)
+			}
+			if seen[s] {
+				t.Fatalf("%s: S-box not a bijection at %d", p.name, i)
+			}
+			seen[s] = true
+			if p.invSbox[s] != i {
+				t.Fatalf("%s: inverse S-box of S(%d) = %d", p.name, i, p.invSbox[s])
+			}
 		}
 	}
-	// Spec spot checks: GS(0)=1, GS(f)=e, GS(7)=9.
-	if SBox(0) != 1 || SBox(0xf) != 0xe || SBox(7) != 9 {
+	// Spec spot checks: GS(0)=1, GS(f)=e, GS(7)=9; PRESENT's S(0)=c,
+	// S(f)=2.
+	if SBox(0) != 1 || SBox(0xf) != 0xe || SBox(7) != 9 || InvSBox(1) != 0 {
 		t.Error("S-box values disagree with the GIFT specification")
+	}
+	if p := variants[PRESENT80].sbox; p[0] != 0xc || p[0xf] != 0x2 {
+		t.Error("S-box endpoints disagree with the PRESENT specification")
 	}
 }
 
@@ -91,22 +98,27 @@ func TestPerm128KnownValues(t *testing.T) {
 	}
 }
 
-func TestPermutationsAreBijections(t *testing.T) {
-	seen64 := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		p := Perm64(i)
-		if p < 0 || p >= 64 || seen64[p] {
-			t.Fatalf("Perm64 not a bijection at %d", i)
+func TestPermPRESENTKnownValues(t *testing.T) {
+	// P(i) = 16i mod 63 with P(63) = 63.
+	want := map[int]int{0: 0, 1: 16, 2: 32, 3: 48, 4: 1, 62: 47, 63: 63}
+	for i, p := range want {
+		if got := int(perms[PRESENT80][i]); got != p {
+			t.Errorf("PRESENT P(%d) = %d, want %d", i, got, p)
 		}
-		seen64[p] = true
 	}
-	seen128 := map[int]bool{}
-	for i := 0; i < 128; i++ {
-		p := Perm128(i)
-		if p < 0 || p >= 128 || seen128[p] {
-			t.Fatalf("Perm128 not a bijection at %d", i)
+}
+
+func TestPermutationsAreBijections(t *testing.T) {
+	for v := range variants {
+		n := 8 * variants[v].blockBytes
+		seen := map[int]bool{}
+		for i := 0; i < n; i++ {
+			p := int(perms[v][i])
+			if p >= n || seen[p] {
+				t.Fatalf("%s permutation not a bijection at %d", variants[v].name, i)
+			}
+			seen[p] = true
 		}
-		seen128[p] = true
 	}
 }
 
@@ -162,8 +174,13 @@ func TestNewRejectsBadInput(t *testing.T) {
 	if _, err := New64(make([]byte, 8)); err == nil {
 		t.Error("New64 accepted 8-byte key")
 	}
-	if _, err := New(Variant(9), make([]byte, 16)); err == nil {
-		t.Error("New accepted unknown variant")
+	if _, err := New(GIFT128, make([]byte, 10)); err == nil {
+		t.Error("New accepted a 10-byte GIFT-128 key")
+	}
+	for _, v := range []Variant{-1, 3, 9} {
+		if _, err := New(v, make([]byte, 16)); err == nil {
+			t.Errorf("New accepted unknown variant %d", v)
+		}
 	}
 }
 

@@ -6,45 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/ciphers"
+	"repro/internal/ciphers/gift"
 	"repro/internal/prng"
 )
 
-// TestSboxLanesMatchesTable runs the bitsliced S-box circuit on all 16
-// inputs replicated across lanes and compares against the lookup table.
-func TestSboxLanesMatchesTable(t *testing.T) {
-	for x := 0; x < 16; x++ {
-		var l [4]uint64
-		for b := 0; b < 4; b++ {
-			if x>>uint(b)&1 == 1 {
-				l[b] = ^uint64(0)
-			}
-		}
-		sboxLanes(&l)
-		got := 0
-		for b := 0; b < 4; b++ {
-			switch l[b] {
-			case ^uint64(0):
-				got |= 1 << uint(b)
-			case 0:
-			default:
-				t.Fatalf("sboxLanes(%#x): lane %d not constant: %#x", x, b, l[b])
-			}
-		}
-		if got != int(sbox[x]) {
-			t.Fatalf("sboxLanes(%#x) = %#x, want %#x", x, got, sbox[x])
-		}
-	}
-}
-
-// TestBatchKernelMatchesScalar cross-checks the bitsliced fork kernel
-// against the scalar reference path, covering the bitsliced block path,
+// TestBatchKernelMatchesScalar cross-checks PRESENT-80's bitsliced fork
+// kernel against the scalar reference path through the exported API,
+// covering the bitsliced block path,
 // the small-block scalar path (n < 8), ragged tails (n % 64 != 0), and
 // the generalized (AND, XOR) injection op.
 func TestBatchKernelMatchesScalar(t *testing.T) {
 	rng := prng.New(13)
-	key := make([]byte, KeyBytes)
+	key := make([]byte, 10)
 	rng.Fill(key)
-	c, err := New(key)
+	c, err := gift.New(gift.PRESENT80, key)
 	if err != nil {
 		t.Fatal(err)
 	}

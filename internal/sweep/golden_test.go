@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	_ "repro/internal/ciphers/aes"        // register aes128
-	_ "repro/internal/ciphers/present"    // register present80
 	_ "repro/internal/ciphers/simonspeck" // register speck64
 	"repro/internal/fault"
 )

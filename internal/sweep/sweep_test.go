@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	_ "repro/internal/ciphers/gift" // register gift64
+	_ "repro/internal/ciphers/gift" // register gift64, present80
 	"repro/internal/fault"
 )
 
