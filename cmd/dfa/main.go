@@ -1,11 +1,13 @@
 // dfa mounts the key-recovery attack a discovered fault model enables:
 // the Piret–Quisquater DFA for AES-128 byte faults, or the nibble-wise
-// guess-and-filter DFA for GIFT-64 (any nibble-level fault model).
+// guess-and-filter DFA for GIFT-64 and GIFT-128 (any nibble-level fault
+// model).
 //
 // Examples:
 //
 //	go run ./cmd/dfa -cipher aes128
 //	go run ./cmd/dfa -cipher gift64 -nibbles 8,9,10,11,12,14 -round 25
+//	go run ./cmd/dfa -cipher gift128 -pairs 96
 package main
 
 import (
@@ -24,6 +26,18 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
+
+// giftAttacks lists the GIFT variants the nibble DFA attacks: the name
+// printed in the banner, the state width in bits, and the attack's own
+// fault round, used when -round is not given.
+var giftAttacks = map[string]struct {
+	name  string
+	width int
+	round int
+}{
+	"gift64":  {"GIFT-64", 64, 25},
+	"gift128": {"GIFT-128", 128, 37},
+}
 
 func main() {
 	// First SIGINT/SIGTERM cancels the run context so the event log and
@@ -47,9 +61,9 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("dfa", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	cipher := fs.String("cipher", "gift64", "target cipher: aes128 or gift64")
+	cipher := fs.String("cipher", "gift64", "target cipher: aes128, gift64 or gift128")
 	nibbles := fs.String("nibbles", "8,9,10,11,12,14", "GIFT fault-model nibbles")
-	round := fs.Int("round", 25, "GIFT fault round")
+	round := fs.Int("round", 0, "GIFT fault round (default 25 for gift64, 37 for gift128)")
 	faultType := fs.String("fault-type", "xor", "typed fault model: xor, stuck-at-0, stuck-at-1, biased-and, random-byte, random-nibble (GIFT only; aes128 is defined for xor)")
 	pairs := fs.Int("pairs", 256, "faulty encryptions to collect")
 	seed := fs.Uint64("seed", 1, "experiment seed")
@@ -75,19 +89,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	pattern := explorefault.Pattern{}
-	if *cipher == "gift64" {
+	g, isGIFT := giftAttacks[*cipher]
+	switch {
+	case isGIFT:
 		var ns []int
 		for _, part := range strings.Split(*nibbles, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				return fmt.Errorf("bad -nibbles: %v", err)
 			}
+			if v < 0 || v >= g.width/4 {
+				return fmt.Errorf("bad -nibbles: nibble %d out of range (want 0..%d)", v, g.width/4-1)
+			}
 			ns = append(ns, v)
 		}
-		pattern = explorefault.PatternFromGroups(64, 4, ns...)
-		fmt.Fprintf(stdout, "GIFT-64 DFA: fault model %s, nibbles %v at round %d, %d pairs\n", faultModel, ns, *round, *pairs)
-	} else {
+		if *round == 0 {
+			*round = g.round
+		}
+		pattern = explorefault.PatternFromGroups(g.width, 4, ns...)
+		fmt.Fprintf(stdout, "%s DFA: fault model %s, nibbles %v at round %d, %d pairs\n", g.name, faultModel, ns, *round, *pairs)
+	case *cipher == "aes128":
 		fmt.Fprintln(stdout, "AES-128 Piret–Quisquater DFA: single-byte faults at round 9")
+	default:
+		return fmt.Errorf("no key-recovery attack for cipher %q (want aes128, gift64 or gift128)", *cipher)
 	}
 
 	_, events, cleanup, err := obs.Setup(*metricsAddr, *eventsPath, stderr)

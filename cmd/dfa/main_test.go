@@ -15,12 +15,34 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-no-such-flag"},
 		{"-key", "zz"},
 		{"-cipher", "gift64", "-nibbles", "notanumber"},
+		{"-cipher", "gift64", "-nibbles", "16"},
+		{"-cipher", "present80"},
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer
 		if err := run(context.Background(), args, &out, &errb); err == nil {
 			t.Errorf("run(%v): expected error, got nil", args)
 		}
+		if strings.Contains(out.String(), "DFA") {
+			t.Errorf("run(%v) printed a banner before failing:\n%s", args, out.String())
+		}
+	}
+}
+
+// TestRunGIFT128 runs the GIFT-128 attack at its own default fault round
+// and requires a banner naming the cipher and a verified partial key.
+func TestRunGIFT128(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run(context.Background(), []string{"-cipher", "gift128", "-pairs", "96", "-seed", "7"}, &out, &errb); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errb.String())
+	}
+	for _, want := range []string{"GIFT-128 DFA", "at round 37", "/ 128\n", "verified correct   : true"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout missing %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "recovered key bits : 0 /") {
+		t.Errorf("no key bits recovered:\n%s", out.String())
 	}
 }
 
