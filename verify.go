@@ -23,8 +23,8 @@ type VerifyConfig struct {
 	Cipher string
 	// Key is the victim key; nil draws a random key from Seed.
 	Key []byte
-	// Round is the fault round for GIFT (default 25); AES's attack is
-	// defined at round 9.
+	// Round is the fault round for GIFT (default 25 for gift64, 37 for
+	// gift128); AES's attack is defined at round 9.
 	Round int
 	// Pairs is the number of faulty encryptions (GIFT default 1024;
 	// AES uses 3 per column = 12 total).
@@ -42,7 +42,8 @@ type VerifyConfig struct {
 // VerifyKeyRecovery mounts the key-recovery attack that a discovered
 // fault model enables — the verification step §IV-D performs with the
 // ExpFault tool. For AES-128 the pattern is implied by the attack (single
-// byte at round 9); for GIFT-64 the given pattern is attacked directly.
+// byte at round 9); for GIFT-64 and GIFT-128 the given pattern is attacked
+// directly.
 func VerifyKeyRecovery(pattern Pattern, cfg VerifyConfig) (*KeyRecovery, error) {
 	rng := prng.New(cfg.Seed)
 	switch cfg.Cipher {
