@@ -232,7 +232,7 @@ func (c *Cipher) presentSchedule(key []byte) {
 			c.rkMask[r-2][0] = hi
 		}
 		hi, lo = hi<<61|lo<<45|hi>>19, hi>>3&0xffff
-		hi = hi&^(0xf<<60) | uint64(presentSbox[hi>>60])<<60
+		hi = hi&^(0xf<<60) | uint64(c.sbox[hi>>60])<<60
 		// Bits 19..16 of the register are the low nibble of hi, bit 15
 		// the top bit of lo.
 		hi ^= uint64(r) >> 1
