@@ -43,6 +43,55 @@ func TestPresentVectors(t *testing.T) {
 	}
 }
 
+// sbox is PRESENT's S-box as the specification tabulates it.
+var sbox = [16]byte{0xc, 0x5, 0x6, 0xb, 0x9, 0x0, 0xa, 0xd, 0x3, 0xe, 0xf, 0x8, 0x4, 0x7, 0x1, 0x2}
+
+// nibble returns nibble i of a state in repository bit order.
+func nibble(s []byte, i int) byte { return s[i/2] >> (4 * uint(i%2)) & 0xf }
+
+// TestSBoxBijection reads the S-box off the scalar path: a fault that
+// clears round 1's input and XORs in a state with every nibble x makes
+// the trace's post-S-box snapshot S(x) in every nibble. The table read
+// must be the specification's and a bijection, and Decrypt must invert
+// it on all 16 values.
+func TestSBoxBijection(t *testing.T) {
+	c, err := gift.New(gift.PRESENT80, make([]byte, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ciphers.NewTrace(c)
+	out := make([]byte, 8)
+	seen := map[byte]bool{}
+	for x := byte(0); x < 16; x++ {
+		in := bytes.Repeat([]byte{x<<4 | x}, 8)
+		c.Encrypt(out, make([]byte, 8), &ciphers.Fault{Round: 1, Mask: in, And: make([]byte, 8)}, tr)
+		s := nibble(tr.PostSub[0], 0)
+		for i := 1; i < 16; i++ {
+			if got := nibble(tr.PostSub[0], i); got != s {
+				t.Fatalf("S(%#x) is %#x in nibble %d but %#x in nibble 0", x, got, i, s)
+			}
+		}
+		if s != sbox[x] {
+			t.Fatalf("S(%#x) = %#x, want %#x", x, s, sbox[x])
+		}
+		if seen[s] {
+			t.Fatalf("S-box not a bijection at %#x", x)
+		}
+		seen[s] = true
+	}
+	// With the all-zero key K_1 is zero, so plaintext nibbles enter round
+	// 1's S-box unchanged and Decrypt's last S-box layer inverts S(x).
+	got := make([]byte, 8)
+	for x := byte(0); x < 16; x++ {
+		pt := bytes.Repeat([]byte{x<<4 | x}, 8)
+		c.Encrypt(out, pt, nil, nil)
+		c.Decrypt(got, out)
+		if !bytes.Equal(got, pt) {
+			t.Fatalf("Decrypt does not invert the S-box at %#x: %x, want %x", x, got, pt)
+		}
+	}
+}
+
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	src := prng.New(55)
 	key := make([]byte, 10)
