@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fs.SetOutput(stderr)
 	cipher := fs.String("cipher", "gift64", "target cipher: aes128, gift64 or gift128")
 	nibbles := fs.String("nibbles", "8,9,10,11,12,14", "GIFT fault-model nibbles")
-	round := fs.Int("round", 0, "GIFT fault round (default 25 for gift64, 37 for gift128)")
+	round := fs.Int("round", 0, "fault round (default 25 for gift64, 37 for gift128; aes128 faults round 9 only)")
 	faultType := fs.String("fault-type", "xor", "typed fault model: xor, stuck-at-0, stuck-at-1, biased-and, random-byte, random-nibble (GIFT only; aes128 is defined for xor)")
 	pairs := fs.Int("pairs", 256, "faulty encryptions to collect")
 	seed := fs.Uint64("seed", 1, "experiment seed")

@@ -46,6 +46,25 @@ func TestRunGIFT128(t *testing.T) {
 	}
 }
 
+// TestRunAES128 runs the Piret–Quisquater attack at its defaults and
+// requires the full key, verified; a fault round other than 9 is an error
+// naming the round.
+func TestRunAES128(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run(context.Background(), []string{"-cipher", "aes128", "-seed", "7"}, &out, &errb); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errb.String())
+	}
+	for _, want := range []string{"AES-128 Piret–Quisquater DFA", "128 / 128\n", "verified correct   : true"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout missing %q:\n%s", want, out.String())
+		}
+	}
+	err := run(context.Background(), []string{"-cipher", "aes128", "-round", "5"}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "round 5") {
+		t.Errorf("-cipher aes128 -round 5: err = %v, want an error naming round 5", err)
+	}
+}
+
 func TestRunTinyEndToEnd(t *testing.T) {
 	evPath := filepath.Join(t.TempDir(), "run.jsonl")
 	var out, errb bytes.Buffer

@@ -16,8 +16,8 @@
 //     (the t-test oracle as a standalone tool, ALAFA-style).
 //   - VerifyKeyRecovery mounts a concrete differential fault attack for a
 //     discovered model (Piret–Quisquater for AES-128, nibble-wise
-//     guess-and-filter for GIFT-64) and reports recovered key bits and
-//     offline complexity.
+//     guess-and-filter for GIFT-64 and GIFT-128) and reports recovered
+//     key bits and offline complexity.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every table and figure.

@@ -98,12 +98,6 @@ func SBox(x byte) byte { return variants[GIFT64].sbox[x&0xf] }
 // InvSBox returns the inverse GIFT S-box value of a 4-bit input.
 func InvSBox(x byte) byte { return variants[GIFT64].invSbox[x&0xf] }
 
-// Perm64 returns the destination of bit i under the GIFT-64 permutation.
-func Perm64(i int) int { return int(perms[GIFT64][:64][i]) }
-
-// Perm128 returns the destination of bit i under the GIFT-128 permutation.
-func Perm128(i int) int { return int(perms[GIFT128][i]) }
-
 // roundConstants holds the 6-bit LFSR constants for up to 48 rounds.
 var roundConstants = func() [48]byte {
 	var rc [48]byte
@@ -116,8 +110,8 @@ var roundConstants = func() [48]byte {
 	return rc
 }()
 
-// RoundConstant returns the GIFT constant of round r (1-based).
-func RoundConstant(r int) byte {
+// roundConstant returns the GIFT constant of round r (1-based).
+func roundConstant(r int) byte {
 	if r < 1 || r > len(roundConstants) {
 		panic("gift: round constant index out of range")
 	}
@@ -197,17 +191,14 @@ func (c *Cipher) giftSchedule(key []byte) {
 	c.keyU = make([]uint32, c.rounds)
 	c.keyV = make([]uint32, c.rounds)
 	for r := 1; r <= c.rounds; r++ {
-		m := &c.rkMask[r-1]
 		if c.variant == GIFT64 {
 			c.keyU[r-1], c.keyV[r-1] = uint32(k[1]), uint32(k[0])
-			m[0] = KeyMask64(k[1], k[0]) | ConstMask64(r)
 		} else {
 			c.keyU[r-1] = uint32(k[5])<<16 | uint32(k[4])
 			c.keyV[r-1] = uint32(k[1])<<16 | uint32(k[0])
-			klo, khi := KeyMask128(c.keyU[r-1], c.keyV[r-1])
-			clo, chi := ConstMask128(r)
-			m[0], m[1] = klo|clo, khi|chi
 		}
+		km, cm := c.KeyMask(c.keyU[r-1], c.keyV[r-1]), c.ConstMask(r)
+		c.rkMask[r-1] = state{km[0] | cm[0], km[1] | cm[1]}
 		// Key state update: (k7..k0) <- (k1 >>> 2, k0 >>> 12, k7..k2).
 		n1 := k[1]>>2 | k[1]<<14
 		n0 := k[0]>>12 | k[0]<<4
@@ -394,60 +385,36 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 	s.storeBE(dst, nbytes)
 }
 
-// ConstMask128 returns the known (key-independent) part of GIFT-128's
-// round-r AddRoundKey as (lo, hi) state words: the round-constant bits at
-// positions 4i+3 and the fixed 1 at bit 127.
-func ConstMask128(round int) (lo, hi uint64) {
-	rc := RoundConstant(round)
-	for i := 0; i < 6; i++ {
-		lo |= uint64(rc>>uint(i)&1) << (4*uint(i) + 3)
+// Perm returns the destination of bit i under the variant's bit
+// permutation.
+func (c *Cipher) Perm(i int) int { return int(c.perm[:8*c.BlockBytes()][i]) }
+
+// KeyMask returns the state mask that GIFT's AddRoundKey XORs for
+// round-key words (U, V): V bit i at state bit 4i+o and U bit i at
+// 4i+o+1, where o is 0 for GIFT-64 and 1 for GIFT-128. GIFT only.
+func (c *Cipher) KeyMask(u, v uint32) [2]uint64 {
+	var m [2]uint64
+	o := uint(c.BlockBytes()/8 - 1)
+	for i := uint(0); i < uint(2*c.BlockBytes()); i++ {
+		b := 4*i + o
+		m[b/64%2] |= (uint64(v>>i&1) | uint64(u>>i&1)<<1) << (b % 64)
 	}
-	return lo, 1 << 63
+	return m
 }
 
-// KeyMask128 returns the state mask GIFT-128's AddRoundKey XORs for
-// round-key words (U, V) as (lo, hi): U bits at positions 4i+2, V bits
-// at 4i+1.
-func KeyMask128(u, v uint32) (lo, hi uint64) {
-	for i := 0; i < 32; i++ {
-		bitU := 4*uint(i) + 2
-		bitV := 4*uint(i) + 1
-		if bitU < 64 {
-			lo |= uint64(u>>uint(i)&1) << bitU
-		} else {
-			hi |= uint64(u>>uint(i)&1) << (bitU - 64)
-		}
-		if bitV < 64 {
-			lo |= uint64(v>>uint(i)&1) << bitV
-		} else {
-			hi |= uint64(v>>uint(i)&1) << (bitV - 64)
-		}
+// ConstMask returns the known (key-independent) part of GIFT's round-r
+// AddRoundKey: the round-constant bits at state bits 4i+3 and the fixed
+// 1 at the top bit of the state. GIFT only; the DFA inverts rounds under
+// guessed key bits with it.
+func (c *Cipher) ConstMask(r int) [2]uint64 {
+	var m [2]uint64
+	rc := roundConstant(r)
+	for i := uint(0); i < 6; i++ {
+		m[0] |= uint64(rc>>i&1) << (4*i + 3)
 	}
-	return lo, hi
-}
-
-// ConstMask64 returns the known (key-independent) part of GIFT-64's
-// round-r AddRoundKey: the round-constant bits at positions 4i+3 and the
-// fixed 1 at bit 63. Exported for the DFA analyzer, which inverts rounds
-// under guessed key bits.
-func ConstMask64(round int) uint64 {
-	rc := RoundConstant(round)
-	var mask uint64
-	for i := 0; i < 6; i++ {
-		mask |= uint64(rc>>uint(i)&1) << (4*uint(i) + 3)
-	}
-	return mask | 1<<63
-}
-
-// KeyMask64 returns the state mask that GIFT-64's AddRoundKey XORs for
-// round-key words (U, V): U bits at positions 4i+1, V bits at 4i.
-func KeyMask64(u, v uint16) uint64 {
-	var mask uint64
-	for i := 0; i < 16; i++ {
-		mask |= uint64(u>>uint(i)&1) << (4*uint(i) + 1)
-		mask |= uint64(v>>uint(i)&1) << (4 * uint(i))
-	}
-	return mask
+	top := uint(8*c.BlockBytes() - 1)
+	m[top/64%2] |= 1 << (top % 64)
+	return m
 }
 
 func init() {

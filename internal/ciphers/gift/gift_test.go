@@ -81,19 +81,21 @@ func TestSBoxBijection(t *testing.T) {
 
 func TestPerm64KnownValues(t *testing.T) {
 	// First entries of the published P64 table.
+	c, _ := New64(make([]byte, 16))
 	want := map[int]int{0: 0, 1: 17, 2: 34, 3: 51, 4: 48, 5: 1, 12: 16, 16: 4, 17: 21, 19: 55, 51: 63, 63: 15}
 	for i, p := range want {
-		if got := Perm64(i); got != p {
-			t.Errorf("Perm64(%d) = %d, want %d", i, got, p)
+		if got := c.Perm(i); got != p {
+			t.Errorf("Perm(%d) = %d, want %d", i, got, p)
 		}
 	}
 }
 
 func TestPerm128KnownValues(t *testing.T) {
+	c, _ := New128(make([]byte, 16))
 	want := map[int]int{0: 0, 1: 33, 2: 66, 3: 99, 4: 96, 5: 1, 8: 64, 16: 4, 127: 31}
 	for i, p := range want {
-		if got := Perm128(i); got != p {
-			t.Errorf("Perm128(%d) = %d, want %d", i, got, p)
+		if got := c.Perm(i); got != p {
+			t.Errorf("Perm(%d) = %d, want %d", i, got, p)
 		}
 	}
 }
@@ -125,14 +127,12 @@ func TestPermutationsAreBijections(t *testing.T) {
 func TestPermPreservesBitPositionInNibble(t *testing.T) {
 	// GIFT's permutation sends bit 4n+j to some nibble's bit j; this is
 	// the property that gives each S-box output bit a distinct role.
-	for i := 0; i < 64; i++ {
-		if Perm64(i)%4 != i%4 {
-			t.Errorf("Perm64(%d) = %d changes intra-nibble position", i, Perm64(i))
-		}
-	}
-	for i := 0; i < 128; i++ {
-		if Perm128(i)%4 != i%4 {
-			t.Errorf("Perm128(%d) = %d changes intra-nibble position", i, Perm128(i))
+	for _, v := range []Variant{GIFT64, GIFT128} {
+		c, _ := New(v, make([]byte, 16))
+		for i := 0; i < 8*c.BlockBytes(); i++ {
+			if c.Perm(i)%4 != i%4 {
+				t.Errorf("%s: Perm(%d) = %d changes intra-nibble position", c.Name(), i, c.Perm(i))
+			}
 		}
 	}
 }
@@ -141,8 +141,51 @@ func TestRoundConstants(t *testing.T) {
 	// First constants from the GIFT specification.
 	want := []byte{0x01, 0x03, 0x07, 0x0f, 0x1f, 0x3e, 0x3d, 0x3b, 0x37, 0x2f, 0x1e, 0x3c}
 	for i, w := range want {
-		if got := RoundConstant(i + 1); got != w {
-			t.Errorf("RoundConstant(%d) = %#02x, want %#02x", i+1, got, w)
+		if got := roundConstant(i + 1); got != w {
+			t.Errorf("roundConstant(%d) = %#02x, want %#02x", i+1, got, w)
+		}
+	}
+}
+
+// TestKeyMaskPlacement pins where AddRoundKey puts each key and constant
+// bit: V bit i at state bit 4i+o and U bit i at 4i+o+1 (o = 0 for
+// GIFT-64, 1 for GIFT-128, whose U and V bits 16..31 land in the high
+// word), the constant bits at 4i+3 and the fixed 1 at the top bit.
+func TestKeyMaskPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		variant Variant
+		u, v    uint32
+		want    [2]uint64
+	}{
+		{GIFT64, 1, 0, [2]uint64{1 << 1, 0}},
+		{GIFT64, 0, 1, [2]uint64{1 << 0, 0}},
+		{GIFT64, 1 << 15, 1 << 15, [2]uint64{1<<61 | 1<<60, 0}},
+		{GIFT128, 1, 0, [2]uint64{1 << 2, 0}},
+		{GIFT128, 0, 1, [2]uint64{1 << 1, 0}},
+		{GIFT128, 1 << 15, 1 << 15, [2]uint64{1<<62 | 1<<61, 0}},
+		{GIFT128, 1 << 16, 1 << 16, [2]uint64{0, 1<<2 | 1<<1}},
+		{GIFT128, 1 << 31, 1 << 31, [2]uint64{0, 1<<62 | 1<<61}},
+	} {
+		c, _ := New(tc.variant, make([]byte, 16))
+		if got := c.KeyMask(tc.u, tc.v); got != tc.want {
+			t.Errorf("%s: KeyMask(%#x, %#x) = %x, want %x", c.Name(), tc.u, tc.v, got, tc.want)
+		}
+	}
+	// Round 1's constant 0x01 sets constant bit 0 (state bit 3); round
+	// 6's 0x3e sets bits 1..5 (state bits 7, 11, ..., 23).
+	for _, tc := range []struct {
+		variant Variant
+		round   int
+		want    [2]uint64
+	}{
+		{GIFT64, 1, [2]uint64{1<<3 | 1<<63, 0}},
+		{GIFT64, 6, [2]uint64{1<<7 | 1<<11 | 1<<15 | 1<<19 | 1<<23 | 1<<63, 0}},
+		{GIFT128, 1, [2]uint64{1 << 3, 1 << 63}},
+		{GIFT128, 6, [2]uint64{1<<7 | 1<<11 | 1<<15 | 1<<19 | 1<<23, 1 << 63}},
+	} {
+		c, _ := New(tc.variant, make([]byte, 16))
+		if got := c.ConstMask(tc.round); got != tc.want {
+			t.Errorf("%s: ConstMask(%d) = %x, want %x", c.Name(), tc.round, got, tc.want)
 		}
 	}
 }

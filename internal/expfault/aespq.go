@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bitvec"
 	"repro/internal/ciphers"
 	"repro/internal/ciphers/aes"
 	"repro/internal/prng"
@@ -250,18 +249,4 @@ func log2(x float64) float64 {
 		return 0
 	}
 	return math.Log2(x)
-}
-
-// AESDiagonalProfile is a convenience wrapper: it profiles the diagonal
-// fault model at round 8 and reports the distinguisher round (should be
-// the round-10 input, matching Fig. 1).
-func AESDiagonalProfile(c *aes.Cipher, diagonal, samples int, rng *prng.Source) (*PropagationProfile, error) {
-	d := aes.Diagonal(diagonal)
-	pattern := bitvec.New(128)
-	for _, b := range d {
-		for j := 0; j < 8; j++ {
-			pattern.Set(8*b + j)
-		}
-	}
-	return Profile(c, &pattern, 8, samples, rng)
 }

@@ -51,12 +51,12 @@ func TestGIFT128DFABatchMatchesScalar(t *testing.T) {
 	pattern := nibblePattern128(5)
 	for _, model := range []fault.Model{fault.XorFlip, fault.StuckAtOne} {
 		cfg := GIFTDFAConfig{Pairs: 96, TemplateSamples: 512, Model: model}
-		batched, err := GIFT128DFA(c, &pattern, cfg, prng.New(9))
+		batched, err := GIFTDFA(c, &pattern, cfg, prng.New(9))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.NoBatch = true
-		scalar, err := GIFT128DFA(c, &pattern, cfg, prng.New(9))
+		scalar, err := GIFTDFA(c, &pattern, cfg, prng.New(9))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,11 +7,22 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/ciphers/aes"
 	"repro/internal/ciphers/gift"
+	"repro/internal/fault"
 	"repro/internal/prng"
 )
 
 func nibblePattern(nibbles ...int) bitvec.Vector {
 	v := bitvec.New(64)
+	for _, n := range nibbles {
+		for j := 0; j < 4; j++ {
+			v.Set(4*n + j)
+		}
+	}
+	return v
+}
+
+func nibblePattern128(nibbles ...int) bitvec.Vector {
+	v := bitvec.New(128)
 	for _, n := range nibbles {
 		for j := 0; j < 4; j++ {
 			v.Set(4*n + j)
@@ -98,7 +109,11 @@ func TestProfileAESDiagonal(t *testing.T) {
 	key := make([]byte, 16)
 	rng.Fill(key)
 	c, _ := aes.New(key)
-	prof, err := AESDiagonalProfile(c, 2, 512, rng.Split())
+	// The diagonal fault model at round 8: its distinguisher is the
+	// round-10 input (Fig. 1).
+	d := aes.Diagonal(2)
+	pattern := bytePattern(d[:]...)
+	prof, err := ProfileModel(c, &pattern, fault.XorFlip, 8, 512, rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +134,15 @@ func TestProfileValidation(t *testing.T) {
 	c, _ := aes.New(make([]byte, 16))
 	rng := prng.New(1)
 	short := bitvec.New(64)
-	if _, err := Profile(c, &short, 8, 64, rng); err == nil {
+	if _, err := ProfileModel(c, &short, fault.XorFlip, 8, 64, rng); err == nil {
 		t.Error("accepted wrong-width pattern")
 	}
 	empty := bitvec.New(128)
-	if _, err := Profile(c, &empty, 8, 64, rng); err == nil {
+	if _, err := ProfileModel(c, &empty, fault.XorFlip, 8, 64, rng); err == nil {
 		t.Error("accepted empty pattern")
 	}
 	p := bytePattern(0)
-	if _, err := Profile(c, &p, 99, 64, rng); err == nil {
+	if _, err := ProfileModel(c, &p, fault.XorFlip, 99, 64, rng); err == nil {
 		t.Error("accepted bad round")
 	}
 }
@@ -193,9 +208,85 @@ func TestGIFTDFAValidation(t *testing.T) {
 	}
 }
 
+func TestGIFT128DFASingleNibble(t *testing.T) {
+	rng := prng.New(808)
+	key := make([]byte, 16)
+	rng.Fill(key)
+	c, err := gift.New128(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := nibblePattern128(5)
+	res, err := GIFTDFA(c, &pattern, GIFTDFAConfig{Pairs: 512}, rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Correct {
+		t.Fatalf("recovered bits disagree with the true schedule (%s)", res.Notes)
+	}
+	// The round-40 key (64 bits) plus a sizeable part of round 39:
+	// already more master-key material than the paper's 80/128 for
+	// GIFT-64, because GIFT-128 carries 64 key bits per round.
+	if res.RecoveredBits < 64 {
+		t.Errorf("recovered %d bits (%s), want >= 64", res.RecoveredBits, res.Notes)
+	}
+}
+
+func TestGIFT128DFAMultiNibble(t *testing.T) {
+	rng := prng.New(809)
+	key := make([]byte, 16)
+	rng.Fill(key)
+	c, _ := gift.New128(key)
+	pattern := nibblePattern128(8, 9, 10)
+	res, err := GIFTDFA(c, &pattern, GIFTDFAConfig{Pairs: 512}, rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Correct {
+		t.Fatalf("incorrect bits for the multi-nibble model (%s)", res.Notes)
+	}
+	if res.RecoveredBits < 32 {
+		t.Errorf("recovered %d bits (%s)", res.RecoveredBits, res.Notes)
+	}
+}
+
+func TestGIFT128DFAValidation(t *testing.T) {
+	rng := prng.New(810)
+	// PRESENT-80 shares GIFT-64's width but not its key addition.
+	present, _ := gift.New(gift.PRESENT80, make([]byte, 10))
+	p64 := nibblePattern(0)
+	if _, err := GIFTDFA(present, &p64, GIFTDFAConfig{}, rng); err == nil {
+		t.Error("accepted a present80 instance")
+	}
+	c64, _ := gift.New64(make([]byte, 16))
+	p128 := nibblePattern128(0)
+	if _, err := GIFTDFA(c64, &p128, GIFTDFAConfig{}, rng); err == nil {
+		t.Error("accepted a 128-bit pattern on gift64")
+	}
+	c128, _ := gift.New128(make([]byte, 16))
+	empty := bitvec.New(128)
+	if _, err := GIFTDFA(c128, &empty, GIFTDFAConfig{}, rng); err == nil {
+		t.Error("accepted empty pattern")
+	}
+	if _, err := GIFTDFA(c128, &p64, GIFTDFAConfig{}, rng); err == nil {
+		t.Error("accepted 64-bit pattern")
+	}
+}
+
+func TestRecoveryMerge(t *testing.T) {
+	// U bit 1 is known (as 0) and keeps its value; U bit 2 and V bit 0
+	// are new.
+	r := recovery{u: 0b01, gotU: 0b11}
+	n := r.merge(recovery{u: 0b110, v: 1, gotU: 0b110, gotV: 1})
+	if want := (recovery{u: 0b101, v: 1, gotU: 0b111, gotV: 1}); n != 2 || r != want {
+		t.Errorf("merge added %d bits, left %+v; want 2 bits, %+v", n, r, want)
+	}
+}
+
 func TestInvRound64IsRoundInverse(t *testing.T) {
-	// invRound64 must invert SubCells+PermBits: encrypting one round
+	// invRound must invert SubCells+PermBits: encrypting one round
 	// without keys and inverting must give back the input.
+	c, _ := gift.New64(make([]byte, 16))
 	rng := prng.New(5)
 	for trial := 0; trial < 100; trial++ {
 		s := rng.Uint64()
@@ -206,18 +297,47 @@ func TestInvRound64IsRoundInverse(t *testing.T) {
 		}
 		var perm uint64
 		for i := 0; i < 64; i++ {
-			perm |= (sub >> uint(i) & 1) << uint(gift.Perm64(i))
+			perm |= (sub >> uint(i) & 1) << uint(c.Perm(i))
 		}
-		if got := invRound64(perm); got != s {
-			t.Fatalf("invRound64 failed: got %x, want %x", got, s)
+		if got := invRound(c, state{perm}); got != (state{s}) {
+			t.Fatalf("invRound failed: got %x, want %x", got, s)
 		}
 	}
 }
 
 func TestLE64(t *testing.T) {
 	b := []byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}
-	if got := le64(b); got != 0x8000000000000001 {
-		t.Errorf("le64 = %x", got)
+	if got := leState(b); got != (state{0x8000000000000001}) {
+		t.Errorf("leState = %x", got)
+	}
+}
+
+func TestInvRound128IsRoundInverse(t *testing.T) {
+	c, _ := gift.New128(make([]byte, 16))
+	rng := prng.New(811)
+	for trial := 0; trial < 50; trial++ {
+		s := state{rng.Uint64(), rng.Uint64()}
+		var sub state
+		for n := 0; n < 32; n++ {
+			sub[n/16] |= uint64(gift.SBox(byte(s[n/16]>>(4*uint(n%16))&0xf))) << (4 * uint(n%16))
+		}
+		var perm state
+		for i := 0; i < 128; i++ {
+			j := c.Perm(i)
+			perm[j/64] |= (sub[i/64] >> (uint(i) % 64) & 1) << (uint(j) % 64)
+		}
+		if got := invRound(c, perm); got != s {
+			t.Fatalf("invRound failed: got %x, want %x", got, s)
+		}
+	}
+}
+
+func TestLE128(t *testing.T) {
+	b := make([]byte, 16)
+	b[0] = 0x01  // bit 0
+	b[15] = 0x80 // bit 127
+	if s := leState(b); s != (state{1, 1 << 63}) {
+		t.Errorf("leState bit mapping wrong: %x", s)
 	}
 }
 
@@ -235,21 +355,33 @@ func BenchmarkAESPiretQuisquater(b *testing.B) {
 }
 
 func BenchmarkGIFTDFA(b *testing.B) {
-	rng := prng.New(2)
-	key := make([]byte, 16)
-	rng.Fill(key)
-	c, _ := gift.New64(key)
-	pattern := nibblePattern(8, 9, 10, 11, 12, 14)
-	for _, sub := range []struct {
+	for _, v := range []struct {
 		name    string
-		noBatch bool
-	}{{"batch", false}, {"scalar", true}} {
-		b.Run(sub.name, func(b *testing.B) {
-			cfg := GIFTDFAConfig{Pairs: 64, TemplateSamples: 1024, NoBatch: sub.noBatch}
-			for i := 0; i < b.N; i++ {
-				if _, err := GIFTDFA(c, &pattern, cfg, rng.Split()); err != nil {
-					b.Fatal(err)
-				}
+		variant gift.Variant
+		seed    uint64
+		pattern bitvec.Vector
+		pairs   int
+	}{
+		{"gift64", gift.GIFT64, 2, nibblePattern(8, 9, 10, 11, 12, 14), 64},
+		{"gift128", gift.GIFT128, 4, nibblePattern128(5), 128},
+	} {
+		rng := prng.New(v.seed)
+		key := make([]byte, 16)
+		rng.Fill(key)
+		c, _ := gift.New(v.variant, key)
+		b.Run(v.name, func(b *testing.B) {
+			for _, sub := range []struct {
+				name    string
+				noBatch bool
+			}{{"batch", false}, {"scalar", true}} {
+				b.Run(sub.name, func(b *testing.B) {
+					cfg := GIFTDFAConfig{Pairs: v.pairs, TemplateSamples: 1024, NoBatch: sub.noBatch}
+					for i := 0; i < b.N; i++ {
+						if _, err := GIFTDFA(c, &v.pattern, cfg, rng.Split()); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}

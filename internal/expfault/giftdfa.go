@@ -1,8 +1,10 @@
 package expfault
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/ciphers"
@@ -11,10 +13,10 @@ import (
 	"repro/internal/prng"
 )
 
-// GIFTDFAConfig tunes the GIFT-64 differential fault attack.
+// GIFTDFAConfig tunes the GIFT differential fault attack.
 type GIFTDFAConfig struct {
-	// FaultRound is where the fault model injects (default 25, §IV-D;
-	// GIFT128DFA defaults to 37).
+	// FaultRound is where the fault model injects (default three rounds
+	// before the last: 25 for GIFT-64, as in §IV-D, and 37 for GIFT-128).
 	FaultRound int
 	// Pairs is the number of online faulty encryptions (default 1024;
 	// recovered bits grow with the pair count because acceptance is
@@ -44,9 +46,10 @@ type GIFTDFAConfig struct {
 	NoBatch bool
 }
 
-func (c *GIFTDFAConfig) setDefaults() {
+// setDefaults fills the zero fields for a cipher of the given round count.
+func (c *GIFTDFAConfig) setDefaults(rounds int) {
 	if c.FaultRound == 0 {
-		c.FaultRound = 25
+		c.FaultRound = rounds - 3
 	}
 	if c.Pairs == 0 {
 		c.Pairs = 1024
@@ -73,40 +76,48 @@ func (c *GIFTDFAConfig) check(rounds int) error {
 	return nil
 }
 
-// GIFTDFA mounts a nibble-wise guess-and-filter DFA against GIFT-64 for
-// an arbitrary fault model (bit pattern injected at FaultRound), the
-// verification step the paper performs with ExpFault on the newly
-// discovered {8,9,10,11,12,14} multi-nibble model.
+// giftVariants are the ciphers GIFTDFA attacks, by name.
+var giftVariants = map[string]gift.Variant{"gift64": gift.GIFT64, "gift128": gift.GIFT128}
+
+// GIFTDFA mounts a nibble-wise guess-and-filter DFA against GIFT-64 or
+// GIFT-128 for an arbitrary fault model (bit pattern injected at
+// FaultRound), the verification step the paper performs with ExpFault on
+// the newly discovered {8,9,10,11,12,14} multi-nibble model.
 //
 // The attack exploits two structural facts. First, GIFT's AddRoundKey
-// XORs key bits only at state bits 4i and 4i+1, and PermBits preserves
-// the bit index mod 4, so the four pre-permutation bits feeding one
-// input nibble of round r contain exactly two unknown key bits —
-// each nibble of the round-key pair is filtered independently over just
-// 4 guesses. Second, XOR differentials pass through AddRoundKey
-// unchanged, so the differential distribution of a round input is
-// computable offline from the fault model alone (it is key-independent
-// for uniform plaintexts); the attacker matches observed differentials
-// against that template by log-likelihood.
+// XORs key bits only at state bits 4i+o and 4i+o+1 (o = 0 for GIFT-64,
+// 1 for GIFT-128), and PermBits preserves the bit index mod 4, so the
+// four pre-permutation bits feeding one input nibble of round r contain
+// exactly two unknown key bits — each nibble of the round-key pair is
+// filtered independently over just 4 guesses. Second, XOR differentials
+// pass through AddRoundKey unchanged, so the differential distribution of
+// a round input is computable offline from the fault model alone (it is
+// key-independent for uniform plaintexts); the attacker matches observed
+// differentials against that template by log-likelihood.
 //
-// Round keys 28 and then 27 are recovered (64 bits; the GIFT key schedule
-// is a bit permutation/rotation, so round-key bits are master-key bits).
-// Nibbles whose differential carries no information (inactive or
-// template-flat) are reported unrecovered, mirroring ExpFault's partial
-// key recovery for GIFT (80/128 in the paper, which additionally exploits
-// a second fault at round 23 for the rest).
+// The last round key and then the one before it are recovered (the GIFT
+// key schedule is a bit permutation/rotation, so round-key bits are
+// master-key bits): round keys 28 and 27 of GIFT-64 (64 bits), 40 and 39
+// of GIFT-128 (128 bits). On GIFT-64 a cone phase between the two also
+// attacks the round-27 input nibbles whose four feeding nibbles phase 1
+// left open; GIFT-128 has no cone phase, so wide fault models recover
+// fewer bits there. Nibbles whose differential carries no information
+// (inactive or template-flat) are reported unrecovered, mirroring
+// ExpFault's partial key recovery for GIFT (80/128 in the paper, which
+// additionally exploits a second fault at round 23 for the rest).
 func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng *prng.Source) (*KeyRecoveryResult, error) {
-	cfg.setDefaults()
-	if target.Name() != "gift64" {
-		return nil, fmt.Errorf("expfault: GIFTDFA supports gift64 only")
+	variant, ok := giftVariants[target.Name()]
+	if !ok {
+		return nil, fmt.Errorf("expfault: GIFTDFA supports gift64 and gift128, not %s", target.Name())
 	}
-	if pattern.Len() != 64 {
-		return nil, fmt.Errorf("expfault: pattern width %d, want 64", pattern.Len())
+	rounds := target.Rounds() // 28 or 40
+	cfg.setDefaults(rounds)
+	if width := 8 * target.BlockBytes(); pattern.Len() != width {
+		return nil, fmt.Errorf("expfault: pattern width %d, want %d", pattern.Len(), width)
 	}
 	if pattern.IsZero() {
 		return nil, fmt.Errorf("expfault: empty pattern")
 	}
-	rounds := target.Rounds() // 28
 	if err := cfg.check(rounds); err != nil {
 		return nil, err
 	}
@@ -117,75 +128,77 @@ func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng
 	// uniform plaintexts make every intermediate state uniform.
 	tmplKey := make([]byte, 16)
 	rng.Fill(tmplKey)
-	tmplCipher, err := gift.New64(tmplKey)
+	tmplCipher, err := gift.New(variant, tmplKey)
 	if err != nil {
 		return nil, err
 	}
 	tmplKern := ciphers.NewKernel(tmplCipher, cfg.NoBatch)
-	tmpl28 := diffTemplate(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds, cfg.TemplateSamples, rng)
-	tmpl27 := diffTemplate(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds-1, cfg.TemplateSamples, rng)
+	tmplLast := diffTemplate(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds, cfg.TemplateSamples, rng)
+	tmplPrev := diffTemplate(tmplCipher, tmplKern, pattern, cfg.Model, cfg.FaultRound, rounds-1, cfg.TemplateSamples, rng)
 
 	// Online phase: collect ciphertext pairs from the target.
-	cc := make([]uint64, cfg.Pairs)
-	cf := make([]uint64, cfg.Pairs)
+	cc := make([]state, cfg.Pairs)
+	cf := make([]state, cfg.Pairs)
 	p := 0
 	collectForks(target, ciphers.NewKernel(target, cfg.NoBatch), pattern, cfg.Model, cfg.FaultRound,
 		[]ciphers.BatchPoint{{Round: 0}}, cfg.Pairs, rng, func(_ int, clean, faulty []byte) {
-			cc[p], cf[p] = le64(clean), le64(faulty)
+			cc[p], cf[p] = leState(clean), leState(faulty)
 			p++
 		})
 
-	guesses := 0.0
+	// Phase 1: recover the last round key nibble by nibble from
+	// ciphertexts.
+	nibbles := 2 * target.BlockBytes()
+	guesses := float64(4 * nibbles * cfg.Pairs)
+	last := recoverRoundKey(target, cc, cf, tmplLast, rounds, cfg.MinMargin)
+	recovered := last.known()
 
-	// Phase 1: recover round key 28 nibble by nibble from ciphertexts.
-	rk28 := recoverRoundKey(cc, cf, tmpl28, rounds, cfg.MinMargin)
-	guesses += 16 * 4 * float64(cfg.Pairs)
+	var prev recovery
+	var notes string
+	if variant == gift.GIFT64 {
+		notes = fmt.Sprintf("RK28: %d/32 bits (min margin %.3f)", recovered, last.minMargin)
+		// Phase 2: cone recovery at the round-27 input (the paper's own
+		// observation point, §IV-D). Each input-27 nibble is computed
+		// from four input-28 nibbles, so its cone covers up to eight RK28
+		// bits (those not already fixed by phase 1) plus two RK27 bits;
+		// the much stronger round-27 differential template scores the
+		// joint guess.
+		guesses += coneRecover(target, cc, cf, tmplPrev, rounds, &last, &prev, cfg.MinMargin)
+		n28b, n27 := last.known()-recovered, prev.known()
+		recovered += n28b + n27
+		notes += fmt.Sprintf("; cone phase: +%d RK28 bits, %d/32 RK27 bits", n28b, n27)
+	} else {
+		notes = fmt.Sprintf("RK40: %d/64 bits", recovered)
+	}
 
-	recovered := countBits16(rk28.gotU) + countBits16(rk28.gotV)
-	notes := fmt.Sprintf("RK28: %d/32 bits (min margin %.3f)", recovered, minOf(rk28.margins))
-
-	// Phase 2: cone recovery at the round-27 input (the paper's own
-	// observation point, §IV-D). Each input-27 nibble is computed from
-	// four input-28 nibbles, so its cone covers up to eight RK28 bits
-	// (those not already fixed by phase 1) plus two RK27 bits; the much
-	// stronger round-27 differential template scores the joint guess.
-	var rk27 recovery
-	coneGuesses := coneRecover(cc, cf, tmpl27, rounds, &rk28, &rk27, cfg.MinMargin)
-	guesses += coneGuesses
-	n28b := countBits16(rk28.gotU) + countBits16(rk28.gotV) - recovered
-	n27 := countBits16(rk27.gotU) + countBits16(rk27.gotV)
-	recovered += n28b + n27
-	notes += fmt.Sprintf("; cone phase: +%d RK28 bits, %d/32 RK27 bits", n28b, n27)
-
-	if rk28.gotU == 0xffff && rk28.gotV == 0xffff {
-		// Peel round 28 with the full recovered key and refine RK27 with
-		// the cheap per-nibble filter as a cross-check/completion.
-		k28 := gift.KeyMask64(rk28.u, rk28.v) ^ gift.ConstMask64(rounds)
-		s27c := make([]uint64, cfg.Pairs)
-		s27f := make([]uint64, cfg.Pairs)
-		for p := 0; p < cfg.Pairs; p++ {
-			s27c[p] = invRound64(cc[p] ^ k28)
-			s27f[p] = invRound64(cf[p] ^ k28)
+	if full := ^uint32(0) >> (32 - nibbles); last.gotU == full && last.gotV == full {
+		// Peel the last round with the full recovered key and filter the
+		// previous round key nibble by nibble: on GIFT-64 a cross-check
+		// and completion of the cone phase.
+		k := state(target.KeyMask(last.u, last.v)).xor(target.ConstMask(rounds))
+		sc := make([]state, cfg.Pairs)
+		sf := make([]state, cfg.Pairs)
+		for p := range sc {
+			sc[p] = invRound(target, cc[p].xor(k))
+			sf[p] = invRound(target, cf[p].xor(k))
 		}
-		peeled := recoverRoundKey(s27c, s27f, tmpl27, rounds-1, cfg.MinMargin)
-		guesses += 16 * 4 * float64(cfg.Pairs)
-		add27 := (peeled.gotU &^ rk27.gotU) | (peeled.gotV &^ rk27.gotV)
-		if add27 != 0 {
-			rk27.u |= peeled.u & peeled.gotU &^ rk27.gotU
-			rk27.v |= peeled.v & peeled.gotV &^ rk27.gotV
-			extra := countBits16(peeled.gotU&^rk27.gotU) + countBits16(peeled.gotV&^rk27.gotV)
-			rk27.gotU |= peeled.gotU
-			rk27.gotV |= peeled.gotV
-			recovered += extra
+		peeled := recoverRoundKey(target, sc, sf, tmplPrev, rounds-1, cfg.MinMargin)
+		guesses += float64(4 * nibbles * cfg.Pairs)
+		extra := prev.merge(peeled)
+		recovered += extra
+		if variant == gift.GIFT128 {
+			notes += fmt.Sprintf("; RK39: %d/64 bits", extra)
+		} else if extra != 0 {
 			notes += fmt.Sprintf("; peel phase: +%d RK27 bits", extra)
 		}
+	} else if variant == gift.GIFT128 {
+		notes += "; RK40 incomplete, round 39 not attacked"
 	}
 
 	// Verify every claimed bit against the target's true schedule.
-	tu28, tv28 := target.RoundKeyWords(rounds)
-	tu27, tv27 := target.RoundKeyWords(rounds - 1)
-	correct := rk28.matches(uint16(tu28), uint16(tv28)) &&
-		rk27.matches(uint16(tu27), uint16(tv27))
+	tu, tv := target.RoundKeyWords(rounds)
+	pu, pv := target.RoundKeyWords(rounds - 1)
+	correct := last.matches(tu, tv) && prev.matches(pu, pv)
 
 	return &KeyRecoveryResult{
 		RecoveredBits: recovered,
@@ -199,12 +212,14 @@ func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng
 
 // diffTemplate returns, per nibble, the distribution of the differential
 // at the input of obsRound for the fault model, from samples simulations
-// through collectForks (kern nil selects the scalar reference path). A
-// fork cannot observe before its own round: an observation round ahead of
-// the fault sees a zero differential, but its samples are still drawn so
-// that later phases read the same PRNG stream.
-func diffTemplate(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vector, model fault.Model, faultRound, obsRound, samples int, rng *prng.Source) [16][16]float64 {
-	var hist [16][16]int
+// through collectForks (kern nil selects the scalar reference path); rows
+// past the cipher's nibble count stay zero. A fork cannot observe before
+// its own round: an observation round ahead of the fault sees a zero
+// differential, but its samples are still drawn so that later phases read
+// the same PRNG stream.
+func diffTemplate(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vector, model fault.Model, faultRound, obsRound, samples int, rng *prng.Source) [32][16]float64 {
+	nibbles := uint(2 * c.BlockBytes())
+	var hist [32][16]int
 	var points []ciphers.BatchPoint
 	if obsRound >= faultRound {
 		points = []ciphers.BatchPoint{{Round: obsRound}}
@@ -214,13 +229,13 @@ func diffTemplate(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vect
 		}
 	}
 	collectForks(c, kern, pattern, model, faultRound, points, samples, rng, func(_ int, clean, faulty []byte) {
-		d := le64(clean) ^ le64(faulty)
-		for n := 0; n < 16; n++ {
-			hist[n][d>>(4*uint(n))&0xf]++
+		d := leState(clean).xor(leState(faulty))
+		for n := uint(0); n < nibbles; n++ {
+			hist[n][d[n/16%2]>>(4*(n%16))&0xf]++
 		}
 	})
-	var tmpl [16][16]float64
-	for n := 0; n < 16; n++ {
+	var tmpl [32][16]float64
+	for n := uint(0); n < nibbles; n++ {
 		for v := 0; v < 16; v++ {
 			// Laplace smoothing keeps log-likelihoods finite.
 			tmpl[n][v] = (float64(hist[n][v]) + 0.5) / (float64(samples) + 8)
@@ -232,57 +247,78 @@ func diffTemplate(c *gift.Cipher, kern ciphers.BatchKernel, pattern *bitvec.Vect
 // recovery holds the outcome of one round-key recovery phase: the U and V
 // word values with bitmasks of which word bits were actually determined.
 type recovery struct {
-	u, v       uint16
-	gotU, gotV uint16
-	margins    [16]float64
+	u, v       uint32
+	gotU, gotV uint32
+	// minMargin is the least guess significance over the round's nibbles
+	// (set by recoverRoundKey only).
+	minMargin float64
 }
 
+// known returns the number of determined key bits.
+func (r recovery) known() int { return bits.OnesCount32(r.gotU) + bits.OnesCount32(r.gotV) }
+
 // matches reports whether every determined bit agrees with the true words.
-func (r recovery) matches(tu, tv uint16) bool {
+func (r recovery) matches(tu, tv uint32) bool {
 	return r.u&r.gotU == tu&r.gotU && r.v&r.gotV == tv&r.gotV
 }
+
+// merge adds the bits o determined that r had not and returns how many.
+func (r *recovery) merge(o recovery) int {
+	newU, newV := o.gotU&^r.gotU, o.gotV&^r.gotV
+	r.u |= o.u & newU
+	r.v |= o.v & newV
+	r.gotU |= newU
+	r.gotV |= newV
+	return bits.OnesCount32(newU) + bits.OnesCount32(newV)
+}
+
+// keyBit returns o, the intra-nibble position of the V key bits in c's
+// AddRoundKey (U bits sit at o+1): the state bit KeyMask puts V bit 0 at.
+func keyBit(c *gift.Cipher) int { return bits.TrailingZeros64(c.KeyMask(0, 1)[0]) }
 
 // recoverRoundKey guesses, for every input nibble n of the round, the two
 // key bits that gate it, scoring guesses by the log-likelihood of the
 // observed input differentials under the template. Nibble n is fed by the
-// pre-permutation bits P(4n+j); of these, P(4n) carries V bit P(4n)/4 and
-// P(4n+1) carries U bit (P(4n+1)-1)/4 (GIFT keys bits 4i and 4i+1 only,
-// and PermBits preserves the bit index mod 4). A guess's bits count as
-// recovered only when its per-pair log-likelihood lead over the runner-up
-// is statistically significant (see GIFTDFAConfig.MinMargin).
-func recoverRoundKey(cc, cf []uint64, tmpl [16][16]float64, round int, minMargin float64) recovery {
+// pre-permutation bits P(4n+j); of these, P(4n+o) carries V bit
+// P(4n+o)/4 and P(4n+o+1) carries U bit P(4n+o+1)/4 (GIFT keys bits 4i+o
+// and 4i+o+1 only, and PermBits preserves the bit index mod 4). A guess's
+// bits count as recovered only when its per-pair log-likelihood lead over
+// the runner-up is statistically significant (see GIFTDFAConfig.MinMargin).
+func recoverRoundKey(c *gift.Cipher, cc, cf []state, tmpl [32][16]float64, round int, minMargin float64) recovery {
 	var out recovery
-	cm := gift.ConstMask64(round)
+	o := keyBit(c)
+	cm := c.ConstMask(round)
 	pairs := len(cc)
 	perPair := make([][]float64, 4)
 	for g := range perPair {
 		perPair[g] = make([]float64, pairs)
 	}
 	idx := make([]uint16, pairs)
-	for n := 0; n < 16; n++ {
+	for n := 0; n < 2*c.BlockBytes(); n++ {
 		var pos [4]int
-		for j := 0; j < 4; j++ {
-			pos[j] = gift.Perm64(4*n + j)
+		for j := range pos {
+			pos[j] = c.Perm(4*n + j)
 		}
-		vIdx := pos[0] / 4
-		uIdx := (pos[1] - 1) / 4
+		vIdx, uIdx := pos[o]/4, pos[o+1]/4
 		// Batched guess evaluation: the guess bits land at intra-nibble
-		// positions 0 and 1 of the assembled nibble, so a guess g XORs the
-		// value g straight into both sides. Extract the guess-free nibble
+		// positions o and o+1 of the assembled nibble, so a guess g XORs
+		// g<<o straight into both sides. Extract the guess-free nibble
 		// pair once per trace and fold the guess plus both inverse S-box
 		// passes and the log into a 4x256 table — the per-(guess, pair)
 		// work drops from eight bit gathers to one lookup, with float
 		// values and summation order identical to the direct loop.
+		cmNib := extractNibble(cm, pos)
 		for p := range cc {
-			a0 := extractNibble(cc[p]^cm, pos)
-			b0 := extractNibble(cf[p]^cm, pos)
+			a0 := extractNibble(cc[p], pos) ^ cmNib
+			b0 := extractNibble(cf[p], pos) ^ cmNib
 			idx[p] = uint16(a0) | uint16(b0)<<4
 		}
 		var llTab [4][256]float64
 		for g := 0; g < 4; g++ {
+			gx := byte(g) << o
 			for a0 := 0; a0 < 16; a0++ {
 				for b0 := 0; b0 < 16; b0++ {
-					d := gift.InvSBox(byte(a0)^byte(g)) ^ gift.InvSBox(byte(b0)^byte(g))
+					d := gift.InvSBox(byte(a0)^gx) ^ gift.InvSBox(byte(b0)^gx)
 					llTab[g][a0|b0<<4] = math.Log(tmpl[n][d])
 				}
 			}
@@ -307,12 +343,15 @@ func recoverRoundKey(cc, cf []uint64, tmpl [16][16]float64, round int, minMargin
 				second = g
 			}
 		}
-		out.margins[n] = gapSignificance(perPair[best], perPair[second])
-		if out.margins[n] >= minMargin {
+		margin := gapSignificance(perPair[best], perPair[second])
+		if n == 0 || margin < out.minMargin {
+			out.minMargin = margin
+		}
+		if margin >= minMargin {
 			out.gotV |= 1 << uint(vIdx)
 			out.gotU |= 1 << uint(uIdx)
-			out.v |= uint16(best&1) << uint(vIdx)
-			out.u |= uint16(best>>1) << uint(uIdx)
+			out.v |= uint32(best&1) << uint(vIdx)
+			out.u |= uint32(best>>1) << uint(uIdx)
 		}
 	}
 	return out
@@ -345,15 +384,6 @@ func gapSignificance(a, b []float64) float64 {
 		return 0
 	}
 	return mean / (sd / math.Sqrt(n))
-}
-
-func countBits16(m uint16) int {
-	n := 0
-	for m != 0 {
-		n++
-		m &= m - 1
-	}
-	return n
 }
 
 // feedTab caches, for one feeding input-28 nibble, the candidate values
@@ -395,9 +425,10 @@ func conePerPair(tabs [4]feedTab, off [4]int, q [4]int, cm27 uint64, tmpl [16]fl
 // descending margin order so overlapping claims resolve to the stronger
 // cone; previously-known RK28 bits constrain the enumeration. It returns
 // the number of guess evaluations (for the offline-complexity estimate).
-func coneRecover(cc, cf []uint64, tmpl [16][16]float64, rounds int, rk28, rk27 *recovery, minMargin float64) float64 {
-	cm28 := gift.ConstMask64(rounds)
-	cm27 := gift.ConstMask64(rounds - 1)
+// It runs on GIFT-64 only.
+func coneRecover(c *gift.Cipher, cc, cf []state, tmpl [32][16]float64, rounds int, rk28, rk27 *recovery, minMargin float64) float64 {
+	cm28 := c.ConstMask(rounds)
+	cm27 := c.ConstMask(rounds - 1)[0]
 	pairs := len(cc)
 	work := 0.0
 
@@ -416,7 +447,7 @@ func coneRecover(cc, cf []uint64, tmpl [16][16]float64, rounds int, rk28, rk27 *
 		// feeding input-27 nibble m, and the RK27 bits among them.
 		var q [4]int
 		for j := 0; j < 4; j++ {
-			q[j] = gift.Perm64(4*m + j)
+			q[j] = c.Perm(4*m + j)
 		}
 		v27Idx := q[0] / 4
 		u27Idx := (q[1] - 1) / 4
@@ -433,7 +464,7 @@ func coneRecover(cc, cf []uint64, tmpl [16][16]float64, rounds int, rk28, rk27 *
 			f := feed[j]
 			var pos [4]int
 			for i := 0; i < 4; i++ {
-				pos[i] = gift.Perm64(4*f + i)
+				pos[i] = c.Perm(4*f + i)
 			}
 			vIdx := pos[0] / 4
 			uIdx := (pos[1] - 1) / 4
@@ -446,17 +477,21 @@ func coneRecover(cc, cf []uint64, tmpl [16][16]float64, rounds int, rk28, rk27 *
 					ok = false
 				}
 				tabs[j].allowed[g] = ok
-				if !ok {
-					continue
+				if ok {
+					tabs[j].vals[g] = make([]byte, pairs)
 				}
-				gm := uint64(g&1)<<uint(pos[0]) | uint64(g>>1)<<uint(pos[1])
-				vals := make([]byte, pairs)
-				for p := 0; p < pairs; p++ {
-					a := gift.InvSBox(extractNibble(cc[p]^cm28^gm, pos))
-					b := gift.InvSBox(extractNibble(cf[p]^cm28^gm, pos))
-					vals[p] = a | b<<4
+			}
+			// The guess's V and U bits sit at bits 0 and 1 of the
+			// assembled nibble, so guess g XORs g into it.
+			cmNib := extractNibble(cm28, pos)
+			for p := 0; p < pairs; p++ {
+				a := extractNibble(cc[p], pos) ^ cmNib
+				b := extractNibble(cf[p], pos) ^ cmNib
+				for g, vals := range tabs[j].vals {
+					if vals != nil {
+						vals[p] = gift.InvSBox(a^byte(g)) | gift.InvSBox(b^byte(g))<<4
+					}
 				}
-				tabs[j].vals[g] = vals
 			}
 		}
 		// Enumerate joint guesses. The RK27 guess bits sit at intra-nibble
@@ -573,71 +608,69 @@ func coneRecover(cc, cf []uint64, tmpl [16][16]float64, rounds int, rk28, rk27 *
 			f := r.feed[j]
 			var pos [4]int
 			for i := 0; i < 4; i++ {
-				pos[i] = gift.Perm64(4*f + i)
+				pos[i] = c.Perm(4*f + i)
 			}
 			vIdx := pos[0] / 4
 			uIdx := (pos[1] - 1) / 4
 			g := r.bestG28[j]
 			if rk28.gotV>>uint(vIdx)&1 == 0 {
 				rk28.gotV |= 1 << uint(vIdx)
-				rk28.v |= uint16(g&1) << uint(vIdx)
+				rk28.v |= uint32(g&1) << uint(vIdx)
 			}
 			if rk28.gotU>>uint(uIdx)&1 == 0 {
 				rk28.gotU |= 1 << uint(uIdx)
-				rk28.u |= uint16(g>>1) << uint(uIdx)
+				rk28.u |= uint32(g>>1) << uint(uIdx)
 			}
 		}
 		if rk27.gotV>>uint(r.v27)&1 == 0 {
 			rk27.gotV |= 1 << uint(r.v27)
-			rk27.v |= uint16(r.bestG27&1) << uint(r.v27)
+			rk27.v |= uint32(r.bestG27&1) << uint(r.v27)
 		}
 		if rk27.gotU>>uint(r.u27)&1 == 0 {
 			rk27.gotU |= 1 << uint(r.u27)
-			rk27.u |= uint16(r.bestG27>>1) << uint(r.u27)
+			rk27.u |= uint32(r.bestG27>>1) << uint(r.u27)
 		}
 	}
 	return work
 }
 
+// state is a GIFT state in repository bit order: bit i in word i/64 at
+// position i%64. GIFT-64 uses word 0 only.
+type state [2]uint64
+
+func (s state) xor(o state) state { return state{s[0] ^ o[0], s[1] ^ o[1]} }
+
+// leState loads a block in repository bit order (bit i of the state is
+// bit i%8 of byte i/8): 8 bytes for GIFT-64, 16 for GIFT-128.
+func leState(b []byte) state {
+	s := state{binary.LittleEndian.Uint64(b)}
+	if len(b) > 8 {
+		s[1] = binary.LittleEndian.Uint64(b[8:])
+	}
+	return s
+}
+
 // extractNibble assembles the 4 bits at pos into a nibble value (bit j of
 // the result from pos[j]).
-func extractNibble(s uint64, pos [4]int) byte {
+func extractNibble(s state, pos [4]int) byte {
 	var x byte
-	for j := 0; j < 4; j++ {
-		x |= byte(s>>uint(pos[j])&1) << uint(j)
+	for j, p := range pos {
+		x |= byte(s[uint(p)/64%2]>>(uint(p)%64)&1) << uint(j)
 	}
 	return x
 }
 
-// invRound64 inverts one key-free GIFT-64 round (inverse permutation then
+// invRound inverts one key-free round of c (inverse permutation then
 // inverse S-box); the caller removes AddRoundKey first.
-func invRound64(s uint64) uint64 {
-	var out uint64
-	for i := 0; i < 64; i++ {
-		out |= (s >> uint(gift.Perm64(i)) & 1) << uint(i)
+func invRound(c *gift.Cipher, s state) state {
+	var out state
+	for i := uint(0); i < uint(8*c.BlockBytes()); i++ {
+		j := uint(c.Perm(int(i)))
+		out[i/64%2] |= (s[j/64%2] >> (j % 64) & 1) << (i % 64)
 	}
-	var sub uint64
-	for n := 0; n < 16; n++ {
-		sub |= uint64(gift.InvSBox(byte(out>>(4*uint(n))&0xf))) << (4 * uint(n))
+	var sub state
+	for n := uint(0); n < uint(2*c.BlockBytes()); n++ {
+		sub[n/16%2] |= uint64(gift.InvSBox(byte(out[n/16%2]>>(4*(n%16))&0xf))) << (4 * (n % 16))
 	}
 	return sub
-}
-
-// le64 assembles a repository-bit-order byte slice into a uint64.
-func le64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func minOf(xs [16]float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }

@@ -88,7 +88,7 @@ func TestExpFaultGolden(t *testing.T) {
 			for _, round := range []int{0, 40} {
 				cfg := GIFTDFAConfig{FaultRound: round, Pairs: 197, TemplateSamples: 1000, Model: model, NoBatch: noBatch}
 				rng := prng.New(uint64(round) + 5)
-				res, err := GIFT128DFA(g128, &p128, cfg, rng)
+				res, err := GIFTDFA(g128, &p128, cfg, rng)
 				if err != nil {
 					t.Fatalf("gift128 %v round %d: %v", model, round, err)
 				}

@@ -3,8 +3,9 @@
 // by ExploreFault, it (i) profiles how the fault differential propagates
 // through the cipher (distinguisher identification), and (ii) mounts
 // concrete differential fault attacks — the Piret–Quisquater attack on
-// AES-128 and a nibble-wise guess-and-filter attack on GIFT-64 — reporting
-// how many key bits are recovered and at what offline complexity.
+// AES-128 and a nibble-wise guess-and-filter attack on GIFT-64 and
+// GIFT-128 — reporting how many key bits are recovered and at what
+// offline complexity.
 //
 // This is a reimplementation of ExpFault's *question* ("does this fault
 // model admit key recovery, and how expensive is it?") rather than its
@@ -44,19 +45,12 @@ type PropagationProfile struct {
 	GroupBits          int
 }
 
-// Profile simulates the fault model (pattern at the given round) and
-// measures, for every later round input, the mean number of active
-// differential groups and the per-group entropy, using samples paired
-// encryptions. A round counts as distinguishable if its mean active-group
-// count is at least one group below the state total or its mean entropy is
-// at least 0.25 bits below the uniform maximum.
-func Profile(c ciphers.Cipher, pattern *bitvec.Vector, round, samples int, rng *prng.Source) (*PropagationProfile, error) {
-	return ProfileModel(c, pattern, fault.XorFlip, round, samples, rng)
-}
-
-// ProfileModel is Profile under a typed fault model. For fault.XorFlip it
-// is bit-identical to Profile; other models draw per-trace (AND, XOR)
-// injections from the same pattern.
+// ProfileModel simulates the fault model (pattern at the given round,
+// injected under model) and measures, for every later round input, the
+// mean number of active differential groups and the per-group entropy,
+// using samples paired encryptions. A round counts as distinguishable if
+// its mean active-group count is at least one group below the state total
+// or its mean entropy is at least 0.25 bits below the uniform maximum.
 func ProfileModel(c ciphers.Cipher, pattern *bitvec.Vector, model fault.Model, round, samples int, rng *prng.Source) (*PropagationProfile, error) {
 	stateBits := 8 * c.BlockBytes()
 	if pattern.Len() != stateBits {

@@ -709,6 +709,8 @@ func TestEntryPointsRejectBadValues(t *testing.T) {
 		"gift64 dfa round -3":    verify(one, VerifyConfig{Cipher: "gift64", Round: -3}),
 		"gift128 dfa pairs -1":   verify(both, VerifyConfig{Cipher: "gift128", Pairs: -1}),
 		"gift128 dfa round 41":   verify(both, VerifyConfig{Cipher: "gift128", Round: 41}),
+		"aes128 dfa round 5":     verify(both, VerifyConfig{Cipher: "aes128", Round: 5}),
+		"aes128 dfa pairs -4":    verify(both, VerifyConfig{Cipher: "aes128", Pairs: -4}),
 		"propagate samples -5":   propagate(-5),
 		"propagate samples 1":    propagate(1),
 		"discover Episodes -3":   episodes(-3),

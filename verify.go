@@ -23,14 +23,16 @@ type VerifyConfig struct {
 	Cipher string
 	// Key is the victim key; nil draws a random key from Seed.
 	Key []byte
-	// Round is the fault round for GIFT (default 25 for gift64, 37 for
-	// gift128); AES's attack is defined at round 9.
+	// Round is the fault round (default three rounds before the last:
+	// 25 for gift64, 37 for gift128). AES's attack is defined at round 9
+	// only, so aes128 accepts 0 or 9.
 	Round int
 	// Pairs is the number of faulty encryptions (GIFT default 1024;
-	// AES uses 3 per column = 12 total).
+	// AES default 3 per column = 12 total, otherwise Pairs/4 per column
+	// rounded up). Negative values are rejected.
 	Pairs int
 	// FaultModel is the typed injection model (default XorFlip, the
-	// historical bit-flip attack). The GIFT attacks rebuild their
+	// historical bit-flip attack). The GIFT attack rebuilds its
 	// offline templates under the chosen model; Piret–Quisquater on
 	// AES-128 is defined only for bit-flip byte differentials and
 	// rejects other models.
@@ -51,32 +53,27 @@ func VerifyKeyRecovery(pattern Pattern, cfg VerifyConfig) (*KeyRecovery, error) 
 		if cfg.FaultModel != XorFlip {
 			return nil, fmt.Errorf("explorefault: Piret–Quisquater needs bit-flip byte differentials; fault model %s is not supported on aes128", cfg.FaultModel)
 		}
-		c, key, err := newKeyedCipher(cfg.Cipher, cfg.Key, rng)
+		if cfg.Round != 0 && cfg.Round != 9 {
+			return nil, fmt.Errorf("explorefault: fault round %d out of range for aes128 (Piret–Quisquater faults round 9; want 0 or 9)", cfg.Round)
+		}
+		if cfg.Pairs < 0 {
+			return nil, fmt.Errorf("explorefault: pairs %d out of range (want 0 or more)", cfg.Pairs)
+		}
+		c, _, err := newKeyedCipher(cfg.Cipher, cfg.Key, rng)
 		if err != nil {
 			return nil, err
 		}
-		_ = key
 		pairs := 3
 		if cfg.Pairs > 0 {
 			pairs = (cfg.Pairs + 3) / 4
 		}
 		return expfault.AESPiretQuisquater(c.(*aes.Cipher), pairs, rng.Split())
-	case "gift64":
+	case "gift64", "gift128":
 		c, _, err := newKeyedCipher(cfg.Cipher, cfg.Key, rng)
 		if err != nil {
 			return nil, err
 		}
 		return expfault.GIFTDFA(c.(*gift.Cipher), &pattern, expfault.GIFTDFAConfig{
-			FaultRound: cfg.Round,
-			Pairs:      cfg.Pairs,
-			Model:      cfg.FaultModel,
-		}, rng.Split())
-	case "gift128":
-		c, _, err := newKeyedCipher(cfg.Cipher, cfg.Key, rng)
-		if err != nil {
-			return nil, err
-		}
-		return expfault.GIFT128DFA(c.(*gift.Cipher), &pattern, expfault.GIFTDFAConfig{
 			FaultRound: cfg.Round,
 			Pairs:      cfg.Pairs,
 			Model:      cfg.FaultModel,
