@@ -222,9 +222,12 @@ func TestBatchScalarEquivalenceModels(t *testing.T) {
 
 // TestProtectedBatchScalarEquivalence: the countermeasure oracle must
 // return bit-identical statistics (and muted counts, which feed the PRNG
-// stream) on the batch and scalar paths for any worker count.
+// stream) on the batch and scalar paths for any worker count. The oracle
+// encrypts one trace per kernel call, so this runs the per-trace fork
+// steps of every kernel family: AES's word blocks, GIFT's and PRESENT's
+// nibble states and SIMON's and SPECK's word pairs.
 func TestProtectedBatchScalarEquivalence(t *testing.T) {
-	for _, name := range []string{"aes128", "gift64"} {
+	for _, name := range []string{"aes128", "gift64", "present80", "speck64", "simon32"} {
 		info, err := ciphers.Lookup(name)
 		if err != nil {
 			t.Fatal(err)

@@ -603,11 +603,11 @@ func BenchmarkDFARecovery(b *testing.B) {
 	rng := prng.New(2023)
 	key := make([]byte, 16)
 	rng.Fill(key)
-	c64, err := gift.New64(key)
+	c64, err := gift.New(gift.GIFT64, key)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c128, err := gift.New128(key)
+	c128, err := gift.New(gift.GIFT128, key)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,17 +27,10 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// giftAttacks lists the GIFT variants the nibble DFA attacks: the name
-// printed in the banner, the state width in bits, and the attack's own
-// fault round, used when -round is not given.
-var giftAttacks = map[string]struct {
-	name  string
-	width int
-	round int
-}{
-	"gift64":  {"GIFT-64", 64, 25},
-	"gift128": {"GIFT-128", 128, 37},
-}
+// giftNames maps the GIFT variants the nibble DFA attacks to the names
+// printed in the banner. Each variant's state width and default fault
+// round (rounds - 3, GIFTDFA's default) come from the cipher registry.
+var giftNames = map[string]string{"gift64": "GIFT-64", "gift128": "GIFT-128"}
 
 func main() {
 	// First SIGINT/SIGTERM cancels the run context so the event log and
@@ -63,7 +56,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fs.SetOutput(stderr)
 	cipher := fs.String("cipher", "gift64", "target cipher: aes128, gift64 or gift128")
 	nibbles := fs.String("nibbles", "8,9,10,11,12,14", "GIFT fault-model nibbles")
-	round := fs.Int("round", 0, "fault round (default 25 for gift64, 37 for gift128; aes128 faults round 9 only)")
+	round := fs.Int("round", 0, "fault round (default rounds - 3: 25 for gift64, 37 for gift128; aes128 faults round 9 only)")
 	faultType := fs.String("fault-type", "xor", "typed fault model: xor, stuck-at-0, stuck-at-1, biased-and, random-byte, random-nibble (GIFT only; aes128 is defined for xor)")
 	pairs := fs.Int("pairs", 256, "faulty encryptions to collect")
 	seed := fs.Uint64("seed", 1, "experiment seed")
@@ -88,28 +81,36 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("bad -fault-type: %v", err)
 	}
 
+	// The banner is printed once VerifyKeyRecovery has accepted the
+	// round and pair count, so a rejected run prints none.
+	var banner string
 	pattern := explorefault.Pattern{}
-	g, isGIFT := giftAttacks[*cipher]
+	name, isGIFT := giftNames[*cipher]
 	switch {
 	case isGIFT:
+		info, err := explorefault.LookupCipher(*cipher)
+		if err != nil {
+			return err
+		}
+		width := 8 * info.BlockBytes
 		var ns []int
 		for _, part := range strings.Split(*nibbles, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				return fmt.Errorf("bad -nibbles: %v", err)
 			}
-			if v < 0 || v >= g.width/4 {
-				return fmt.Errorf("bad -nibbles: nibble %d out of range (want 0..%d)", v, g.width/4-1)
+			if v < 0 || v >= width/4 {
+				return fmt.Errorf("bad -nibbles: nibble %d out of range (want 0..%d)", v, width/4-1)
 			}
 			ns = append(ns, v)
 		}
 		if *round == 0 {
-			*round = g.round
+			*round = info.Rounds - 3
 		}
-		pattern = explorefault.PatternFromGroups(g.width, 4, ns...)
-		fmt.Fprintf(stdout, "%s DFA: fault model %s, nibbles %v at round %d, %d pairs\n", g.name, faultModel, ns, *round, *pairs)
+		pattern = explorefault.PatternFromGroups(width, 4, ns...)
+		banner = fmt.Sprintf("%s DFA: fault model %s, nibbles %v at round %d, %d pairs\n", name, faultModel, ns, *round, *pairs)
 	case *cipher == "aes128":
-		fmt.Fprintln(stdout, "AES-128 Piret–Quisquater DFA: single-byte faults at round 9")
+		banner = "AES-128 Piret–Quisquater DFA: single-byte faults at round 9\n"
 	default:
 		return fmt.Errorf("no key-recovery attack for cipher %q (want aes128, gift64 or gift128)", *cipher)
 	}
@@ -152,6 +153,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err != nil {
 		return err
 	}
+	fmt.Fprint(stdout, banner)
 	fmt.Fprintf(stdout, "recovered key bits : %d / %d\n", res.RecoveredBits, res.TotalKeyBits)
 	fmt.Fprintf(stdout, "faulty encryptions : %d\n", res.FaultsUsed)
 	fmt.Fprintf(stdout, "offline complexity : ~2^%.1f\n", res.OfflineLog2)

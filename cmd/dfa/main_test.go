@@ -10,6 +10,9 @@ import (
 	"testing"
 )
 
+// TestRunFlagErrors requires every rejected run, whether its flags fail
+// to parse or the attack rejects its round or pair count, to print no
+// banner.
 func TestRunFlagErrors(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},
@@ -17,6 +20,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-cipher", "gift64", "-nibbles", "notanumber"},
 		{"-cipher", "gift64", "-nibbles", "16"},
 		{"-cipher", "present80"},
+		{"-cipher", "aes128", "-round", "5"},
+		{"-cipher", "gift64", "-round", "29"},
+		{"-cipher", "gift128", "-pairs", "-1"},
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

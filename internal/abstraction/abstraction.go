@@ -415,10 +415,11 @@ type HarvestConfig struct {
 	IsAES bool
 	// GroupBits is the abstraction granularity (4 or 8).
 	GroupBits int
-	// MaxPerClass caps how many models of each class survive (largest-T
-	// first within a class); 0 means 16.
-	MaxPerClass int
 }
+
+// maxPerClass caps how many models of each class Harvest keeps
+// (largest-T first within a class).
+const maxPerClass = 16
 
 // Harvest abstracts a set of raw leaky patterns (typically from the
 // training log plus the converged pattern) into a deduplicated, verified
@@ -429,9 +430,6 @@ func Harvest(ctx context.Context, v Verifier, patterns []bitvec.Vector, cfg Harv
 	}
 	if cfg.GroupBits == 0 {
 		return nil, fmt.Errorf("abstraction: HarvestConfig.GroupBits required")
-	}
-	if cfg.MaxPerClass == 0 {
-		cfg.MaxPerClass = 16
 	}
 	totalGroups := v.StateBits() / cfg.GroupBits
 	var models []Model
@@ -464,7 +462,7 @@ func Harvest(ctx context.Context, v Verifier, patterns []bitvec.Vector, cfg Harv
 			}
 		}
 	}
-	return capPerClass(Dedupe(models), cfg.MaxPerClass), nil
+	return capPerClass(Dedupe(models), maxPerClass), nil
 }
 
 // capPerClass keeps at most n models of each class, preferring higher

@@ -1,5 +1,5 @@
-// The batched AES fork kernel: a T-table/32-bit-word round implementation
-// with shared-prefix forking.
+// The AES fork steps: a T-table/32-bit-word round implementation over a
+// block of traces.
 //
 // The 16-byte state is held as four little-endian column words
 // (word c packs state bytes 4c..4c+3), and each inner round fuses
@@ -8,7 +8,8 @@
 // GF(2^8) multiplications per round. Rounds observed by the campaign
 // additionally materialize the byte-level round input and post-SubBytes
 // state, exactly as the scalar Encrypt records them, so captured traces
-// are bit-identical to the reference path.
+// are bit-identical to the reference path. AES packs no traces across
+// words, so the same steps serve blocks of every size.
 package aes
 
 import (
@@ -20,7 +21,8 @@ import (
 
 // te0..te3 are the four forward T-tables: te0[x] packs the MixColumns
 // column (2·S(x), S(x), S(x), 3·S(x)) as a little-endian word and
-// te1..te3 are its byte rotations. Built on first kernel use, after the
+// te1..te3 are its byte rotations. identity is the byte table lastRound
+// reads once SubBytes has run. Built on first kernel use, after the
 // package init has generated the S-box.
 var (
 	ttableOnce sync.Once
@@ -28,6 +30,7 @@ var (
 	te1        [256]uint32
 	te2        [256]uint32
 	te3        [256]uint32
+	identity   [256]byte
 )
 
 func buildTTables() {
@@ -40,6 +43,7 @@ func buildTTables() {
 		te1[x] = w<<8 | w>>24
 		te2[x] = w<<16 | w>>16
 		te3[x] = w<<24 | w>>8
+		identity[x] = byte(x)
 	}
 }
 
@@ -59,15 +63,10 @@ func storeWords(b []byte, w *[4]uint32) {
 	binary.LittleEndian.PutUint32(b[12:], w[3])
 }
 
-// storeSubWords writes sbox applied bytewise to the word state: the
-// post-SubBytes capture of a round whose input is s.
-func storeSubWords(b []byte, w *[4]uint32) {
-	for c := 0; c < 4; c++ {
-		v := w[c]
-		b[4*c] = sbox[byte(v)]
-		b[4*c+1] = sbox[byte(v>>8)]
-		b[4*c+2] = sbox[byte(v>>16)]
-		b[4*c+3] = sbox[byte(v>>24)]
+// subWords applies box to every byte of the word state.
+func subWords(w *[4]uint32, box *[256]byte) {
+	for c, v := range w {
+		w[c] = uint32(box[byte(v)]) | uint32(box[byte(v>>8)])<<8 | uint32(box[byte(v>>16)])<<16 | uint32(box[byte(v>>24)])<<24
 	}
 }
 
@@ -82,101 +81,104 @@ func tRound(s *[4]uint32, rk *[4]uint32) {
 	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
 }
 
-// lastRound runs round 10 (no MixColumns) on the word state.
-func lastRound(s *[4]uint32, rk *[4]uint32) {
-	s0 := uint32(sbox[byte(s[0])]) | uint32(sbox[byte(s[1]>>8)])<<8 | uint32(sbox[byte(s[2]>>16)])<<16 | uint32(sbox[byte(s[3]>>24)])<<24 ^ rk[0]
-	s1 := uint32(sbox[byte(s[1])]) | uint32(sbox[byte(s[2]>>8)])<<8 | uint32(sbox[byte(s[3]>>16)])<<16 | uint32(sbox[byte(s[0]>>24)])<<24 ^ rk[1]
-	s2 := uint32(sbox[byte(s[2])]) | uint32(sbox[byte(s[3]>>8)])<<8 | uint32(sbox[byte(s[0]>>16)])<<16 | uint32(sbox[byte(s[1]>>24)])<<24 ^ rk[2]
-	s3 := uint32(sbox[byte(s[3])]) | uint32(sbox[byte(s[0]>>8)])<<8 | uint32(sbox[byte(s[1]>>16)])<<16 | uint32(sbox[byte(s[2]>>24)])<<24 ^ rk[3]
+// lastRound runs round 10 (no MixColumns) on the word state, reading
+// each byte through box: the S-box for the whole round, identity for the
+// rest of it once SubBytes has run.
+func lastRound(s *[4]uint32, rk *[4]uint32, box *[256]byte) {
+	s0 := uint32(box[byte(s[0])]) | uint32(box[byte(s[1]>>8)])<<8 | uint32(box[byte(s[2]>>16)])<<16 | uint32(box[byte(s[3]>>24)])<<24 ^ rk[0]
+	s1 := uint32(box[byte(s[1])]) | uint32(box[byte(s[2]>>8)])<<8 | uint32(box[byte(s[3]>>16)])<<16 | uint32(box[byte(s[0]>>24)])<<24 ^ rk[1]
+	s2 := uint32(box[byte(s[2])]) | uint32(box[byte(s[3]>>8)])<<8 | uint32(box[byte(s[0]>>16)])<<16 | uint32(box[byte(s[1]>>24)])<<24 ^ rk[2]
+	s3 := uint32(box[byte(s[3])]) | uint32(box[byte(s[0]>>8)])<<8 | uint32(box[byte(s[1]>>16)])<<16 | uint32(box[byte(s[2]>>24)])<<24 ^ rk[3]
 	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
 }
 
-// advance runs round r on the word state.
-func advance(s *[4]uint32, rk *[4]uint32, r int) {
-	if r == NumRounds {
-		lastRound(s, rk)
-	} else {
-		tRound(s, rk)
-	}
-}
-
-// batchKernel implements ciphers.BatchKernel. AES processes traces
-// independently (the kernel's speed comes from the word rounds and the
-// prefix sharing, not cross-trace packing), so it carries no scratch
-// state beyond the cipher's word round keys.
-type batchKernel struct {
-	c *Cipher
+// blockSteps implement ciphers.ForkSteps on the word states of a block
+// of traces, and carry the fork snapshot beside them.
+type blockSteps struct {
+	c        *Cipher
+	base, bn int
+	s, snap  [ciphers.LaneBlock][4]uint32
 }
 
 // NewBatchKernel implements ciphers.BatchEncrypter.
 func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
 	ttableOnce.Do(buildTTables)
-	return &batchKernel{c: c}
+	k := &blockSteps{c: c}
+	return ciphers.NewForkKernel(c, k, k)
 }
 
-// EncryptForksOps implements ciphers.BatchKernel: the AND half of the
-// injection pair costs four extra word ANDs per faulted branch, applied to
-// the fork snapshot before the XOR half.
-func (k *batchKernel) EncryptForksOps(round int, points []ciphers.BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
-	ciphers.ValidateForksOps(k.c, round, points, n, pts, xors, ands, states, cts)
-	masks := xors
-	np := len(points)
+// Load implements ciphers.ForkSteps: the plaintext words XOR round key 0.
+func (k *blockSteps) Load(pts []byte, base, bn int) {
+	k.base, k.bn = base, bn
+	for t := range k.s[:bn] {
+		loadWords(&k.s[t], pts[(base+t)*BlockBytes:])
+		for j, w := range k.c.rkWords[0] {
+			k.s[t][j] ^= w
+		}
+	}
+}
+
+// Rounds implements ciphers.ForkSteps.
+func (k *blockSteps) Rounds(from, to int) {
 	rk := &k.c.rkWords
-	for i := 0; i < n; i++ {
-		var snap [4]uint32
-		loadWords(&snap, pts[i*BlockBytes:])
-		snap[0] ^= rk[0][0]
-		snap[1] ^= rk[0][1]
-		snap[2] ^= rk[0][2]
-		snap[3] ^= rk[0][3]
-		for r := 1; r < round; r++ {
-			advance(&snap, &rk[r], r)
-		}
-		for f := range masks {
-			s := snap
-			if ands != nil && ands[f] != nil {
-				var aw [4]uint32
-				loadWords(&aw, ands[f][i*BlockBytes:])
-				s[0] &= aw[0]
-				s[1] &= aw[1]
-				s[2] &= aw[2]
-				s[3] &= aw[3]
-			}
-			if m := masks[f]; m != nil {
-				var mw [4]uint32
-				loadWords(&mw, m[i*BlockBytes:])
-				s[0] ^= mw[0]
-				s[1] ^= mw[1]
-				s[2] ^= mw[2]
-				s[3] ^= mw[3]
-			}
-			st := states[f]
-			base := i * np * BlockBytes
-			for r := round; r <= NumRounds; r++ {
-				if st != nil {
-					for j, p := range points {
-						if p.Round != r {
-							continue
-						}
-						if p.PostSub {
-							storeSubWords(st[base+j*BlockBytes:], &s)
-						} else {
-							storeWords(st[base+j*BlockBytes:], &s)
-						}
-					}
-				}
-				advance(&s, &rk[r], r)
-			}
-			if st != nil {
-				for j, p := range points {
-					if p.Round == 0 {
-						storeWords(st[base+j*BlockBytes:], &s)
-					}
-				}
-			}
-			if ct := cts[f]; ct != nil {
-				storeWords(ct[i*BlockBytes:], &s)
+	for t := range k.s[:k.bn] {
+		for r := from; r < to; r++ {
+			if r == NumRounds {
+				lastRound(&k.s[t], &rk[r], &sbox)
+			} else {
+				tRound(&k.s[t], &rk[r])
 			}
 		}
+	}
+}
+
+// Sub implements ciphers.ForkSteps: SubBytes on the word state.
+func (k *blockSteps) Sub(int) {
+	for t := range k.s[:k.bn] {
+		subWords(&k.s[t], &sbox)
+	}
+}
+
+// Finish implements ciphers.ForkSteps. The last round reads the
+// substituted bytes through the identity table; an inner round's
+// T-tables fold SubBytes in, so it is undone first.
+func (k *blockSteps) Finish(r int) {
+	rk := &k.c.rkWords[r]
+	for t := range k.s[:k.bn] {
+		if r == NumRounds {
+			lastRound(&k.s[t], rk, &identity)
+		} else {
+			subWords(&k.s[t], &invSbox)
+			tRound(&k.s[t], rk)
+		}
+	}
+}
+
+// Save implements ciphers.ForkSteps.
+func (k *blockSteps) Save() { copy(k.snap[:k.bn], k.s[:k.bn]) }
+
+// Fork implements ciphers.ForkSteps: four word ANDs and four word XORs
+// per trace.
+func (k *blockSteps) Fork(and, xor []byte) {
+	for t := range k.s[:k.bn] {
+		s, o := k.snap[t], (k.base+t)*BlockBytes
+		var w [4]uint32
+		if and != nil {
+			loadWords(&w, and[o:])
+			s[0], s[1], s[2], s[3] = s[0]&w[0], s[1]&w[1], s[2]&w[2], s[3]&w[3]
+		}
+		if xor != nil {
+			loadWords(&w, xor[o:])
+			s[0], s[1], s[2], s[3] = s[0]^w[0], s[1]^w[1], s[2]^w[2], s[3]^w[3]
+		}
+		k.s[t] = s
+	}
+}
+
+// Store implements ciphers.ForkSteps. The word state's bytes are the
+// state in trace order, which for AES is also Encrypt's dst order.
+func (k *blockSteps) Store(dst []byte, stride, off int, _ bool) {
+	for t := range k.s[:k.bn] {
+		storeWords(dst[(k.base+t)*stride+off:], &k.s[t])
 	}
 }

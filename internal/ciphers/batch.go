@@ -7,10 +7,10 @@
 // structure: one EncryptForksOps call runs the shared prefix (rounds
 // 1..round-1) once per plaintext, snapshots the state, and forks each
 // branch from the snapshot, so the redundant prefix work is paid once
-// instead of once per branch. Kernels additionally replace the
-// byte-at-a-time reference round functions with word-oriented code
-// (T-table AES, bitsliced GIFT); both optimizations are exactness
-// preserving and cross-checked against ScalarForksOps by the test suite.
+// instead of once per branch. That schedule is written once, in the
+// driver behind NewForkKernel; a kernel supplies only ForkSteps on its
+// own state (T-table AES, bitsliced GIFT and PRESENT, lane-packed SIMON
+// and SPECK), cross-checked against ScalarForksOps by the test suite.
 package ciphers
 
 import "fmt"
@@ -77,9 +77,122 @@ func EncryptForksOps(c Cipher, kern BatchKernel, round int, points []BatchPoint,
 	kern.EncryptForksOps(round, points, n, pts, xors, ands, states, cts)
 }
 
-// ValidateForksOps panics if an EncryptForksOps call is malformed for
-// cipher c. Kernels and ScalarForksOps call it at the top of every batch.
-func ValidateForksOps(c Cipher, round int, points []BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
+// LaneBlock is the most traces the fork driver hands a kernel's steps at
+// once: one per bit of a uint64 lane.
+const LaneBlock = 64
+
+// bitsliceMin is the smallest block worth transposing into lanes; smaller
+// blocks (a ragged batch's tail, the countermeasure's one-trace calls)
+// run a kernel's per-trace steps.
+const bitsliceMin = 8
+
+// ForkSteps are a kernel's operations on its own state for one block of
+// up to LaneBlock traces. Load starts a block and every other step acts
+// on all of its traces, so the driver behind NewForkKernel calls the
+// kernel once per step and block, never once per trace and round.
+type ForkSteps interface {
+	// Load sets the state of traces base..base+bn-1 from their
+	// plaintexts (Encrypt's src byte order), whitened as Encrypt does.
+	Load(pts []byte, base, bn int)
+	// Rounds runs rounds from..to-1 in full.
+	Rounds(from, to int)
+	// Sub runs round r's substitution layer and Finish the rest of the
+	// round, so a capture between them sees the PostSub state. Ciphers
+	// without a substitution layer run the whole round in Sub.
+	Sub(r int)
+	Finish(r int)
+	// Save takes the fork snapshot. Fork starts a branch from it: each
+	// trace's state becomes (snapshot AND and) XOR xor, with the masks
+	// at the trace's offset in trace byte order and nil skipped.
+	Save()
+	Fork(and, xor []byte)
+	// Store writes trace i's state to dst[i*stride+off:], in trace byte
+	// order, or in Encrypt's dst byte order when ct is set.
+	Store(dst []byte, stride, off int, ct bool)
+}
+
+// NewForkKernel returns the BatchKernel that runs the fork schedule of c
+// on a kernel's steps: lane for blocks of bitsliceMin traces or more,
+// word for smaller ones. A kernel without lanes passes its steps twice.
+func NewForkKernel(c Cipher, lane, word ForkSteps) BatchKernel {
+	return &forkKernel{c: c, lane: lane, word: word}
+}
+
+// forkKernel is the fork driver: the one loop over blocks and branches.
+type forkKernel struct {
+	c          Cipher
+	lane, word ForkSteps
+}
+
+// EncryptForksOps implements BatchKernel: per block of up to LaneBlock
+// traces, the prefix runs once before the snapshot, and each branch forks
+// from it and runs to the last round.
+func (k *forkKernel) EncryptForksOps(round int, points []BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
+	validateForksOps(k.c, round, points, n, pts, xors, ands, states, cts)
+	for base := 0; base < n; base += LaneBlock {
+		bn := min(n-base, LaneBlock)
+		s := k.word
+		if bn >= bitsliceMin {
+			s = k.lane
+		}
+		s.Load(pts, base, bn)
+		s.Rounds(1, round)
+		s.Save()
+		for f, xor := range xors {
+			var and []byte
+			if ands != nil {
+				and = ands[f]
+			}
+			s.Fork(and, xor)
+			k.branch(s, round, points, states[f])
+			if cts[f] != nil {
+				s.Store(cts[f], k.c.BlockBytes(), 0, true)
+			}
+		}
+	}
+}
+
+// branch runs a forked branch from round to the last round, capturing
+// the points into st (nil skips them). Rounds between captures run as
+// one step; a round with a PostSub point runs as Sub, capture, Finish.
+func (k *forkKernel) branch(s ForkSteps, round int, points []BatchPoint, st []byte) {
+	if st == nil {
+		points = nil
+	}
+	bb, last := k.c.BlockBytes(), k.c.Rounds()
+	capture := func(r int, post bool) {
+		for j, p := range points {
+			if p.Round == r && (p.PostSub == post || r == 0) {
+				s.Store(st, len(points)*bb, j*bb, false)
+			}
+		}
+	}
+	for r := round; r <= last; {
+		capture(r, false)
+		next, split := last+1, false
+		for _, p := range points {
+			split = split || p.Round == r && p.PostSub
+			if p.Round > r && p.Round < next {
+				next = p.Round
+			}
+		}
+		if split {
+			s.Sub(r)
+			capture(r, true)
+			s.Finish(r)
+			next = r + 1
+		} else {
+			s.Rounds(r, next)
+		}
+		r = next
+	}
+	capture(0, false)
+}
+
+// validateForksOps panics if an EncryptForksOps call is malformed for
+// cipher c. The fork driver and ScalarForksOps call it at the top of
+// every batch.
+func validateForksOps(c Cipher, round int, points []BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
 	bb := c.BlockBytes()
 	if round < 1 || round > c.Rounds() {
 		panic("ciphers: fork round out of range")
@@ -124,7 +237,7 @@ func ValidateForksOps(c Cipher, round int, points []BatchPoint, n int, pts []byt
 // that ask for the reference path, and every kernel is verified against
 // it.
 func ScalarForksOps(c Cipher, round int, points []BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
-	ValidateForksOps(c, round, points, n, pts, xors, ands, states, cts)
+	validateForksOps(c, round, points, n, pts, xors, ands, states, cts)
 	bb, np := c.BlockBytes(), len(points)
 	tr := NewTrace(c)
 	out := make([]byte, bb)

@@ -89,9 +89,10 @@ func FuzzBatchScalarEquivalence(f *testing.F) {
 		}
 		bb := info.BlockBytes
 		round := 1 + int(roundSel)%info.Rounds
-		// Batch sizes reach past bitsliceMin (8) so the fuzzer drives the
-		// lane-packed kernels as well as the small-block per-trace path.
-		n := 1 + int(nSel)%12
+		// Batch sizes reach past bitsliceMin (8) and past one 64-trace
+		// lane block, so the fuzzer drives the lane steps, the per-trace
+		// steps, and a lane block followed by a per-trace tail.
+		n := 1 + int(nSel)%76
 
 		pts := make([]byte, n*bb)
 		copy(pts, ptMaterial)

@@ -1,6 +1,5 @@
-// The batched fork kernel of all three variants: a bitsliced
-// implementation packing 64 traces per uint64 lane, with shared-prefix
-// forking.
+// The fork steps of all three variants: bitsliced lanes packing 64 traces
+// per uint64, and per-trace words for small blocks.
 //
 // In bitsliced form lane b holds state bit b of 64 traces at once, so one
 // round costs a fixed number of word operations for the whole block. A
@@ -8,10 +7,9 @@
 // through the S-box's boolean circuit, and each output lane is written
 // straight to its place under PermBits with its AddRoundKey bit XORed in
 // as an all-ones or all-zeros word. PRESENT's circuit runs as a pass of
-// its own, followed by the same permutation and key pass. Blocks smaller
-// than eight traces (and the tail of a ragged batch) take a per-trace
-// path that reuses the scalar round functions with prefix sharing, so
-// both paths are bit-identical to Encrypt.
+// its own, followed by the same permutation and key pass. The per-trace
+// steps reuse the scalar round functions; both are bit-identical to
+// Encrypt.
 package gift
 
 import (
@@ -21,27 +19,27 @@ import (
 	"repro/internal/ciphers"
 )
 
-// laneBlock is the number of traces packed per bitsliced block: one per
-// bit of a uint64 lane.
-const laneBlock = 64
-
-// bitsliceMin is the smallest block worth transposing into lanes; below
-// it the per-trace fork path wins.
-const bitsliceMin = 8
-
 // maxLanes is the lane count of the largest variant. Lane buffers and
 // permutation tables have this size for every variant, so the compiler
 // drops the bounds checks of an index masked into 0..maxLanes-1; the
 // mask leaves every lane index below nbits as it is.
 const maxLanes = 128
 
-// kernel implements ciphers.BatchKernel for every variant.
-type kernel struct {
+// NewBatchKernel implements ciphers.BatchEncrypter.
+func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
+	k := &laneSteps{c: c, nbits: 8 * c.BlockBytes(), present: c.variant == PRESENT80}
+	k.lanes, k.tmp = &k.buf[0], &k.buf[1]
+	return ciphers.NewForkKernel(c, k, &wordSteps{c: c})
+}
+
+// laneSteps are the bitsliced fork steps of every variant.
+type laneSteps struct {
 	c     *Cipher
 	nbits int
 	// present selects PRESENT's S-box circuit, which runs as its own pass
 	// before roundLanes' permutation and key pass.
-	present bool
+	present  bool
+	base, bn int // the block's traces in the batch
 	// lanes is the bitsliced state, nbits lanes of 64 traces each, and
 	// tmp the buffer a round writes into before the two swap; both point
 	// into buf. snap is the fork snapshot.
@@ -49,14 +47,7 @@ type kernel struct {
 	buf        [2][maxLanes]uint64
 	snap       [maxLanes]uint64
 	// rows is the transpose scratch: one state word per trace.
-	rows [laneBlock]uint64
-}
-
-// NewBatchKernel implements ciphers.BatchEncrypter.
-func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
-	k := &kernel{c: c, nbits: 8 * c.BlockBytes(), present: c.variant == PRESENT80}
-	k.lanes, k.tmp = &k.buf[0], &k.buf[1]
-	return k
+	rows [ciphers.LaneBlock]uint64
 }
 
 // giftSboxLanes applies the GIFT S-box to one bitsliced nibble. The
@@ -90,10 +81,9 @@ func presentSboxLanes(x0, x1, x2, x3 uint64) (y0, y1, y2, y3 uint64) {
 	return y0, y1, y2, y3
 }
 
-// subCellsLanes applies the S-box circuit to every nibble of the lanes,
-// in place: the first half of a round whose post-S-box state is
-// captured, and every round's S-box layer on PRESENT.
-func (k *kernel) subCellsLanes() {
+// Sub implements ciphers.ForkSteps: the S-box circuit on every nibble of
+// the lanes, in place. It is also every round's S-box layer on PRESENT.
+func (k *laneSteps) Sub(int) {
 	l := k.lanes
 	if k.present {
 		for i := 0; i < 64; i += 4 {
@@ -108,14 +98,14 @@ func (k *kernel) subCellsLanes() {
 }
 
 // roundLanes runs round r on the lanes in one pass: SubCells when sub is
-// set (otherwise subCellsLanes has run it), then PermBits and
-// AddRoundKey. Each output lane i is written straight to lane perm[i],
-// XORed with -(m>>i & 1) for the source-ordered round-key mask m: the
-// all-ones word where the key flips the bit and zero elsewhere, so the
-// loop has no data-dependent branch. PRESENT runs its S-box pass first.
-func (k *kernel) roundLanes(r int, sub bool) {
+// set (otherwise Sub has run it), then PermBits and AddRoundKey. Each
+// output lane i is written straight to lane perm[i], XORed with
+// -(m>>i & 1) for the source-ordered round-key mask m: the all-ones word
+// where the key flips the bit and zero elsewhere, so the loop has no
+// data-dependent branch. PRESENT runs its S-box pass first.
+func (k *laneSteps) roundLanes(r int, sub bool) {
 	if sub && k.present {
-		k.subCellsLanes()
+		k.Sub(r)
 		sub = false
 	}
 	src, dst, perm := k.lanes, k.tmp, k.c.perm
@@ -135,49 +125,101 @@ func (k *kernel) roundLanes(r int, sub bool) {
 	k.lanes, k.tmp = dst, src
 }
 
+// Rounds implements ciphers.ForkSteps.
+func (k *laneSteps) Rounds(from, to int) {
+	for r := from; r < to; r++ {
+		k.roundLanes(r, true)
+	}
+}
+
+// Finish implements ciphers.ForkSteps: PermBits and AddRoundKey.
+func (k *laneSteps) Finish(r int) { k.roundLanes(r, false) }
+
+// Save implements ciphers.ForkSteps.
+func (k *laneSteps) Save() { copy(k.snap[:k.nbits], k.lanes[:k.nbits]) }
+
 // loadRows gathers state word wi of each trace of the block into k.rows,
 // zero-padding past bn. In ciphertext (plaintext) order the word is the
 // eight bytes ending 8*wi bytes before the block's end, read big-endian;
 // in trace order, the layout of fault masks, it is bytes 8*wi.. read
 // little-endian.
-func (k *kernel) loadRows(src []byte, base, bn, wi int, bigEndian bool) {
+func (k *laneSteps) loadRows(src []byte, wi int, bigEndian bool) {
 	bb := k.c.BlockBytes()
-	o := base * bb
+	o := k.base * bb
 	if bigEndian {
 		o += bb - 8*(wi+1)
-		for t := range k.rows[:bn] {
+		for t := range k.rows[:k.bn] {
 			k.rows[t] = binary.BigEndian.Uint64(src[o : o+8])
 			o += bb
 		}
 	} else {
 		o += 8 * wi
-		for t := range k.rows[:bn] {
+		for t := range k.rows[:k.bn] {
 			k.rows[t] = binary.LittleEndian.Uint64(src[o : o+8])
 			o += bb
 		}
 	}
-	clear(k.rows[bn:])
+	clear(k.rows[k.bn:])
 }
 
-// captureLanes transposes the current lanes back to per-trace words and
-// writes each live trace's state into dst at stride*traceIndex+off,
-// little-endian (trace order) or big-endian (ciphertext order), the
-// layouts loadRows reads.
-func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian bool) {
+// Load implements ciphers.ForkSteps: the whitened plaintexts, transposed
+// into lanes.
+func (k *laneSteps) Load(pts []byte, base, bn int) {
+	k.base, k.bn = base, bn
+	for wi := 0; wi < k.nbits/64; wi++ {
+		k.loadRows(pts, wi, true)
+		for t := range k.rows[:bn] {
+			k.rows[t] ^= k.c.white[wi]
+		}
+		bitvec.Transpose64(&k.rows)
+		copy(k.lanes[64*wi:64*wi+64], k.rows[:])
+	}
+}
+
+// Fork implements ciphers.ForkSteps. In bitsliced form each mask half is
+// one extra AND or XOR per lane word: the mask rows are transposed like
+// the plaintext rows and act on all 64 traces of a lane at once. Dead
+// lanes past bn are ANDed with the zero padding, which is harmless
+// because captures never read them.
+func (k *laneSteps) Fork(and, xor []byte) {
+	copy(k.lanes[:k.nbits], k.snap[:k.nbits])
+	for wi := 0; wi < k.nbits/64; wi++ {
+		l := (*[ciphers.LaneBlock]uint64)(k.lanes[64*wi:])
+		if and != nil {
+			k.loadRows(and, wi, false)
+			bitvec.Transpose64(&k.rows)
+			for b, v := range k.rows {
+				l[b] &= v
+			}
+		}
+		if xor != nil {
+			k.loadRows(xor, wi, false)
+			bitvec.Transpose64(&k.rows)
+			for b, v := range k.rows {
+				l[b] ^= v
+			}
+		}
+	}
+}
+
+// Store implements ciphers.ForkSteps: it transposes the lanes back to
+// per-trace words and writes them little-endian (trace order) or
+// big-endian (ciphertext order), the layouts loadRows reads.
+func (k *laneSteps) Store(dst []byte, stride, off int, ct bool) {
 	bb := k.c.BlockBytes()
 	for wi := 0; wi < k.nbits/64; wi++ {
 		copy(k.rows[:], k.lanes[64*wi:64*wi+64])
 		bitvec.Transpose64(&k.rows)
-		o := base*stride + off
-		if bigEndian {
+		o := k.base*stride + off
+		if ct {
 			o += bb - 8*(wi+1)
-			for _, v := range k.rows[:bn] {
+			for _, v := range k.rows[:k.bn] {
 				binary.BigEndian.PutUint64(dst[o:o+8], v)
 				o += stride
 			}
 		} else {
 			o += 8 * wi
-			for _, v := range k.rows[:bn] {
+			for _, v := range k.rows[:k.bn] {
 				binary.LittleEndian.PutUint64(dst[o:o+8], v)
 				o += stride
 			}
@@ -185,164 +227,76 @@ func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian b
 	}
 }
 
-// EncryptForksOps implements ciphers.BatchKernel. In bitsliced form the
-// AND half of the injection pair is one extra AND per lane word on the
-// faulted branch: the mask rows are transposed exactly like the XOR rows
-// and clamp all 64 traces of a lane at once. Dead lanes past bn are ANDed
-// with the zero padding, which is harmless because captures never read
-// them.
-func (k *kernel) EncryptForksOps(round int, points []ciphers.BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
-	ciphers.ValidateForksOps(k.c, round, points, n, pts, xors, ands, states, cts)
-	for base := 0; base < n; {
-		bn := n - base
-		if bn > laneBlock {
-			bn = laneBlock
-		}
-		if bn >= bitsliceMin {
-			k.forkBlock(round, points, base, bn, pts, xors, ands, states, cts)
-		} else {
-			k.forkScalar(round, points, base, bn, pts, xors, ands, states, cts)
-		}
-		base += bn
-	}
+// wordSteps are the per-trace fork steps: the scalar round functions on
+// one state per trace, the path for blocks too small to amortize the
+// transposes. They perform the same state operations as Encrypt.
+type wordSteps struct {
+	c        *Cipher
+	base, bn int
+	s, snap  [ciphers.LaneBlock]state
 }
 
-// forkBlock runs one bitsliced block of bn <= 64 traces.
-func (k *kernel) forkBlock(round int, points []ciphers.BatchPoint, base, bn int, pts []byte, masks, ands, states, cts [][]byte) {
-	c := k.c
-	bb := c.BlockBytes()
-	np := len(points)
-	words := k.nbits / 64
-
-	// Transpose the block's whitened plaintexts into lanes.
-	for wi := 0; wi < words; wi++ {
-		k.loadRows(pts, base, bn, wi, true)
-		for t := range k.rows[:bn] {
-			k.rows[t] ^= c.white[wi]
-		}
-		bitvec.Transpose64(&k.rows)
-		copy(k.lanes[64*wi:64*wi+64], k.rows[:])
-	}
-	// Shared prefix: rounds before the injection point, computed once.
-	for r := 1; r < round; r++ {
-		k.roundLanes(r, true)
-	}
-	copy(k.snap[:k.nbits], k.lanes[:k.nbits])
-
-	for f := range masks {
-		if f > 0 {
-			copy(k.lanes[:k.nbits], k.snap[:k.nbits])
-		}
-		if ands != nil && ands[f] != nil {
-			for wi := 0; wi < words; wi++ {
-				k.loadRows(ands[f], base, bn, wi, false)
-				bitvec.Transpose64(&k.rows)
-				l := (*[laneBlock]uint64)(k.lanes[64*wi:])
-				for b, v := range k.rows {
-					l[b] &= v
-				}
-			}
-		}
-		if m := masks[f]; m != nil {
-			for wi := 0; wi < words; wi++ {
-				k.loadRows(m, base, bn, wi, false)
-				bitvec.Transpose64(&k.rows)
-				l := (*[laneBlock]uint64)(k.lanes[64*wi:])
-				for b, v := range k.rows {
-					l[b] ^= v
-				}
-			}
-		}
-		st := states[f]
-		for r := round; r <= c.rounds; r++ {
-			split := false
-			if st != nil {
-				for j, p := range points {
-					if p.Round == r && !p.PostSub {
-						k.captureLanes(st, base, bn, np*bb, j*bb, false)
-					}
-					split = split || p.Round == r && p.PostSub
-				}
-			}
-			if split {
-				k.subCellsLanes()
-				for j, p := range points {
-					if p.Round == r && p.PostSub {
-						k.captureLanes(st, base, bn, np*bb, j*bb, false)
-					}
-				}
-			}
-			k.roundLanes(r, !split)
-		}
-		if st != nil {
-			for j, p := range points {
-				if p.Round == 0 {
-					k.captureLanes(st, base, bn, np*bb, j*bb, false)
-				}
-			}
-		}
-		if ct := cts[f]; ct != nil {
-			k.captureLanes(ct, base, bn, bb, 0, true)
-		}
-	}
-}
-
-// forkScalar runs bn traces through the scalar round functions with
-// prefix sharing: the path for blocks too small to amortize the
-// transposes. It performs the same state operations as Encrypt.
-func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int, pts []byte, masks, ands, states, cts [][]byte) {
-	c := k.c
-	bb := c.BlockBytes()
-	nbits := 8 * bb
-	np := len(points)
-	for t := 0; t < bn; t++ {
+// Load implements ciphers.ForkSteps.
+func (w *wordSteps) Load(pts []byte, base, bn int) {
+	w.base, w.bn = base, bn
+	bb := w.c.BlockBytes()
+	for t := range w.s[:bn] {
 		i := base + t
-		var snap state
-		snap.loadBE(pts[i*bb:(i+1)*bb], bb)
-		snap.xorState(&c.white)
-		for r := 1; r < round; r++ {
-			snap.subCells(nbits, c.sbox)
-			snap.permBits(nbits, c.perm)
-			snap.xorState(&c.rkMask[r-1])
+		w.s[t].loadBE(pts[i*bb:(i+1)*bb], bb)
+		w.s[t].xorState(&w.c.white)
+	}
+}
+
+// Rounds implements ciphers.ForkSteps.
+func (w *wordSteps) Rounds(from, to int) {
+	for r := from; r < to; r++ {
+		w.Sub(r)
+		w.Finish(r)
+	}
+}
+
+// Sub implements ciphers.ForkSteps.
+func (w *wordSteps) Sub(int) {
+	for t := range w.s[:w.bn] {
+		w.s[t].subCells(8*w.c.BlockBytes(), w.c.sbox)
+	}
+}
+
+// Finish implements ciphers.ForkSteps: PermBits and AddRoundKey.
+func (w *wordSteps) Finish(r int) {
+	for t := range w.s[:w.bn] {
+		w.s[t].permBits(8*w.c.BlockBytes(), w.c.perm)
+		w.s[t].xorState(&w.c.rkMask[r-1])
+	}
+}
+
+// Save implements ciphers.ForkSteps.
+func (w *wordSteps) Save() { copy(w.snap[:w.bn], w.s[:w.bn]) }
+
+// Fork implements ciphers.ForkSteps.
+func (w *wordSteps) Fork(and, xor []byte) {
+	bb := w.c.BlockBytes()
+	for t := range w.s[:w.bn] {
+		i := w.base + t
+		w.s[t] = w.snap[t]
+		if and != nil {
+			w.s[t].andLE(and[i*bb : (i+1)*bb])
 		}
-		for f := range masks {
-			s := snap
-			if ands != nil && ands[f] != nil {
-				s.andLE(ands[f][i*bb : (i+1)*bb])
-			}
-			if m := masks[f]; m != nil {
-				s.xorLE(m[i*bb : (i+1)*bb])
-			}
-			st := states[f]
-			for r := round; r <= c.rounds; r++ {
-				if st != nil {
-					for j, p := range points {
-						if p.Round == r && !p.PostSub {
-							s.storeLE(st[(i*np+j)*bb:(i*np+j)*bb+bb], bb)
-						}
-					}
-				}
-				s.subCells(nbits, c.sbox)
-				if st != nil {
-					for j, p := range points {
-						if p.Round == r && p.PostSub {
-							s.storeLE(st[(i*np+j)*bb:(i*np+j)*bb+bb], bb)
-						}
-					}
-				}
-				s.permBits(nbits, c.perm)
-				s.xorState(&c.rkMask[r-1])
-			}
-			if st != nil {
-				for j, p := range points {
-					if p.Round == 0 {
-						s.storeLE(st[(i*np+j)*bb:(i*np+j)*bb+bb], bb)
-					}
-				}
-			}
-			if ct := cts[f]; ct != nil {
-				s.storeBE(ct[i*bb:(i+1)*bb], bb)
-			}
+		if xor != nil {
+			w.s[t].xorLE(xor[i*bb : (i+1)*bb])
+		}
+	}
+}
+
+// Store implements ciphers.ForkSteps.
+func (w *wordSteps) Store(dst []byte, stride, off int, ct bool) {
+	bb := w.c.BlockBytes()
+	for t := range w.s[:w.bn] {
+		o := (w.base+t)*stride + off
+		if ct {
+			w.s[t].storeBE(dst[o:o+bb], bb)
+		} else {
+			w.s[t].storeLE(dst[o:o+bb], bb)
 		}
 	}
 }

@@ -173,12 +173,6 @@ func New(v Variant, key []byte) (*Cipher, error) {
 	return c, nil
 }
 
-// New64 creates a GIFT-64 instance.
-func New64(key []byte) (*Cipher, error) { return New(GIFT64, key) }
-
-// New128 creates a GIFT-128 instance.
-func New128(key []byte) (*Cipher, error) { return New(GIFT128, key) }
-
 // giftSchedule walks GIFT's key state (k7..k0, 16-bit words, k7 from the
 // first two key bytes), extracts the per-round words and builds each
 // round's AddRoundKey mask.

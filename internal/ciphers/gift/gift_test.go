@@ -26,7 +26,7 @@ func TestGIFT64Vectors(t *testing.T) {
 		{"fedcba9876543210fedcba9876543210", "fedcba9876543210", "c1b71f66160ff587"},
 	}
 	for _, tc := range cases {
-		c, err := New64(unhex(t, tc.key))
+		c, err := New(GIFT64, unhex(t, tc.key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestGIFT64Vectors(t *testing.T) {
 }
 
 func TestGIFT128Vector(t *testing.T) {
-	c, err := New128(make([]byte, 16))
+	c, err := New(GIFT128, make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSBoxBijection(t *testing.T) {
 
 func TestPerm64KnownValues(t *testing.T) {
 	// First entries of the published P64 table.
-	c, _ := New64(make([]byte, 16))
+	c, _ := New(GIFT64, make([]byte, 16))
 	want := map[int]int{0: 0, 1: 17, 2: 34, 3: 51, 4: 48, 5: 1, 12: 16, 16: 4, 17: 21, 19: 55, 51: 63, 63: 15}
 	for i, p := range want {
 		if got := c.Perm(i); got != p {
@@ -91,7 +91,7 @@ func TestPerm64KnownValues(t *testing.T) {
 }
 
 func TestPerm128KnownValues(t *testing.T) {
-	c, _ := New128(make([]byte, 16))
+	c, _ := New(GIFT128, make([]byte, 16))
 	want := map[int]int{0: 0, 1: 33, 2: 66, 3: 99, 4: 96, 5: 1, 8: 64, 16: 4, 127: 31}
 	for i, p := range want {
 		if got := c.Perm(i); got != p {
@@ -214,8 +214,8 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 }
 
 func TestNewRejectsBadInput(t *testing.T) {
-	if _, err := New64(make([]byte, 8)); err == nil {
-		t.Error("New64 accepted 8-byte key")
+	if _, err := New(GIFT64, make([]byte, 8)); err == nil {
+		t.Error("New accepted an 8-byte GIFT-64 key")
 	}
 	if _, err := New(GIFT128, make([]byte, 10)); err == nil {
 		t.Error("New accepted a 10-byte GIFT-128 key")
@@ -229,7 +229,7 @@ func TestNewRejectsBadInput(t *testing.T) {
 
 func TestTraceFaultSemantics(t *testing.T) {
 	key := unhex(t, "fedcba9876543210fedcba9876543210")
-	c, _ := New64(key)
+	c, _ := New(GIFT64, key)
 	pt := unhex(t, "0123456789abcdef")
 	cleanTr := ciphers.NewTrace(c)
 	faultTr := ciphers.NewTrace(c)
@@ -259,7 +259,7 @@ func TestNibbleFaultDiffusion(t *testing.T) {
 	// (each S-box output bit goes to a distinct nibble) and keeps
 	// spreading after that.
 	key := make([]byte, 16)
-	c, _ := New64(key)
+	c, _ := New(GIFT64, key)
 	pt := unhex(t, "00112233aabbccdd")
 	cleanTr := ciphers.NewTrace(c)
 	faultTr := ciphers.NewTrace(c)
@@ -296,9 +296,9 @@ func TestRoundKeyWordsMatchEncryption(t *testing.T) {
 	// (V word of round 1) must flip exactly state bit 0 after round 1's
 	// AddRoundKey, which then diffuses.
 	key := make([]byte, 16)
-	c0, _ := New64(key)
+	c0, _ := New(GIFT64, key)
 	key[15] ^= 0x01 // low bit of k0 in spec order
-	c1, _ := New64(key)
+	c1, _ := New(GIFT64, key)
 	u0, v0 := c0.RoundKeyWords(1)
 	u1, v1 := c1.RoundKeyWords(1)
 	if u0 != u1 {
@@ -311,7 +311,7 @@ func TestRoundKeyWordsMatchEncryption(t *testing.T) {
 
 func TestKeyScheduleProperty(t *testing.T) {
 	f := func(keyArr [16]byte) bool {
-		c, err := New64(keyArr[:])
+		c, err := New(GIFT64, keyArr[:])
 		if err != nil {
 			return false
 		}
@@ -321,7 +321,7 @@ func TestKeyScheduleProperty(t *testing.T) {
 		// originals. Equivalent check: the key schedule is periodic with
 		// period dividing 32 in the word-rotation part, so running the
 		// expansion twice from the same key must agree.
-		c2, _ := New64(keyArr[:])
+		c2, _ := New(GIFT64, keyArr[:])
 		for r := 1; r <= 28; r++ {
 			u1, v1 := c.RoundKeyWords(r)
 			u2, v2 := c2.RoundKeyWords(r)
@@ -393,7 +393,7 @@ func TestRegistryIntegration(t *testing.T) {
 }
 
 func BenchmarkEncryptGIFT64(b *testing.B) {
-	c, _ := New64(make([]byte, 16))
+	c, _ := New(GIFT64, make([]byte, 16))
 	pt := make([]byte, 8)
 	ct := make([]byte, 8)
 	b.SetBytes(8)
@@ -403,7 +403,7 @@ func BenchmarkEncryptGIFT64(b *testing.B) {
 }
 
 func BenchmarkEncryptGIFT128(b *testing.B) {
-	c, _ := New128(make([]byte, 16))
+	c, _ := New(GIFT128, make([]byte, 16))
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	b.SetBytes(16)

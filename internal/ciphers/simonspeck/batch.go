@@ -1,5 +1,5 @@
-// The batched SIMON/SPECK fork kernel: a lane-packed bitsliced
-// implementation with shared-prefix forking, 64 traces per uint64 lane.
+// The SIMON/SPECK fork steps: lane-packed bitsliced steps, 64 traces per
+// uint64 lane, and per-trace word steps for small blocks.
 //
 // Both families bitslice without tables: a rotation of a word is a lane
 // index remap (free at codegen time), XOR and AND act lane-wise, and the
@@ -9,12 +9,9 @@
 // adder bitvec.RippleAdd, whose carry recurrence evaluates 64 independent
 // additions per lane word (5 ops per bit position for the whole block),
 // so the carry chain costs O(n) word ops instead of n sequential scalar
-// adds. Only the lane round differs between the families; the loads,
-// transposes, captures and prefix sharing are shared. The fault injection
-// point matches Encrypt: masks apply at the top of the faulted round.
-// Blocks smaller than eight traces take a per-trace path reusing the
-// scalar round function with prefix sharing; both paths are bit-identical
-// to Encrypt.
+// adds. Only the lane round differs between the families. The per-trace
+// steps reuse the scalar round function; both are bit-identical to
+// Encrypt.
 package simonspeck
 
 import (
@@ -24,63 +21,46 @@ import (
 	"repro/internal/ciphers"
 )
 
-// laneBlock is the number of traces packed per bitsliced block.
-const laneBlock = 64
-
-// bitsliceMin is the smallest block worth transposing into lanes.
-const bitsliceMin = 8
-
-// kernel implements ciphers.BatchKernel for all four variants. The 2n
+// laneSteps are the lane-packed fork steps of all four variants. The 2n
 // state bits map to lanes in repository order: lane i holds y bit i for
 // i < n and x bit i-n otherwise.
-type kernel struct {
-	c     *Cipher
-	n     int // word bits
-	nbits int // state bits (2n)
+type laneSteps struct {
+	c        *Cipher
+	n        int // word bits
+	nbits    int // state bits (2n)
+	base, bn int // the block's traces in the batch
 	// lanes/tmp/snap are the bitsliced state, the round double buffer,
 	// and the fork snapshot; xrot (SPECK only) is the gathered
 	// rotr(x, alpha) operand fed to the ripple-carry adder.
 	lanes, tmp, snap, xrot []uint64
 	// rows is the transpose scratch: one packed state word per trace.
-	rows [laneBlock]uint64
+	rows [ciphers.LaneBlock]uint64
 	// laneRound is the family's lane round, chosen once at construction
-	// so that roundLanes inlines into the fork loops with no family test.
-	laneRound func(k *kernel, rk uint32)
+	// so that roundLanes inlines into the steps with no family test.
+	laneRound func(k *laneSteps, rk uint32)
 }
 
 // NewBatchKernel implements ciphers.BatchEncrypter.
 func (c *Cipher) NewBatchKernel() ciphers.BatchKernel {
 	n := int(c.wordBits)
-	k := &kernel{
+	k := &laneSteps{
 		c:         c,
 		n:         n,
 		nbits:     2 * n,
 		lanes:     make([]uint64, 2*n),
 		tmp:       make([]uint64, 2*n),
 		snap:      make([]uint64, 2*n),
-		laneRound: (*kernel).simonLanes,
+		laneRound: (*laneSteps).simonLanes,
 	}
 	if c.speck {
 		k.xrot = make([]uint64, n)
-		k.laneRound = (*kernel).speckLanes
+		k.laneRound = (*laneSteps).speckLanes
 	}
-	return k
-}
-
-// pack places the (x, y) word pair into a single uint64 in repository bit
-// order: y in bits [0, n), x in bits [n, 2n).
-func (k *kernel) pack(x, y uint32) uint64 {
-	return uint64(y) | uint64(x)<<uint(k.n)
-}
-
-// unpack splits a packed state word back into (x, y).
-func (k *kernel) unpack(w uint64) (x, y uint32) {
-	m := k.c.mask()
-	return uint32(w>>uint(k.n)) & m, uint32(w) & m
+	return ciphers.NewForkKernel(c, k, &wordSteps{c: c})
 }
 
 // roundLanes applies one round of the cipher's family across all lanes.
-func (k *kernel) roundLanes(rk uint32) {
+func (k *laneSteps) roundLanes(rk uint32) {
 	k.laneRound(k, rk)
 	k.lanes, k.tmp = k.tmp, k.lanes
 }
@@ -92,7 +72,7 @@ func (k *kernel) roundLanes(rk uint32) {
 // loop splits at that boundary into wrap-free runs the compiler can
 // bounds-check-eliminate, and the key complement is a branchless XOR with
 // an all-ones lane derived from the key bit.
-func (k *kernel) simonLanes(rk uint32) {
+func (k *laneSteps) simonLanes(rk uint32) {
 	n := k.n
 	y := k.lanes[:n:n]
 	x := k.lanes[n : 2*n : 2*n]
@@ -114,7 +94,7 @@ func (k *kernel) simonLanes(rk uint32) {
 // speckLanes writes one SPECK round of k.lanes into k.tmp: gather the
 // rotated x lanes, ripple-carry add the old y lanes, complement the key
 // bits, and build the new y from the rotated old y XOR the fresh x.
-func (k *kernel) speckLanes(rk uint32) {
+func (k *laneSteps) speckLanes(rk uint32) {
 	n := k.n
 	alpha, beta := int(k.c.alpha), int(k.c.beta)
 	y := k.lanes[:n:n]
@@ -139,203 +119,168 @@ func (k *kernel) speckLanes(rk uint32) {
 	}
 }
 
-// loadRowsBE gathers the block's plaintexts as packed state words into
-// k.rows, zero-padding past bn.
-func (k *kernel) loadRowsBE(pts []byte, base, bn int) {
+// loadRows gathers the block's plaintexts (Encrypt's src order) or, with
+// le set, its masks (repository bit order) into k.rows as packed state
+// words, y in bits [0, n) and x in bits [n, 2n), zero-padding past bn.
+func (k *laneSteps) loadRows(src []byte, le bool) {
 	bb := k.c.BlockBytes()
-	o := base * bb
-	for t := range k.rows[:bn] {
-		k.rows[t] = k.pack(k.c.loadBE(pts[o : o+bb]))
-		o += bb
+	for t := range k.rows[:k.bn] {
+		o := (k.base + t) * bb
+		var x, y uint32
+		if le {
+			x, y = k.c.maskLE(src[o : o+bb])
+		} else {
+			x, y = k.c.loadBE(src[o : o+bb])
+		}
+		k.rows[t] = uint64(y) | uint64(x)<<uint(k.n)
 	}
-	clear(k.rows[bn:])
+	clear(k.rows[k.bn:])
 }
 
-// loadRowsLE gathers each trace's little-endian (repository bit order)
-// mask as packed state words into k.rows.
-func (k *kernel) loadRowsLE(masks []byte, base, bn int) {
-	bb := k.c.BlockBytes()
-	o := base * bb
-	for t := range k.rows[:bn] {
-		k.rows[t] = k.pack(k.c.maskLE(masks[o : o+bb]))
-		o += bb
-	}
-	clear(k.rows[bn:])
-}
-
-// rowsToLanes transposes k.rows into k.lanes (only the first nbits lanes
-// carry state; the rest of the transpose output is padding).
-func (k *kernel) rowsToLanes() {
-	bitvec.Transpose64(&k.rows)
-	copy(k.lanes, k.rows[:k.nbits])
-}
-
-// captureLanes transposes the current lanes back to per-trace packed
-// words and writes each live trace's state into dst at
-// stride*traceIndex+off, in trace (LE) or ciphertext (BE) byte order.
-func (k *kernel) captureLanes(dst []byte, base, bn, stride, off int, bigEndian bool) {
+// Store implements ciphers.ForkSteps: it transposes the lanes back to
+// per-trace packed words and writes them in trace (LE) or ciphertext (BE)
+// byte order.
+func (k *laneSteps) Store(dst []byte, stride, off int, ct bool) {
 	copy(k.rows[:k.nbits], k.lanes)
 	clear(k.rows[k.nbits:])
 	bitvec.Transpose64(&k.rows)
-	bb := k.nbits / 8
-	o := base*stride + off
+	bb, m := k.nbits/8, k.c.mask()
+	o := k.base*stride + off
 	switch {
-	case bigEndian:
-		for _, v := range k.rows[:bn] {
-			x, y := k.unpack(v)
-			k.c.storeBE(dst[o:o+bb], x, y)
+	case ct:
+		for _, v := range k.rows[:k.bn] {
+			k.c.storeBE(dst[o:o+bb], uint32(v>>uint(k.n))&m, uint32(v)&m)
 			o += stride
 		}
 	case bb == 8:
 		// The packed word already is the repository-order (LE) state:
 		// state bit i = bit i%8 of byte i/8.
-		for _, v := range k.rows[:bn] {
+		for _, v := range k.rows[:k.bn] {
 			binary.LittleEndian.PutUint64(dst[o:o+8], v)
 			o += stride
 		}
 	default:
-		for _, v := range k.rows[:bn] {
+		for _, v := range k.rows[:k.bn] {
 			binary.LittleEndian.PutUint32(dst[o:o+4], uint32(v))
 			o += stride
 		}
 	}
 }
 
-// EncryptForksOps implements ciphers.BatchKernel: the AND half of the
-// injection pair is one extra AND per lane on the faulted branch.
-func (k *kernel) EncryptForksOps(round int, points []ciphers.BatchPoint, n int, pts []byte, xors, ands, states, cts [][]byte) {
-	ciphers.ValidateForksOps(k.c, round, points, n, pts, xors, ands, states, cts)
-	for base := 0; base < n; {
-		bn := n - base
-		if bn > laneBlock {
-			bn = laneBlock
+// Load implements ciphers.ForkSteps: the plaintexts, transposed into
+// lanes.
+func (k *laneSteps) Load(pts []byte, base, bn int) {
+	k.base, k.bn = base, bn
+	k.loadRows(pts, false)
+	bitvec.Transpose64(&k.rows)
+	copy(k.lanes, k.rows[:k.nbits])
+}
+
+// Rounds implements ciphers.ForkSteps.
+func (k *laneSteps) Rounds(from, to int) {
+	for r := from; r < to; r++ {
+		k.roundLanes(k.c.roundKeys[r-1])
+	}
+}
+
+// Sub implements ciphers.ForkSteps: the whole round, since PostSub is the
+// state after it.
+func (k *laneSteps) Sub(r int) { k.roundLanes(k.c.roundKeys[r-1]) }
+
+// Finish implements ciphers.ForkSteps: Sub has run the whole round.
+func (k *laneSteps) Finish(int) {}
+
+// Save implements ciphers.ForkSteps.
+func (k *laneSteps) Save() { copy(k.snap, k.lanes) }
+
+// Fork implements ciphers.ForkSteps: each mask half is one extra AND or
+// XOR per lane.
+func (k *laneSteps) Fork(and, xor []byte) {
+	copy(k.lanes, k.snap)
+	if and != nil {
+		k.loadRows(and, true)
+		bitvec.Transpose64(&k.rows)
+		for b := 0; b < k.nbits; b++ {
+			k.lanes[b] &= k.rows[b]
 		}
-		if bn >= bitsliceMin {
-			k.forkBlock(round, points, base, bn, pts, xors, ands, states, cts)
+	}
+	if xor != nil {
+		k.loadRows(xor, true)
+		bitvec.Transpose64(&k.rows)
+		for b := 0; b < k.nbits; b++ {
+			k.lanes[b] ^= k.rows[b]
+		}
+	}
+}
+
+// wordSteps are the per-trace fork steps: the scalar round function on one
+// word pair per trace, the path for blocks too small to amortize the
+// transposes. They perform the same state operations as Encrypt.
+type wordSteps struct {
+	c        *Cipher
+	base, bn int
+	// s holds each trace's (x, y) word pair; snap is the fork snapshot.
+	s, snap [ciphers.LaneBlock][2]uint32
+}
+
+// Load implements ciphers.ForkSteps.
+func (w *wordSteps) Load(pts []byte, base, bn int) {
+	w.base, w.bn = base, bn
+	bb := w.c.BlockBytes()
+	for t := range w.s[:bn] {
+		w.s[t][0], w.s[t][1] = w.c.loadBE(pts[(base+t)*bb:])
+	}
+}
+
+// Rounds implements ciphers.ForkSteps.
+func (w *wordSteps) Rounds(from, to int) {
+	c := w.c
+	for t := range w.s[:w.bn] {
+		x, y := w.s[t][0], w.s[t][1]
+		for r := from; r < to; r++ {
+			x, y = c.round(x, y, c.roundKeys[r-1])
+		}
+		w.s[t] = [2]uint32{x, y}
+	}
+}
+
+// Sub implements ciphers.ForkSteps: the whole round, as for the lanes.
+func (w *wordSteps) Sub(r int) { w.Rounds(r, r+1) }
+
+// Finish implements ciphers.ForkSteps: Sub has run the whole round.
+func (w *wordSteps) Finish(int) {}
+
+// Save implements ciphers.ForkSteps.
+func (w *wordSteps) Save() { copy(w.snap[:w.bn], w.s[:w.bn]) }
+
+// Fork implements ciphers.ForkSteps.
+func (w *wordSteps) Fork(and, xor []byte) {
+	bb := w.c.BlockBytes()
+	for t := range w.s[:w.bn] {
+		i := w.base + t
+		x, y := w.snap[t][0], w.snap[t][1]
+		if and != nil {
+			ax, ay := w.c.maskLE(and[i*bb:])
+			x &= ax
+			y &= ay
+		}
+		if xor != nil {
+			fx, fy := w.c.maskLE(xor[i*bb:])
+			x ^= fx
+			y ^= fy
+		}
+		w.s[t] = [2]uint32{x, y}
+	}
+}
+
+// Store implements ciphers.ForkSteps.
+func (w *wordSteps) Store(dst []byte, stride, off int, ct bool) {
+	for t, s := range w.s[:w.bn] {
+		o := (w.base+t)*stride + off
+		if ct {
+			w.c.storeBE(dst[o:], s[0], s[1])
 		} else {
-			k.forkScalar(round, points, base, bn, pts, xors, ands, states, cts)
-		}
-		base += bn
-	}
-}
-
-// forkBlock runs one bitsliced block of bn <= 64 traces.
-func (k *kernel) forkBlock(round int, points []ciphers.BatchPoint, base, bn int, pts []byte, masks, ands, states, cts [][]byte) {
-	c := k.c
-	bb := c.BlockBytes()
-	np := len(points)
-
-	k.loadRowsBE(pts, base, bn)
-	k.rowsToLanes()
-	// Shared prefix: rounds before the injection point, computed once
-	// (Encrypt injects at the top of the faulted round).
-	for r := 1; r < round; r++ {
-		k.roundLanes(c.roundKeys[r-1])
-	}
-	copy(k.snap, k.lanes)
-
-	for f := range masks {
-		if f > 0 {
-			copy(k.lanes, k.snap)
-		}
-		if ands != nil && ands[f] != nil {
-			k.loadRowsLE(ands[f], base, bn)
-			bitvec.Transpose64(&k.rows)
-			for b := 0; b < k.nbits; b++ {
-				k.lanes[b] &= k.rows[b]
-			}
-		}
-		if m := masks[f]; m != nil {
-			k.loadRowsLE(m, base, bn)
-			bitvec.Transpose64(&k.rows)
-			for b := 0; b < k.nbits; b++ {
-				k.lanes[b] ^= k.rows[b]
-			}
-		}
-		st := states[f]
-		for r := round; r <= c.rounds; r++ {
-			if st != nil {
-				for j, p := range points {
-					if p.Round == r && !p.PostSub {
-						k.captureLanes(st, base, bn, np*bb, j*bb, false)
-					}
-				}
-			}
-			k.roundLanes(c.roundKeys[r-1])
-			if st != nil {
-				for j, p := range points {
-					if p.Round == r && p.PostSub {
-						k.captureLanes(st, base, bn, np*bb, j*bb, false)
-					}
-				}
-			}
-		}
-		if st != nil {
-			for j, p := range points {
-				if p.Round == 0 {
-					k.captureLanes(st, base, bn, np*bb, j*bb, false)
-				}
-			}
-		}
-		if ct := cts[f]; ct != nil {
-			k.captureLanes(ct, base, bn, bb, 0, true)
-		}
-	}
-}
-
-// forkScalar runs bn traces through the scalar round function with
-// prefix sharing: the path for blocks too small to amortize the
-// transposes. It performs the same state operations as Encrypt.
-func (k *kernel) forkScalar(round int, points []ciphers.BatchPoint, base, bn int, pts []byte, masks, ands, states, cts [][]byte) {
-	c := k.c
-	bb := c.BlockBytes()
-	np := len(points)
-	for t := 0; t < bn; t++ {
-		i := base + t
-		sx, sy := c.loadBE(pts[i*bb:])
-		for r := 1; r < round; r++ {
-			sx, sy = c.round(sx, sy, c.roundKeys[r-1])
-		}
-		for f := range masks {
-			x, y := sx, sy
-			if ands != nil && ands[f] != nil {
-				ax, ay := c.maskLE(ands[f][i*bb:])
-				x &= ax
-				y &= ay
-			}
-			if m := masks[f]; m != nil {
-				fx, fy := c.maskLE(m[i*bb:])
-				x ^= fx
-				y ^= fy
-			}
-			st := states[f]
-			for r := round; r <= c.rounds; r++ {
-				if st != nil {
-					for j, p := range points {
-						if p.Round == r && !p.PostSub {
-							c.storeLE(st[(i*np+j)*bb:], x, y)
-						}
-					}
-				}
-				x, y = c.round(x, y, c.roundKeys[r-1])
-				if st != nil {
-					for j, p := range points {
-						if p.Round == r && p.PostSub {
-							c.storeLE(st[(i*np+j)*bb:], x, y)
-						}
-					}
-				}
-			}
-			if st != nil {
-				for j, p := range points {
-					if p.Round == 0 {
-						c.storeLE(st[(i*np+j)*bb:], x, y)
-					}
-				}
-			}
-			if ct := cts[f]; ct != nil {
-				c.storeBE(ct[i*bb:], x, y)
-			}
+			w.c.storeLE(dst[o:], s[0], s[1])
 		}
 	}
 }

@@ -54,9 +54,9 @@ type Oracle struct {
 // NewOracle builds the protected oracle around an engine's keyed cipher
 // and configuration, with faults injected at round in both branches. It
 // uses the engine's Samples, MaxOrder, GroupBits, Threshold, Mode,
-// Workers, NoBatch, Metrics, Events and RefSeed, and its Seed as the
-// base seed from which each assessment derives its plaintexts, fault
-// values and mute strings. Observation points, Lag, Window and
+// Workers, NoBatch, Metrics and Events, and its Seed as the base seed
+// from which each assessment derives its plaintexts, fault values and
+// mute strings. Observation points, Lag, Window and
 // StopAtThreshold do not apply: the adversary sees released ciphertexts
 // only, all of them. The engine's Oracle must be fault.OracleWelch:
 // muting already erases the effective/ineffective distinction SIFA
@@ -173,7 +173,7 @@ func (o *Oracle) Evaluate(ctx context.Context, pattern *bitvec.Vector, model fau
 		return 0, err
 	}
 	o.LastMutedRate = float64(muted.Load()) / float64(o.cfg.Samples)
-	ref := evaluate.Reference(o.cfg.Samples, o.cfg.GroupBits, groups, o.cfg.MaxOrder, o.cfg.RefSeed)
+	ref := evaluate.Reference(o.cfg.Samples, o.cfg.GroupBits, groups, o.cfg.MaxOrder, evaluate.CanonicalRefSeed)
 	res := accs[0].MaxT(o.cfg.MaxOrder, ref)
 	evaluate.Recycle(accs)
 	sp.SetAttr("t", res.T)

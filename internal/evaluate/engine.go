@@ -104,9 +104,6 @@ type Config struct {
 	// campaign seed from (Seed, pattern, round), making assessments pure
 	// functions of their inputs.
 	Seed uint64
-	// RefSeed selects the uniform-reference stream; 0 uses the canonical
-	// shared seed so all engines with equal shape share one table entry.
-	RefSeed uint64
 }
 
 // resolve replaces zero values with their defaults and rejects the
@@ -129,9 +126,6 @@ func (cfg *Config) resolve(c ciphers.Cipher) error {
 	}
 	if cfg.Window == 0 {
 		cfg.Window = fault.DefaultWindow
-	}
-	if cfg.RefSeed == 0 {
-		cfg.RefSeed = CanonicalRefSeed
 	}
 	if cfg.Samples < 2 || cfg.Samples > maxSamples {
 		return fmt.Errorf("evaluate: samples %d out of range (want 2..%d)", cfg.Samples, maxSamples)
@@ -319,7 +313,7 @@ func (e *Engine) assess(ctx context.Context, pattern *bitvec.Vector, round int, 
 	if err != nil {
 		return Assessment{}, err
 	}
-	ref := Reference(e.cfg.Samples, e.cfg.GroupBits, groups, maxOrder, e.cfg.RefSeed)
+	ref := Reference(e.cfg.Samples, e.cfg.GroupBits, groups, maxOrder, CanonicalRefSeed)
 
 	var out Assessment
 	for i, p := range cp.Points {

@@ -7,9 +7,9 @@ import (
 	"repro/internal/stats"
 )
 
-// CanonicalRefSeed is the uniform-reference stream used when Config.RefSeed
-// is zero. Sharing one seed lets every engine of the same shape (samples,
-// grouping, order) reuse a single precomputed reference accumulator.
+// CanonicalRefSeed seeds every engine's uniform-reference stream, so
+// engines of the same shape (samples, grouping, order) share a single
+// precomputed reference accumulator.
 const CanonicalRefSeed uint64 = 0x5ca1ab1e0ddba11
 
 type refKey struct {

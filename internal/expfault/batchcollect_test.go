@@ -17,7 +17,7 @@ import (
 func TestGIFTDFABatchMatchesScalar(t *testing.T) {
 	key := make([]byte, 16)
 	prng.New(41).Fill(key)
-	c, err := gift.New64(key)
+	c, err := gift.New(gift.GIFT64, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestGIFTDFABatchMatchesScalar(t *testing.T) {
 func TestGIFT128DFABatchMatchesScalar(t *testing.T) {
 	key := make([]byte, 16)
 	prng.New(43).Fill(key)
-	c, err := gift.New128(key)
+	c, err := gift.New(gift.GIFT128, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestGIFTDFANewModelRecoversKeyBits(t *testing.T) {
 	rng := prng.New(303)
 	key := make([]byte, 16)
 	rng.Fill(key)
-	c, err := gift.New64(key)
+	c, err := gift.New(gift.GIFT64, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestGIFTDFASingleNibbleModel(t *testing.T) {
 	rng := prng.New(404)
 	key := make([]byte, 16)
 	rng.Fill(key)
-	c, _ := gift.New64(key)
+	c, _ := gift.New(gift.GIFT64, key)
 	pattern := nibblePattern(5)
 	res, err := GIFTDFA(c, &pattern, GIFTDFAConfig{Pairs: 256}, rng.Split())
 	if err != nil {
@@ -196,7 +196,7 @@ func TestGIFTDFASingleNibbleModel(t *testing.T) {
 }
 
 func TestGIFTDFAValidation(t *testing.T) {
-	c, _ := gift.New64(make([]byte, 16))
+	c, _ := gift.New(gift.GIFT64, make([]byte, 16))
 	rng := prng.New(1)
 	empty := bitvec.New(64)
 	if _, err := GIFTDFA(c, &empty, GIFTDFAConfig{}, rng); err == nil {
@@ -212,7 +212,7 @@ func TestGIFT128DFASingleNibble(t *testing.T) {
 	rng := prng.New(808)
 	key := make([]byte, 16)
 	rng.Fill(key)
-	c, err := gift.New128(key)
+	c, err := gift.New(gift.GIFT128, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestGIFT128DFAMultiNibble(t *testing.T) {
 	rng := prng.New(809)
 	key := make([]byte, 16)
 	rng.Fill(key)
-	c, _ := gift.New128(key)
+	c, _ := gift.New(gift.GIFT128, key)
 	pattern := nibblePattern128(8, 9, 10)
 	res, err := GIFTDFA(c, &pattern, GIFTDFAConfig{Pairs: 512}, rng.Split())
 	if err != nil {
@@ -258,12 +258,12 @@ func TestGIFT128DFAValidation(t *testing.T) {
 	if _, err := GIFTDFA(present, &p64, GIFTDFAConfig{}, rng); err == nil {
 		t.Error("accepted a present80 instance")
 	}
-	c64, _ := gift.New64(make([]byte, 16))
+	c64, _ := gift.New(gift.GIFT64, make([]byte, 16))
 	p128 := nibblePattern128(0)
 	if _, err := GIFTDFA(c64, &p128, GIFTDFAConfig{}, rng); err == nil {
 		t.Error("accepted a 128-bit pattern on gift64")
 	}
-	c128, _ := gift.New128(make([]byte, 16))
+	c128, _ := gift.New(gift.GIFT128, make([]byte, 16))
 	empty := bitvec.New(128)
 	if _, err := GIFTDFA(c128, &empty, GIFTDFAConfig{}, rng); err == nil {
 		t.Error("accepted empty pattern")
@@ -286,7 +286,7 @@ func TestRecoveryMerge(t *testing.T) {
 func TestInvRound64IsRoundInverse(t *testing.T) {
 	// invRound must invert SubCells+PermBits: encrypting one round
 	// without keys and inverting must give back the input.
-	c, _ := gift.New64(make([]byte, 16))
+	c, _ := gift.New(gift.GIFT64, make([]byte, 16))
 	rng := prng.New(5)
 	for trial := 0; trial < 100; trial++ {
 		s := rng.Uint64()
@@ -313,7 +313,7 @@ func TestLE64(t *testing.T) {
 }
 
 func TestInvRound128IsRoundInverse(t *testing.T) {
-	c, _ := gift.New128(make([]byte, 16))
+	c, _ := gift.New(gift.GIFT128, make([]byte, 16))
 	rng := prng.New(811)
 	for trial := 0; trial < 50; trial++ {
 		s := state{rng.Uint64(), rng.Uint64()}

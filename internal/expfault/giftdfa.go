@@ -13,6 +13,14 @@ import (
 	"repro/internal/prng"
 )
 
+// acceptMargin is the minimum significance (a one-sided t statistic of
+// the per-pair log-likelihood gap between the best and second-best key
+// guess) required to count a guess's bits as recovered: 4.5, the same
+// confidence level the paper's leakage threshold θ uses. Guesses that
+// are statistically indistinguishable — e.g. genuinely symmetric key
+// bits — are reported unrecovered instead of being coin-flipped.
+const acceptMargin = 4.5
+
 // GIFTDFAConfig tunes the GIFT differential fault attack.
 type GIFTDFAConfig struct {
 	// FaultRound is where the fault model injects (default three rounds
@@ -25,14 +33,6 @@ type GIFTDFAConfig struct {
 	// TemplateSamples sizes the attacker's offline simulation of the
 	// fault model's differential distributions (default 8192).
 	TemplateSamples int
-	// MinMargin is the minimum significance (a one-sided t statistic of
-	// the per-pair log-likelihood gap between the best and second-best
-	// key guess) required to count a guess's bits as recovered
-	// (default 4.5, the same confidence level the paper's leakage
-	// threshold θ uses). Guesses that are statistically
-	// indistinguishable — e.g. genuinely symmetric key bits — are
-	// reported unrecovered instead of being coin-flipped.
-	MinMargin float64
 	// Model is the typed fault model injected at FaultRound (default
 	// fault.XorFlip, bit-identical to the historical bit-flip attack).
 	// The offline templates are rebuilt under the same model, so the
@@ -56,9 +56,6 @@ func (c *GIFTDFAConfig) setDefaults(rounds int) {
 	}
 	if c.TemplateSamples == 0 {
 		c.TemplateSamples = 8192
-	}
-	if c.MinMargin == 0 {
-		c.MinMargin = 4.5
 	}
 }
 
@@ -150,7 +147,7 @@ func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng
 	// ciphertexts.
 	nibbles := 2 * target.BlockBytes()
 	guesses := float64(4 * nibbles * cfg.Pairs)
-	last := recoverRoundKey(target, cc, cf, tmplLast, rounds, cfg.MinMargin)
+	last := recoverRoundKey(target, cc, cf, tmplLast, rounds)
 	recovered := last.known()
 
 	var prev recovery
@@ -163,7 +160,7 @@ func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng
 		// bits (those not already fixed by phase 1) plus two RK27 bits;
 		// the much stronger round-27 differential template scores the
 		// joint guess.
-		guesses += coneRecover(target, cc, cf, tmplPrev, rounds, &last, &prev, cfg.MinMargin)
+		guesses += coneRecover(target, cc, cf, tmplPrev, rounds, &last, &prev)
 		n28b, n27 := last.known()-recovered, prev.known()
 		recovered += n28b + n27
 		notes += fmt.Sprintf("; cone phase: +%d RK28 bits, %d/32 RK27 bits", n28b, n27)
@@ -182,7 +179,7 @@ func GIFTDFA(target *gift.Cipher, pattern *bitvec.Vector, cfg GIFTDFAConfig, rng
 			sc[p] = invRound(target, cc[p].xor(k))
 			sf[p] = invRound(target, cf[p].xor(k))
 		}
-		peeled := recoverRoundKey(target, sc, sf, tmplPrev, rounds-1, cfg.MinMargin)
+		peeled := recoverRoundKey(target, sc, sf, tmplPrev, rounds-1)
 		guesses += float64(4 * nibbles * cfg.Pairs)
 		extra := prev.merge(peeled)
 		recovered += extra
@@ -283,8 +280,8 @@ func keyBit(c *gift.Cipher) int { return bits.TrailingZeros64(c.KeyMask(0, 1)[0]
 // P(4n+o)/4 and P(4n+o+1) carries U bit P(4n+o+1)/4 (GIFT keys bits 4i+o
 // and 4i+o+1 only, and PermBits preserves the bit index mod 4). A guess's
 // bits count as recovered only when its per-pair log-likelihood lead over
-// the runner-up is statistically significant (see GIFTDFAConfig.MinMargin).
-func recoverRoundKey(c *gift.Cipher, cc, cf []state, tmpl [32][16]float64, round int, minMargin float64) recovery {
+// the runner-up is statistically significant (acceptMargin).
+func recoverRoundKey(c *gift.Cipher, cc, cf []state, tmpl [32][16]float64, round int) recovery {
 	var out recovery
 	o := keyBit(c)
 	cm := c.ConstMask(round)
@@ -347,7 +344,7 @@ func recoverRoundKey(c *gift.Cipher, cc, cf []state, tmpl [32][16]float64, round
 		if n == 0 || margin < out.minMargin {
 			out.minMargin = margin
 		}
-		if margin >= minMargin {
+		if margin >= acceptMargin {
 			out.gotV |= 1 << uint(vIdx)
 			out.gotU |= 1 << uint(uIdx)
 			out.v |= uint32(best&1) << uint(vIdx)
@@ -421,12 +418,12 @@ func conePerPair(tabs [4]feedTab, off [4]int, q [4]int, cm27 uint64, tmpl [16]fl
 // enumerates the unknown key bits in its backward cone (up to eight RK28
 // bits and two RK27 bits), scores each joint guess against the round-27
 // input template over all pairs, and commits the bits of cones whose
-// best-vs-second margin clears minMargin. Cones are committed in
+// best-vs-second margin clears acceptMargin. Cones are committed in
 // descending margin order so overlapping claims resolve to the stronger
 // cone; previously-known RK28 bits constrain the enumeration. It returns
 // the number of guess evaluations (for the offline-complexity estimate).
 // It runs on GIFT-64 only.
-func coneRecover(c *gift.Cipher, cc, cf []state, tmpl [32][16]float64, rounds int, rk28, rk27 *recovery, minMargin float64) float64 {
+func coneRecover(c *gift.Cipher, cc, cf []state, tmpl [32][16]float64, rounds int, rk28, rk27 *recovery) float64 {
 	cm28 := c.ConstMask(rounds)
 	cm27 := c.ConstMask(rounds - 1)[0]
 	pairs := len(cc)
@@ -599,7 +596,7 @@ func coneRecover(c *gift.Cipher, cc, cf []state, tmpl [32][16]float64, rounds in
 				bi = i
 			}
 		}
-		if bi < 0 || results[bi].margin < minMargin {
+		if bi < 0 || results[bi].margin < acceptMargin {
 			break
 		}
 		r := results[bi]

@@ -64,12 +64,12 @@ func TestExpFaultGolden(t *testing.T) {
 	// them shorter than the kernels' bitslicing threshold.
 	key := make([]byte, 16)
 	keys.Fill(key)
-	g64, err := gift.New64(key)
+	g64, err := gift.New(gift.GIFT64, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys.Fill(key)
-	g128, err := gift.New128(key)
+	g128, err := gift.New(gift.GIFT128, key)
 	if err != nil {
 		t.Fatal(err)
 	}
