@@ -30,7 +30,6 @@ import (
 
 	explorefault "repro"
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 )
 
 func main() {
@@ -154,29 +153,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("bad -heatmap %q: want text, markdown or none", *heatmap)
 	}
 
-	metrics, events, cleanup, err := obs.Setup(*metricsAddr, *eventsPath, stderr)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	tracer, err := trace.Open(*tracePath)
-	if err != nil {
-		return err
-	}
-	runSpan, ctx := tracer.StartRoot(ctx, trace.SpanRun)
-	runSpan.SetAttr("binary", "atlas")
-	runSpan.SetAttr("cipher", *cipher)
-	defer func() {
-		runSpan.End()
-		if cerr := tracer.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	events.Emit(obs.EventRunStarted, map[string]any{
+	obsRun, ctx, err := obs.StartRun(ctx, *metricsAddr, *eventsPath, *tracePath, stderr, map[string]any{
 		"binary": "atlas", "cipher": *cipher, "rounds": *roundsFlag,
 		"fault_types": *faultTypes, "oracle": oracle.String(),
 		"samples": *samples, "order2": *order2, "seed": *seed,
 	})
+	if err != nil {
+		return err
+	}
+	defer obsRun.Close(&err)
 
 	atlas, err := explorefault.Sweep(ctx, explorefault.SweepConfig{
 		Cipher:     *cipher,
@@ -192,8 +177,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		Workers:    *workers,
 		NoBatch:    *scalar,
 		Seed:       *seed,
-		Metrics:    metrics,
-		Events:     events,
+		Metrics:    obsRun.Metrics,
+		Events:     obsRun.Events,
 		Checkpoint: *checkpointPath,
 	})
 	if err != nil {
@@ -221,7 +206,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		}
 		fmt.Fprintf(stdout, "atlas written to %s\n", *outPath)
 	}
-	events.Emit(obs.EventRunFinished, map[string]any{
+	obsRun.Events.Emit(obs.EventRunFinished, map[string]any{
 		"binary": "atlas", "cells": atlas.Summary.Cells,
 		"exploitable": atlas.Summary.Exploitable, "max_t": atlas.Summary.MaxT,
 	})

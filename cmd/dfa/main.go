@@ -115,31 +115,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("no key-recovery attack for cipher %q (want aes128, gift64 or gift128)", *cipher)
 	}
 
-	_, events, cleanup, err := obs.Setup(*metricsAddr, *eventsPath, stderr)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	tracer, err := trace.Open(*tracePath)
-	if err != nil {
-		return err
-	}
-	runSpan, ctx := tracer.StartRoot(ctx, trace.SpanRun)
-	runSpan.SetAttr("binary", "dfa")
-	runSpan.SetAttr("cipher", *cipher)
-	runSpan.SetAttr("fault_model", faultModel.String())
-	// The trace document is written at Close; a truncated or unwritable
-	// trace surfaces as the run error rather than vanishing.
-	defer func() {
-		runSpan.End()
-		if cerr := tracer.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	events.Emit(obs.EventRunStarted, map[string]any{
+	obsRun, ctx, err := obs.StartRun(ctx, *metricsAddr, *eventsPath, *tracePath, stderr, map[string]any{
 		"binary": "dfa", "cipher": *cipher, "round": *round,
 		"pairs": *pairs, "seed": *seed, "fault_model": faultModel.String(),
 	})
+	if err != nil {
+		return err
+	}
+	defer obsRun.Close(&err)
 
 	if err := ctx.Err(); err != nil {
 		return err
@@ -160,7 +143,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fmt.Fprintf(stdout, "verified correct   : %v\n", res.Correct)
 	fmt.Fprintf(stdout, "detail             : %s\n", res.Notes)
 
-	events.Emit(obs.EventRunFinished, map[string]any{
+	obsRun.Events.Emit(obs.EventRunFinished, map[string]any{
 		"binary": "dfa", "recovered_bits": res.RecoveredBits,
 		"total_key_bits": res.TotalKeyBits, "correct": res.Correct,
 	})

@@ -27,7 +27,6 @@ import (
 
 	explorefault "repro"
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/report"
 )
 
@@ -98,34 +97,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 
-	metrics, events, cleanup, err := obs.Setup(*metricsAddr, *eventsPath, stderr)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	tracer, err := trace.Open(*tracePath)
-	if err != nil {
-		return err
-	}
-	runSpan, ctx := tracer.StartRoot(ctx, trace.SpanRun)
-	runSpan.SetAttr("binary", "explorefault")
-	runSpan.SetAttr("cipher", *cipher)
-	runSpan.SetAttr("round", *round)
-	runSpan.SetAttr("fault_types", *faultTypes)
-	runSpan.SetAttr("oracle", oracle.String())
-	// The trace document is written at Close; a truncated or unwritable
-	// trace surfaces as the run error rather than vanishing.
-	defer func() {
-		runSpan.End()
-		if cerr := tracer.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	events.Emit(obs.EventRunStarted, map[string]any{
+	obsRun, ctx, err := obs.StartRun(ctx, *metricsAddr, *eventsPath, *tracePath, stderr, map[string]any{
 		"binary": "explorefault", "cipher": *cipher, "round": *round,
 		"episodes": *episodes, "protected": *protected, "seed": *seed,
 		"fault_types": *faultTypes, "oracle": oracle.String(),
 	})
+	if err != nil {
+		return err
+	}
+	defer obsRun.Close(&err)
 
 	cfg := explorefault.DiscoverConfig{
 		Cipher:          *cipher,
@@ -140,8 +120,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		NoBatch:         *scalar,
 		NoOracleCache:   !*cache,
 		Seed:            *seed,
-		Metrics:         metrics,
-		Events:          events,
+		Metrics:         obsRun.Metrics,
+		Events:          obsRun.Events,
 		Checkpoint:      *checkpointPath,
 		CheckpointEvery: *checkpointEvery,
 		Resume:          *resume,
@@ -159,7 +139,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	start := time.Now()
 	res, err := explorefault.DiscoverContext(ctx, cfg)
 	if err != nil {
-		events.Emit(obs.EventRunFinished, map[string]any{"binary": "explorefault", "error": err.Error()})
+		obsRun.Events.Emit(obs.EventRunFinished, map[string]any{"binary": "explorefault", "error": err.Error()})
 		if errors.Is(err, context.Canceled) && *checkpointPath != "" {
 			fmt.Fprintf(stderr, "interrupted; training state saved to %s (resume with -resume)\n", *checkpointPath)
 		}
@@ -197,7 +177,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	tb.Render(stdout)
 
-	events.Emit(obs.EventRunFinished, map[string]any{
+	obsRun.Events.Emit(obs.EventRunFinished, map[string]any{
 		"binary": "explorefault", "episodes": res.Episodes,
 		"converged_leaky": res.ConvergedLeaky, "models": len(res.Models),
 	})

@@ -134,34 +134,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("bad -oracle: %v", err)
 	}
 
-	metrics, events, cleanup, err := obs.Setup(*metricsAddr, *eventsPath, stderr)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	tracer, err := trace.Open(*tracePath)
-	if err != nil {
-		return err
-	}
-	runSpan, ctx := tracer.StartRoot(ctx, trace.SpanRun)
-	runSpan.SetAttr("binary", "faultsim")
-	runSpan.SetAttr("cipher", *cipher)
-	runSpan.SetAttr("round", *round)
-	runSpan.SetAttr("fault_model", faultModel.String())
-	runSpan.SetAttr("oracle", oracle.String())
-	// The trace document is written at Close; a truncated or unwritable
-	// trace surfaces as the run error rather than vanishing.
-	defer func() {
-		runSpan.End()
-		if cerr := tracer.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	events.Emit(obs.EventRunStarted, map[string]any{
+	obsRun, ctx, err := obs.StartRun(ctx, *metricsAddr, *eventsPath, *tracePath, stderr, map[string]any{
 		"binary": "faultsim", "cipher": *cipher, "round": *round,
 		"bits": pattern.Count(), "samples": *samples, "seed": *seed,
 		"fault_model": faultModel.String(), "oracle": oracle.String(),
 	})
+	if err != nil {
+		return err
+	}
+	defer obsRun.Close(&err)
 
 	// Stage checkpointing: load any prior partial run for these exact
 	// arguments, then persist after every finished stage so an interrupt
@@ -178,7 +159,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			return err
 		}
 		if *checkpointPath != "" {
-			events.Emit(obs.EventCheckpointSaved, map[string]any{
+			obsRun.Events.Emit(obs.EventCheckpointSaved, map[string]any{
 				"binary": "faultsim", "stage": stage, "path": *checkpointPath,
 			})
 		}
@@ -197,7 +178,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			Cipher: *cipher, Round: *round, Samples: *samples,
 			FaultModel: faultModel, Oracle: oracle,
 			FixedOrder: fixedOrder, Workers: *workers, NoBatch: *scalar, Seed: *seed,
-			Metrics: metrics, Events: events,
+			Metrics: obsRun.Metrics, Events: obsRun.Events,
 		})
 		ssp.SetAttr("t", a.T)
 		ssp.End()
@@ -250,7 +231,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		fmt.Fprintln(stdout, "no distinguisher found after the injection round")
 	}
 
-	events.Emit(obs.EventRunFinished, map[string]any{
+	obsRun.Events.Emit(obs.EventRunFinished, map[string]any{
 		"binary": "faultsim", "t": full.T, "leaky": full.Leaky,
 		"distinguisher_round": prof.DistinguisherRound,
 	})

@@ -400,3 +400,17 @@ func TestBadInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestDamagedLineNamed: a damaged line fails the report with an error
+// that names its physical line number, blank lines included.
+func TestDamagedLineNamed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.jsonl")
+	log := `{"ts":"2026-02-03T04:05:06Z","seq":0,"event":"run_started"}` + "\n\n" + `{"ts":"2026-02-03T04:05:07Z","se`
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sink bytes.Buffer
+	if err := run([]string{path}, &sink, &sink); err == nil || !strings.Contains(err.Error(), "line 3: ") {
+		t.Fatalf("error = %v, want one naming line 3", err)
+	}
+}

@@ -9,11 +9,12 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/obs/trace"
 )
 
 func main() {
@@ -29,28 +30,16 @@ func run(args []string, stdout io.Writer) error {
 	if len(args) < 1 {
 		return errors.New("usage: tracecheck trace.json [required-span-name ...]")
 	}
-	data, err := os.ReadFile(args[0])
+	entries, err := trace.ReadFile(args[0])
 	if err != nil {
 		return err
 	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: not a Chrome trace document: %v", args[0], err)
-	}
-	if len(doc.TraceEvents) == 0 {
+	if len(entries) == 0 {
 		return fmt.Errorf("%s: no trace events", args[0])
 	}
 	spans := 0
 	seen := map[string]int{}
-	for i, ev := range doc.TraceEvents {
+	for i, ev := range entries {
 		switch ev.Ph {
 		case "X":
 			if ev.Dur < 0 || ev.TS < 0 {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -72,14 +74,49 @@ const (
 	EventEmitterStats = "emitter_stats"
 )
 
-// Event is the JSONL envelope: a wall-clock timestamp, a process-local
-// monotonic sequence number (total order even when timestamps collide),
-// the event kind, and free-form fields.
-type Event struct {
-	TS     string         `json:"ts"`
-	Seq    uint64         `json:"seq"`
-	Event  string         `json:"event"`
-	Fields map[string]any `json:"fields,omitempty"`
+// Envelope is one JSONL event line: a wall-clock timestamp, a
+// process-local monotonic sequence number (total order even when
+// timestamps collide), the event kind, and the kind's fields, decoded
+// into whatever type F the reader picks.
+type Envelope[F any] struct {
+	TS     string `json:"ts"`
+	Seq    uint64 `json:"seq"`
+	Event  string `json:"event"`
+	Fields F      `json:"fields,omitempty"`
+}
+
+// Event is the envelope the emitter writes, with free-form fields.
+type Event = Envelope[map[string]any]
+
+// maxEventLine caps one event line for ReadEvents.
+const maxEventLine = 4 << 20
+
+// ReadEvents reads a JSONL event log and calls fn for every line that is
+// not blank, with its 1-based physical line number and the line decoded
+// into an Envelope[F]. A line that does not decode still reaches fn,
+// with the decode error; fn decides whether the scan goes on (nil) or
+// stops (an error, which ReadEvents returns). A read error or a line
+// longer than 4 MiB ends the scan with an error naming the line.
+func ReadEvents[F any](r io.Reader, fn func(line int, ev Envelope[F], err error) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), maxEventLine)
+	line := 0
+	for sc.Scan() {
+		line++
+		raw := sc.Bytes()
+		if len(bytes.TrimSpace(raw)) == 0 {
+			continue
+		}
+		var ev Envelope[F]
+		decodeErr := json.Unmarshal(raw, &ev)
+		if err := fn(line, ev, decodeErr); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return nil
 }
 
 // Emitter writes structured run events as JSON Lines. It is safe for

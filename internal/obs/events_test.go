@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -189,5 +191,52 @@ func TestEmitterConcurrentEmit(t *testing.T) {
 			t.Fatalf("duplicate seq %d", ev.Seq)
 		}
 		seen[ev.Seq] = true
+	}
+}
+
+// TestReadEvents pins the framing every event-log reader shares.
+func TestReadEvents(t *testing.T) {
+	errStop := errors.New("stop")
+	huge := `{"event":"huge","fields":{"pad":"` + strings.Repeat("x", maxEventLine) + `"}}`
+	cases := []struct {
+		name    string
+		log     string
+		stopAt  int      // line at which fn returns errStop (0: never)
+		want    []string // "line:event" per fn call, "!" for a decode error
+		wantErr error
+		wantMsg string
+	}{
+		{"blank lines are skipped but numbered", "{\"event\":\"a\"}\n\n \t\r\n{\"event\":\"b\"}\n",
+			0, []string{"1:a", "4:b"}, nil, ""},
+		{"final line without newline", "{\"event\":\"a\"}\n{\"event\":\"b\"}",
+			0, []string{"1:a", "2:b"}, nil, ""},
+		{"damaged line reaches fn and the scan goes on", "{\"event\":\"a\"}\n{\"event\":\"b\n{\"event\":\"c\"}\n",
+			0, []string{"1:a", "2:!", "3:c"}, nil, ""},
+		{"fn error is returned", "{\"event\":\"a\"}\n{\"event\":\"b\"}\n{\"event\":\"c\"}\n",
+			2, []string{"1:a", "2:b"}, errStop, ""},
+		{"line over the cap ends the scan", "{\"event\":\"a\"}\n" + huge + "\n{\"event\":\"c\"}\n",
+			0, []string{"1:a"}, bufio.ErrTooLong, "line 2: "},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			err := ReadEvents(strings.NewReader(tc.log), func(line int, ev Envelope[struct{}], err error) error {
+				kind := ev.Event
+				if err != nil {
+					kind = "!"
+				}
+				got = append(got, fmt.Sprintf("%d:%s", line, kind))
+				if line == tc.stopAt {
+					return errStop
+				}
+				return nil
+			})
+			if !errors.Is(err, tc.wantErr) || err != nil && !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Errorf("error = %v, want %v containing %q", err, tc.wantErr, tc.wantMsg)
+			}
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Errorf("calls = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -123,6 +123,32 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
+// Entry is one event of a trace document as ReadFile returns it: its
+// name, its phase ("X" for a span, "M" for a lane or process name), and
+// its start and duration in microseconds.
+type Entry struct {
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	TS   float64 `json:"ts"`
+	Dur  float64 `json:"dur"`
+}
+
+// ReadFile decodes the trace document at path, as Close writes it, and
+// returns its events in document order.
+func ReadFile(path string) ([]Entry, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var doc struct {
+		TraceEvents []Entry `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("%s: not a Chrome trace document: %v", path, err)
+	}
+	return doc.TraceEvents, nil
+}
+
 // New returns an enabled in-memory tracer; read it back with Export.
 func New() *Tracer {
 	return &Tracer{

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -289,5 +290,46 @@ func TestEndIdempotent(t *testing.T) {
 	tr.mu.Unlock()
 	if n != 1 {
 		t.Errorf("events = %d, want 1", n)
+	}
+}
+
+// TestReadFile: ReadFile returns the spans of an exported trace in
+// document order, and names the path when the file is not a trace.
+func TestReadFile(t *testing.T) {
+	tr := buildSampleTrace(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.json")
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []Entry
+	for _, e := range entries {
+		if e.Ph == "X" {
+			spans = append(spans, e)
+		}
+	}
+	if len(spans) != len(tr.events) {
+		t.Fatalf("ReadFile returned %d spans, the tracer recorded %d", len(spans), len(tr.events))
+	}
+	for i, ev := range tr.events {
+		if want := (Entry{Name: ev.Name, Ph: ev.Ph, TS: ev.TS, Dur: ev.Dur}); spans[i] != want {
+			t.Errorf("span %d = %+v, want %+v", i, spans[i], want)
+		}
+	}
+
+	events := filepath.Join(dir, "run.jsonl")
+	if err := os.WriteFile(events, []byte(`{"ts":"2026-01-01T00:00:00Z","seq":0,"event":"run_started"}`+"\n"+`{"seq":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(events); err == nil || !strings.Contains(err.Error(), events) {
+		t.Errorf("ReadFile of an event log: error %v, want one naming %s", err, events)
 	}
 }

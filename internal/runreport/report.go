@@ -9,7 +9,6 @@
 package runreport
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 )
 
 // Report is the distilled view of one run's event log (plus an optional
@@ -214,19 +214,11 @@ func AnalyzeFile(eventsPath, tracePath string) (*Report, error) {
 	return rep, nil
 }
 
-// num reads a numeric event field; JSON unmarshals every number into
-// float64, but be liberal in what we accept.
+// num reads a numeric event field (JSON decodes every number into
+// float64).
 func num(fields map[string]any, key string) (float64, bool) {
-	switch v := fields[key].(type) {
-	case float64:
-		return v, true
-	case int:
-		return float64(v), true
-	case json.Number:
-		f, err := v.Float64()
-		return f, err == nil
-	}
-	return 0, false
+	v, ok := fields[key].(float64)
+	return v, ok
 }
 
 // str reads a string event field.
@@ -282,18 +274,9 @@ func Analyze(r io.Reader) (*Report, error) {
 	var throughput []ThroughputPoint
 	workers := 0.0
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := trimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var ev obs.Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("line %d: %v", line, err)
+	err := obs.ReadEvents(r, func(line int, ev obs.Event, err error) error {
+		if err != nil {
+			return fmt.Errorf("line %d: %v", line, err)
 		}
 		rep.Events++
 		if ts, err := time.Parse(time.RFC3339Nano, ev.TS); err == nil {
@@ -319,32 +302,12 @@ func Analyze(r io.Reader) (*Report, error) {
 				rep.Cipher = c
 			}
 		case obs.EventJobUsage:
-			u := &JobUsage{
-				ID:         str(f, "id"),
-				Tenant:     str(f, "tenant"),
-				Kind:       str(f, "kind"),
-				Cipher:     str(f, "cipher"),
-				FaultModel: str(f, "fault_model"),
-				State:      str(f, "state"),
-			}
-			if v, ok := num(f, "attempts"); ok {
-				u.Attempts = int(v)
-			}
-			u.WallSeconds, _ = num(f, "wall_seconds")
-			u.CPUSeconds, _ = num(f, "cpu_seconds")
-			u.QueueSeconds, _ = num(f, "queue_seconds")
-			if v, ok := num(f, "episodes"); ok {
-				u.Episodes = uint64(v)
-			}
-			if v, ok := num(f, "cells"); ok {
-				u.Cells = uint64(v)
-			}
-			if v, ok := num(f, "traces"); ok {
-				u.Traces = uint64(v)
-			}
-			if v, ok := num(f, "peak_heap_bytes"); ok {
-				u.PeakHeapBytes = uint64(v)
-			}
+			// The fields decoded as a map; re-encode them to read them
+			// through JobUsage's JSON tags. A field of the wrong type
+			// stays zero.
+			u := &JobUsage{}
+			b, _ := json.Marshal(f)
+			_ = json.Unmarshal(b, u)
 			rep.Usage = u // last line wins: usage is cumulative per attempt
 		case obs.EventCampaignStarted:
 			if p, ok := f["pattern"].(string); ok {
@@ -490,8 +453,9 @@ func Analyze(r io.Reader) (*Report, error) {
 				rep.EventsDropped = uint64(d)
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if rep.Events == 0 {
@@ -566,21 +530,6 @@ func Analyze(r io.Reader) (*Report, error) {
 	return rep, nil
 }
 
-// trimSpace trims ASCII whitespace without converting to string first.
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r' || b[0] == '\n') {
-		b = b[1:]
-	}
-	for len(b) > 0 {
-		c := b[len(b)-1]
-		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-			break
-		}
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
 // bucketThroughput folds per-campaign throughput points into at most ten
 // elapsed-time buckets so "traces/sec over time" stays readable for long
 // runs.
@@ -644,32 +593,18 @@ func reportWarnings(rep *Report) []string {
 	return w
 }
 
-// chromeTrace mirrors the document shape internal/obs/trace exports.
-type chromeTrace struct {
-	TraceEvents []struct {
-		Name string  `json:"name"`
-		Ph   string  `json:"ph"`
-		TS   float64 `json:"ts"`
-		Dur  float64 `json:"dur"`
-	} `json:"traceEvents"`
-}
-
 // analyzeTrace parses a Chrome trace-event file, aggregates its complete
 // ("X") events by span name into rep.Spans, and estimates worker
 // utilization from shard spans when the event log recorded a worker
 // count.
 func analyzeTrace(rep *Report, path string) error {
-	data, err := os.ReadFile(path)
+	entries, err := trace.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var tr chromeTrace
-	if err := json.Unmarshal(data, &tr); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
 	agg := map[string]*SpanStat{}
 	var shardUS, assessUS float64
-	for _, ev := range tr.TraceEvents {
+	for _, ev := range entries {
 		if ev.Ph != "X" {
 			continue
 		}

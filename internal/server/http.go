@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -125,7 +125,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // summarizeEvents scans a job's JSONL log and tallies lines by event
 // kind. A missing log (job not started) returns nil; damaged lines are
-// counted under "".
+// counted under "". It runs on every poll, so it decodes no field
+// values: struct{} fields skip them.
 func summarizeEvents(path string) *eventSummary {
 	f, err := os.Open(path)
 	if err != nil {
@@ -133,20 +134,18 @@ func summarizeEvents(path string) *eventSummary {
 	}
 	defer f.Close()
 	sum := &eventSummary{Events: map[string]int{}}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
+	err = obs.ReadEvents(f, func(_ int, ev obs.Envelope[struct{}], err error) error {
 		sum.Lines++
-		var ev struct {
-			Event string `json:"event"`
+		if err != nil {
+			ev.Event = ""
 		}
-		json.Unmarshal(sc.Bytes(), &ev)
 		sum.Events[ev.Event]++
-	}
-	// A scanner that stopped on error (oversized line, read failure)
+		return nil
+	})
+	// A scan that stopped on error (oversized line, read failure)
 	// counted only a prefix of the log; surface that instead of passing
 	// the partial tally off as the whole story.
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		sum.Truncated = err.Error()
 	}
 	return sum
@@ -224,6 +223,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			f.Close()
 		}
 	}()
+	buf := make([]byte, 64*1024)
 	tick := time.NewTicker(150 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -240,14 +240,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			f, _ = os.Open(path) // appears once a worker picks the job up
 		}
 		if f != nil {
-			buf := make([]byte, 64*1024)
 			for {
 				n, err := f.ReadAt(buf, offset)
 				if n > 0 {
 					offset += int64(n)
 					pending = append(pending, buf[:n]...)
 					for {
-						i := indexByte(pending, '\n')
+						i := bytes.IndexByte(pending, '\n')
 						if i < 0 {
 							break
 						}
@@ -276,15 +275,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-tick.C:
 		}
 	}
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, got := range b {
-		if got == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // writeJSON writes a JSON response body.

@@ -336,3 +336,67 @@ func TestSummarizeEventsTruncated(t *testing.T) {
 		t.Errorf("scan continued past the oversized line: %+v", sum.Events)
 	}
 }
+
+// TestSummarizeEventsCountsDamagedLines: a damaged line is counted under
+// "" and the tally goes on past it.
+func TestSummarizeEventsCountsDamagedLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	log := `{"event":"job_started"}` + "\n" + `{"ts":"2026-01-01T00:00:00Z","ev` + "\n" + `{"event":"job_finished"}` + "\n"
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := summarizeEvents(path)
+	if sum == nil || sum.Truncated != "" || sum.Lines != 3 {
+		t.Fatalf("summary = %+v, want 3 lines and no truncation", sum)
+	}
+	if sum.Events[""] != 1 || sum.Events["job_started"] != 1 || sum.Events["job_finished"] != 1 {
+		t.Errorf("events = %v, want the damaged line under \"\"", sum.Events)
+	}
+}
+
+// TestSSEStreamsLongLine: a log line longer than the stream's 64 KiB
+// read buffer spans two reads and still arrives as one data: frame.
+func TestSSEStreamsLongLine(t *testing.T) {
+	pad := strings.Repeat("x", 100<<10)
+	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, Runner: testRunner{
+		run: func(ctx context.Context, spec Spec, files Files, m *obs.Registry, em *obs.Emitter) (json.RawMessage, error) {
+			em.Emit("long", map[string]any{"pad": pad})
+			return json.RawMessage(`{}`), nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	j := submitSpec(t, s, countSpec("long", 1, 1))
+	waitJob(t, s, j.ID, func(j *Job) bool { return j.State.Terminal() })
+
+	resp, err := http.Get(ts.URL + "/jobs/" + j.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, frame := range strings.Split(string(body), "\n\n") {
+		data, ok := strings.CutPrefix(frame, "data: ")
+		if !ok {
+			continue
+		}
+		var ev obs.Event
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("data frame of %d bytes is not one event: %v", len(data), err)
+		}
+		if ev.Event == "long" {
+			found = ev.Fields["pad"] == pad
+		}
+	}
+	if !found {
+		t.Fatal("no data frame carried the long line whole")
+	}
+}

@@ -1,14 +1,13 @@
 package sweep
 
 import (
-	"bufio"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/bitvec"
+	"repro/internal/obs"
 )
 
 // CoverageReport quantifies a discovery run's sample efficiency against
@@ -57,17 +56,14 @@ type CoverageReport struct {
 	ByModel map[string]int `json:"by_model,omitempty"`
 }
 
-// episodeEvent mirrors the JSONL envelope of the run-event log for the
-// two kinds the comparator reads.
-type episodeEvent struct {
-	Event  string `json:"event"`
-	Fields struct {
-		Round      int     `json:"round"`
-		Pattern    string  `json:"pattern"`
-		FaultModel string  `json:"fault_model"`
-		T          float64 `json:"t"`
-		Leaky      bool    `json:"leaky"`
-	} `json:"fields"`
+// episodeFields are the event fields the comparator reads, of the
+// run_started, episode and model_verified kinds.
+type episodeFields struct {
+	Round      int     `json:"round"`
+	Pattern    string  `json:"pattern"`
+	FaultModel string  `json:"fault_model"`
+	T          float64 `json:"t"`
+	Leaky      bool    `json:"leaky"`
 }
 
 // cellKey canonically identifies a cell for lookup.
@@ -86,13 +82,13 @@ func Compare(a *Atlas, round int, r io.Reader) (*CoverageReport, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	exploitable := map[string]bool{}
+	exploitable := map[string]int{} // cell key → round
 	inAtlas := map[string]bool{}
 	for _, c := range a.Cells {
 		k := cellKey(c.Round, c.Pos, c.Model)
 		inAtlas[k] = true
 		if c.Exploitable {
-			exploitable[k] = true
+			exploitable[k] = c.Round
 		}
 	}
 
@@ -113,29 +109,22 @@ func Compare(a *Atlas, round int, r io.Reader) (*CoverageReport, error) {
 		if !inAtlas[k] {
 			return "", -1
 		}
-		if !exploitable[k] {
+		if _, ok := exploitable[k]; !ok {
 			return k, 0
 		}
 		return k, 1
 	}
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev episodeEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			continue // foreign lines are skipped, not fatal
+	err := obs.ReadEvents(r, func(_ int, ev obs.Envelope[episodeFields], err error) error {
+		if err != nil {
+			return nil // foreign lines are skipped, not fatal
 		}
 		switch ev.Event {
-		case "run_started":
+		case obs.EventRunStarted:
 			if rep.Round == 0 && ev.Fields.Round > 0 {
 				rep.Round = ev.Fields.Round
 			}
-		case "model_verified":
+		case obs.EventModelVerified:
 			rep.VerifiedModels++
 			switch _, verdict := classify(ev.Fields.Pattern, ev.Fields.FaultModel); verdict {
 			case -1:
@@ -145,10 +134,10 @@ func Compare(a *Atlas, round int, r io.Reader) (*CoverageReport, error) {
 			case 1:
 				rep.ModelHits++
 			}
-		case "episode":
+		case obs.EventEpisode:
 			rep.Episodes++
 			if !ev.Fields.Leaky {
-				continue
+				return nil
 			}
 			rep.LeakyEpisodes++
 			k, verdict := classify(ev.Fields.Pattern, ev.Fields.FaultModel)
@@ -167,16 +156,17 @@ func Compare(a *Atlas, round int, r io.Reader) (*CoverageReport, error) {
 				}
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("sweep: reading event log: %w", err)
 	}
 	if rep.Round == 0 {
 		return nil, fmt.Errorf("sweep: no -round given and no run_started event to infer it from")
 	}
 
-	for k := range exploitable {
-		if cellRound(k) == rep.Round {
+	for _, cellRound := range exploitable {
+		if cellRound == rep.Round {
 			rep.ExploitableCells++
 		}
 	}
@@ -185,13 +175,6 @@ func Compare(a *Atlas, round int, r io.Reader) (*CoverageReport, error) {
 		rep.Coverage = float64(rep.FoundCells) / float64(rep.ExploitableCells)
 	}
 	return rep, nil
-}
-
-// cellRound parses the round back out of a cellKey.
-func cellRound(key string) int {
-	var r int
-	fmt.Sscanf(key, "r%d|", &r)
-	return r
 }
 
 // patternPositions maps a hex-encoded pattern onto whole positions at

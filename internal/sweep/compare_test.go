@@ -114,3 +114,46 @@ func TestCompareNeedsARound(t *testing.T) {
 		t.Fatalf("explicit round: %v %+v", err, rep)
 	}
 }
+
+// TestCompareSkipsDamagedLines: a torn line between two leaky episodes
+// is skipped and both episodes count, and only the compared round's
+// exploitable cells of a two-round atlas make up the denominator.
+func TestCompareSkipsDamagedLines(t *testing.T) {
+	cfg := Config{Cipher: "gift64", Rounds: []int{22, 25}, Samples: 64,
+		Models: []fault.Model{fault.XorFlip}, Seed: 7}
+	atlas, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hot *Cell
+	at22 := 0
+	for i := range atlas.Cells {
+		if c := &atlas.Cells[i]; c.Round == 22 && c.Exploitable {
+			at22++
+			if hot == nil {
+				hot = c
+			}
+		}
+	}
+	if hot == nil || at22 == atlas.Summary.Exploitable {
+		t.Fatalf("want exploitable cells in both rounds: %d of %d in round 22", at22, atlas.Summary.Exploitable)
+	}
+	p := patternFor(64, atlas.GranBits, hot.Pos)
+	pat := hexOf(p.Bytes())
+	log := strings.Join([]string{
+		logLine("run_started", `"round":22`),
+		logLine("episode", fmt.Sprintf(`"episode":1,"pattern":%q,"fault_model":%q,"leaky":true`, pat, hot.Model)),
+		`{"ts":"2026-01-01T00:00:00Z","seq":2,"event":"epis`,
+		logLine("episode", fmt.Sprintf(`"episode":2,"pattern":%q,"fault_model":%q,"leaky":true`, pat, hot.Model)),
+	}, "\n")
+	rep, err := Compare(atlas, 0, strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Episodes != 2 || rep.LeakyEpisodes != 2 || rep.FoundCells != 1 {
+		t.Errorf("episodes %d, leaky %d, found %d; want 2, 2, 1", rep.Episodes, rep.LeakyEpisodes, rep.FoundCells)
+	}
+	if rep.ExploitableCells != at22 {
+		t.Errorf("exploitable cells %d, want round 22's %d", rep.ExploitableCells, at22)
+	}
+}

@@ -8,7 +8,8 @@
 # A second scenario SIGKILLs the daemon mid-job instead and appends the
 # first bytes of a delta record to its job table, as a crash mid-append
 # leaves it: the restarted daemon must report the dropped bytes and
-# still finish the job with the reference result.
+# still finish the job with the reference result. The reference
+# daemon's data directory must also fold into a one-job fleet report.
 #
 # Robust by construction: if the job finishes before the signal lands,
 # the restart path degenerates to "load a done job", which still has to
@@ -123,6 +124,10 @@ grep -q '^runtime_goroutines ' "$DIR/scrape.prom" \
 normalize_events "$DIR/a/$ID.events.jsonl" "$DIR/ref.events"
 kill -TERM "$DPID"; wait "$DPID" || true
 echo "   reference result captured ($(wc -l < "$DIR/ref.events") episodes)"
+# The fleet report reads each job log's job_usage line: one gift64 job.
+$GO run ./cmd/obsreport -fleet "$DIR/a" > "$DIR/fleet.md"
+grep -q '^1 job(s)' "$DIR/fleet.md" && grep -q '^| gift64 ' "$DIR/fleet.md" \
+    || { echo "FAIL: fleet report does not show the one gift64 job"; cat "$DIR/fleet.md"; exit 1; }
 
 echo "== interrupted daemon (SIGTERM mid-job)"
 start_daemon "$DIR/b" "$DIR/b1.log"
